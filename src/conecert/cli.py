@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -42,9 +43,25 @@ def _load_spec(args):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        v = np.array([float(c) for c in text.split(",")])
     except ValueError as exc:
         raise InputError(f"bad vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"bad vector {text!r}: entries must be finite")
+    return v
+
+
+def _above(kind, low):
+    """argparse type: a finite number of `kind` greater than `low`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > low):
+            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _report(command: str, model, inputs: dict, result: dict, t0: float) -> dict:
@@ -96,10 +113,9 @@ def cmd_equilibria(args) -> int:
     t0 = time.monotonic()
     model = _load_spec(args)
     if args.box:
-        bounds = []
-        for part in args.box.split(";"):
-            lo, hi = part.split(",")
-            bounds.append((float(lo), float(hi)))
+        bounds = [tuple(_parse_vector(part)) for part in args.box.split(";")]
+        if any(len(b) != 2 or not b[0] < b[1] for b in bounds):
+            raise InputError(f"bad box {args.box!r}: need lo,hi intervals with lo < hi")
     else:
         bounds = [(-2.0, 2.0)] * model.d
     if len(bounds) != model.d:
@@ -163,10 +179,13 @@ def cmd_verify(args) -> int:
     z = _parse_vector(args.to)
     if len(x) != model.d or len(z) != model.d:
         raise InputError(f"endpoints must have dimension {model.d}")
-    cfg = SimConfig.default(
-        t=args.t, z=z, n_ball=args.ball, n_paths=args.paths, seed=args.seed,
-        delta=args.delta, dt=args.dt,
-    )
+    try:
+        cfg = SimConfig.default(
+            t=args.t, z=z, n_ball=args.ball, n_paths=args.paths, seed=args.seed,
+            delta=args.delta, dt=args.dt,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     evidence = simulate(model, x, cfg)
     report = _report("verify", model,
                      {"from": x.tolist(), "to": z.tolist(), "t": args.t,
@@ -225,27 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute the bracket cone and positivity basis")
     _add_model_args(p)
-    p.add_argument("--max-rounds", type=int, default=12)
-    p.add_argument("--combo-budget", type=int, default=1)
+    p.add_argument("--max-rounds", type=_above(int, 0), default=12)
+    p.add_argument("--combo-budget", type=_above(int, -1), default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("equilibria", help="search for equilibria of the control family")
     _add_model_args(p)
     p.add_argument("--box", help="semicolon-separated lo,hi intervals per coordinate")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=_above(int, 0), default=64)
+    p.add_argument("--seed", type=_above(int, -1), default=0)
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("reach", help="synthesize a control and certify positivity")
     _add_model_args(p)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_above(float, 0), required=True)
     p.add_argument("--via-equilibrium", action="store_true")
-    p.add_argument("--pieces", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=12)
-    p.add_argument("--combo-budget", type=int, default=1)
+    p.add_argument("--pieces", type=_above(int, 1), default=8)
+    p.add_argument("--seed", type=_above(int, -1), default=0)
+    p.add_argument("--max-rounds", type=_above(int, 0), default=12)
+    p.add_argument("--combo-budget", type=_above(int, -1), default=1)
     p.add_argument("--dump-trajectory", help="CSV path for (s, state) rows")
     p.set_defaults(func=cmd_reach)
 
@@ -253,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--ball", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t", type=_above(float, 0), required=True)
+    p.add_argument("--paths", type=_above(int, 0), default=100_000)
+    p.add_argument("--seed", type=_above(int, -1), default=0)
+    p.add_argument("--delta", type=_above(float, 0), default=0.25)
+    p.add_argument("--ball", type=_above(float, 0), default=10.0)
+    p.add_argument("--dt", type=_above(float, 0), default=None)
     p.add_argument("--heatmap", help="CSV path for the endpoint histogram")
     p.set_defaults(func=cmd_verify)
 

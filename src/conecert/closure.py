@@ -22,6 +22,7 @@ from .polyfield import (
     Derivation,
     PolyVectorField,
     ad_power,
+    compile_field,
     lie_bracket,
     relative_degree,
 )
@@ -104,12 +105,6 @@ class GenerationState:
     even_seen: set = field(default_factory=set)
     pairs_done: set = field(default_factory=set)
     last_round_added: bool = True
-
-    def leaves(self) -> dict[str, PolyVectorField]:
-        out = {"X0": self.model.drift}
-        for j, v in enumerate(self.model.noise, start=1):
-            out[f"X{j}"] = PolyVectorField.from_constant(v)
-        return out
 
 
 def closure_init(model: ModelSpec) -> GenerationState:
@@ -271,11 +266,6 @@ class ConeSpan:
     even_generators: list[ConstantField]
     exhausted: bool
     rounds: int
-
-    def odd_matrix(self) -> np.ndarray:
-        return np.array([cf.as_array() for cf in self.odd_basis]).reshape(
-            len(self.odd_basis), self.dim
-        )
 
     def rank(self) -> int:
         span = RationalSpan(self.dim)
@@ -443,12 +433,12 @@ def twist_rank_check(
     if not points:
         raise ValueError("points must be nonempty")
     cols = [model.noise_matrix()[:, j] for j in range(model.r)]
-    brackets = [
-        lie_bracket(Xf, model.drift) for Xf in model.noise_fields()
+    P = np.asarray(points, dtype=float)
+    bracket_values = [
+        compile_field(lie_bracket(Xf, model.drift))(P) for Xf in model.noise_fields()
     ]
-    for p in points:
-        for br in brackets:
-            cols.append(br.eval(np.asarray(p, dtype=float)))
+    for i in range(len(P)):
+        cols.extend(vals[i] for vals in bracket_values)
     if not cols:
         return False
     A = np.array(cols).T

@@ -54,10 +54,12 @@ def is_equilibrium(
     """Least-squares control cancelling the drift at y; the residual is
     the norm of what no control can reach.  Exact-rational points with
     exact-rational residual zero short-circuit the float path."""
+    from .polyfield import compile_field
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     y = np.asarray(y, dtype=float)
-    drift = model.drift.eval(y)
+    drift = compile_field(model.drift)(y)
     B = model.noise_matrix()
     if model.r == 0:
         residual = float(np.linalg.norm(drift))
@@ -107,9 +109,9 @@ def find_equilibria(
     else:
         P = np.eye(model.d)
 
-    drift_fn = model.drift.eval
-    from .polyfield import compile_jacobian
+    from .polyfield import compile_field, compile_jacobian
 
+    drift_fn = compile_field(model.drift)
     jac_fn = compile_jacobian(model.drift)
 
     def residual_fn(y):

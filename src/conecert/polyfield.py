@@ -506,12 +506,6 @@ class ConstantField:
     def dim(self) -> int:
         return len(self.value)
 
-    def as_field(self) -> PolyVectorField:
-        return PolyVectorField.from_constant(self.value)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(c) for c in self.value])
-
 
 # --------------------------------------------------------------------
 # Serialization: JSON list of {"coeff": "p/q", "exps": [...]}; vector
@@ -558,87 +552,68 @@ def field_from_json(data: list[list[dict]], dim: int) -> PolyVectorField:
 
 
 # --------------------------------------------------------------------
-# Numeric compilation: fast batched evaluation for flows and Monte Carlo.
+# Numeric compilation: one kernel per field, built on first numeric use
+# and cached.  A monomial is a row of variable indices (its "slots",
+# highest power first) padded with index dim, which addresses a constant
+# 1 appended to the point; all monomials are one gather and one product
+# over the slots, and the polynomials one dense coefficient matrix.
 
 
-def _power_tables(x: np.ndarray, maxdeg: np.ndarray) -> list[np.ndarray]:
-    """Per-coordinate tables of x_i^k for k = 0..maxdeg[i], built by
-    repeated multiplication (much faster than float pow)."""
-    tables = []
-    for i, m in enumerate(maxdeg):
-        t = np.empty(x.shape[:-1] + (int(m) + 1,))
-        t[..., 0] = 1.0
-        for k in range(1, int(m) + 1):
-            t[..., k] = t[..., k - 1] * x[..., i]
-        tables.append(t)
-    return tables
+class _SlotTable:
+    """Polynomials over one monomial basis, one per row of `rows` (term
+    dicts), evaluated to an array of `shape` per point."""
+
+    def __init__(self, dim: int, rows: Sequence[Mapping[Exponents, Fraction]],
+                 shape: tuple[int, ...]):
+        index: dict[Exponents, int] = {}
+        for terms in rows:
+            for e in terms:
+                index.setdefault(e, len(index))
+        self.slots = np.full((len(index), max(map(sum, index), default=0)), dim, np.intp)
+        for e, col in index.items():
+            # highest power first: x_i^2 x_j is (x_i x_i) x_j, the rounding
+            # the pinned Monte Carlo outputs were made with
+            order = sorted((i for i, k in enumerate(e) if k), key=lambda i: -e[i])
+            idx = [i for i in order for _ in range(e[i])]
+            self.slots[col, : len(idx)] = idx
+        self.coeffs = np.zeros((len(index), len(rows)))
+        for j, terms in enumerate(rows):
+            for e, c in terms.items():
+                self.coeffs[index[e], j] = float(c)
+        # cached and shared by every caller of the field
+        self.slots.flags.writeable = self.coeffs.flags.writeable = False
+        self.shape = shape
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        padded[..., :-1] = x
+        padded[..., -1] = 1.0
+        out = padded[..., self.slots].prod(axis=-1) @ self.coeffs
+        return out.reshape(x.shape[:-1] + self.shape)
+
+
+class _Kernel:
+    """Compiled drift of a field and, built on first request, its Jacobian."""
+
+    def __init__(self, V: PolyVectorField):
+        self.V = V
+        self.field = _SlotTable(V.dim, [p.terms for p in V.components], (V.dim,))
+
+    @functools.cached_property
+    def jac(self) -> _SlotTable:
+        d = self.V.dim
+        return _SlotTable(d, [p.terms for row in jacobian(self.V) for p in row], (d, d))
+
+
+_kernel = functools.lru_cache(maxsize=64)(_Kernel)  # keyed on the frozen field
 
 
 def compile_field(V: PolyVectorField):
     """Compile to a function f(x) -> drift, x of shape (..., dim)."""
-    dim = V.dim
-    specs = []
-    for p in V.components:
-        coeffs = np.array([float(c) for c in p.terms.values()])
-        exps = np.array(list(p.terms.keys()), dtype=np.int64).reshape(-1, dim)
-        specs.append((coeffs, exps, [bool((exps[:, i] > 0).any()) for i in range(dim)]))
-    maxdeg = np.zeros(dim, dtype=np.int64)
-    for _, exps, _ in specs:
-        if exps.size:
-            maxdeg = np.maximum(maxdeg, exps.max(axis=0))
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pw = _power_tables(x, maxdeg)
-        out = np.zeros(x.shape)
-        for j, (coeffs, exps, used) in enumerate(specs):
-            if coeffs.size == 0:
-                continue
-            mono = None
-            for i in range(dim):
-                if not used[i]:
-                    continue
-                fac = pw[i][..., exps[:, i]]
-                mono = fac if mono is None else mono * fac
-            if mono is None:
-                mono = np.ones(x.shape[:-1] + (len(coeffs),))
-            out[..., j] = mono @ coeffs
-        return out
-
-    return f
+    return _kernel(V).field
 
 
 def compile_jacobian(V: PolyVectorField):
     """Compile the Jacobian to a function J(x) -> (..., dim, dim) array."""
-    J = jacobian(V)
-    dim = V.dim
-    entries = []
-    maxdeg = np.zeros(dim, dtype=np.int64)
-    for j in range(dim):
-        for k in range(dim):
-            p = J[j][k]
-            if not p.terms:
-                continue
-            coeffs = np.array([float(c) for c in p.terms.values()])
-            exps = np.array(list(p.terms.keys()), dtype=np.int64).reshape(-1, dim)
-            used = [bool((exps[:, i] > 0).any()) for i in range(dim)]
-            entries.append((j, k, coeffs, exps, used))
-            maxdeg = np.maximum(maxdeg, exps.max(axis=0))
-
-    def jf(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pw = _power_tables(x, maxdeg)
-        out = np.zeros(x.shape[:-1] + (dim, dim))
-        for j, k, coeffs, exps, used in entries:
-            mono = None
-            for i in range(dim):
-                if not used[i]:
-                    continue
-                fac = pw[i][..., exps[:, i]]
-                mono = fac if mono is None else mono * fac
-            if mono is None:
-                mono = np.ones(x.shape[:-1] + (len(coeffs),))
-            out[..., j, k] = mono @ coeffs
-        return out
-
-    return jf
+    return _kernel(V).jac

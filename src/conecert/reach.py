@@ -156,14 +156,13 @@ def _integrate_once(model, x, control, n_ball, n_steps, with_jacobian):
     d = model.d
     B = model.noise_matrix()
     f = compile_field(model.drift)
-    Jf = compile_jacobian(model.drift)
+    Jf = compile_jacobian(model.drift) if with_jacobian else None
 
     times = [0.0]
     states = [x.copy()]
     Js = [np.eye(d)]
     exited = False
     exit_time = None
-    cond_max = 1.0
 
     state = x.copy()
     J = np.eye(d)
@@ -171,40 +170,38 @@ def _integrate_once(model, x, control, n_ball, n_steps, with_jacobian):
     if n_ball is not None and np.linalg.norm(state) >= n_ball:
         exited, exit_time = True, 0.0
 
-    for (s0, s1), u, n_sub in zip(
-        zip(control.breakpoints[:-1], control.breakpoints[1:]),
-        control.values,
-        _steps_per_interval(control, n_steps),
-    ):
-        h = (s1 - s0) / n_sub
-        forcing = B @ u if B.size else np.zeros(d)
-        for _ in range(n_sub):
-            # overflow here is diagnosed as divergence, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+    # overflow in a step is diagnosed as divergence, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (s0, s1), u, n_sub in zip(
+            zip(control.breakpoints[:-1], control.breakpoints[1:]),
+            control.values,
+            _steps_per_interval(control, n_steps),
+        ):
+            h = (s1 - s0) / n_sub
+            forcing = B @ u if B.size else np.zeros(d)
+            for _ in range(n_sub):
                 if with_jacobian:
                     state, J = _rk4_step_joint(f, Jf, state, J, forcing, h)
                 else:
                     state = _rk4_step(f, state, forcing, h)
-            s += h
-            if not np.all(np.isfinite(state)):
-                raise FlowDivergenceError(s)
-            times.append(s)
-            states.append(state.copy())
-            if with_jacobian:
-                Js.append(J.copy())
-                c = np.linalg.cond(J)
-                if c > cond_max:
-                    cond_max = c
-            if not exited and n_ball is not None and np.linalg.norm(state) >= n_ball:
-                exited, exit_time = True, s
+                s += h
+                if not np.all(np.isfinite(state)):
+                    raise FlowDivergenceError(s)
+                times.append(s)
+                states.append(state)
+                if with_jacobian:
+                    Js.append(J)
+                if not exited and n_ball is not None and np.linalg.norm(state) >= n_ball:
+                    exited, exit_time = True, s
 
+    J0 = np.array(Js) if with_jacobian else np.zeros((0, d, d))
     return FlowResult(
         times=np.array(times),
         states=np.array(states),
-        J0=np.array(Js) if with_jacobian else np.zeros((0, d, d)),
+        J0=J0,
         exited=exited,
         exit_time=exit_time,
-        cond_J=cond_max,
+        cond_J=float(np.linalg.cond(J0).max(initial=1.0)),
         control=control,
     )
 
@@ -435,13 +432,22 @@ def synthesize_leg(
     def pack(control_values):
         return ControlPath.uniform(t_leg, control_values.reshape(pieces, r))
 
+    # the solver asks for the residual and then the Jacobian at the same
+    # iterate; one joint flow serves both
+    last: dict[bytes, tuple] = {}
+
+    def flow_at(uflat):
+        key = uflat.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _terminal_and_jac(model, frm, pack(uflat), n_steps)
+        return last[key]
+
     def residual(uflat):
-        term, _, _ = _terminal_and_jac(model, frm, pack(uflat), n_steps)
-        return np.concatenate([term - to, ridge * uflat])
+        return np.concatenate([flow_at(uflat)[0] - to, ridge * uflat])
 
     def jac(uflat):
-        _, J, _ = _terminal_and_jac(model, frm, pack(uflat), n_steps)
-        return np.vstack([J, ridge * np.eye(len(uflat))])
+        return np.vstack([flow_at(uflat)[1], ridge * np.eye(len(uflat))])
 
     rng = np.random.default_rng(seed)
     scale0 = np.linalg.norm(to - frm) / t_leg + 1.0

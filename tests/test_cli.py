@@ -119,3 +119,31 @@ def test_verify_command(tmp_path, capsys):
     grid = np.loadtxt(heat, delimiter=",")
     assert grid.shape == (40, 40)
     assert grid.sum() <= 4000
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        return exc.code
+
+
+LANGEVIN = ["--builtin", "langevin", "--from", "0,0", "--to", "1,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--builtin", "bhw", "--max-rounds", "0"],
+    ["reach", *LANGEVIN, "--t", "1", "--pieces", "1"],
+    ["reach", *LANGEVIN, "--t", "-1"],
+    ["verify", *LANGEVIN, "--t", "1", "--delta", "0"],
+    ["verify", *LANGEVIN, "--t", "1", "--paths", "0"],
+    ["verify", *LANGEVIN, "--t", "1", "--dt", "0.5"],
+    ["equilibria", "--builtin", "bhw", "--starts", "0"],
+    ["equilibria", "--builtin", "bhw", "--box=a,b;-2,2"],
+    ["equilibria", "--builtin", "bhw", "--box=-2,2,3;-2,2"],
+    ["equilibria", "--builtin", "bhw", "--box=2,-2;-2,2"],
+    ["reach", "--builtin", "langevin", "--from", "nan,0", "--to", "1,0", "--t", "1"],
+    ["verify", "--builtin", "langevin", "--from", "0,0", "--to", "inf,0", "--t", "1"],
+])
+def test_malformed_inputs_exit_two(argv):
+    assert _exit_code(argv) == 2

@@ -1,0 +1,57 @@
+"""Cross-version goldens: outputs pinned from an earlier release.
+
+The other tests check that two runs in one process agree; these check
+that a rewrite of the numerics reproduces the values the library gave
+before it.  Monte Carlo counts are pinned exactly (the Philox streams
+are part of the reproducibility contract); certificate figures are
+pinned to a relative tolerance, since they rest on float quadrature.
+"""
+
+import numpy as np
+import pytest
+
+from conecert import (
+    CertifyOptions,
+    SimConfig,
+    certify,
+    choose_basis,
+    compute_C,
+    get_builtin,
+    simulate,
+)
+
+# (model, target, seed, stopping ball) -> (hits, stopped_fraction, nonfinite_paths)
+SIMULATE_GOLDENS = [
+    ("langevin", [1.0, 0.0], 3, 1.3, (12, 0.243, 0)),
+    ("langevin", [1.0, 0.0], 11, 10.0, (13, 0.0, 0)),
+    ("langevin2d", [0.0, 0.0, 0.0, 0.0], 3, 1.3, (12, 0.563, 0)),
+    ("langevin2d", [0.0, 0.0, 0.0, 0.0], 11, 10.0, (14, 0.0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,z,seed,ball,expected", SIMULATE_GOLDENS)
+def test_simulate_goldens(name, z, seed, ball, expected):
+    model = get_builtin(name)
+    cfg = SimConfig.default(t=1.0, z=np.array(z), n_ball=ball, n_paths=1000, seed=seed)
+    ev = simulate(model, np.zeros(model.d), cfg)
+    assert (ev.hits, ev.stopped_fraction, ev.nonfinite_paths) == expected
+
+
+# (model, x, z, via_equilibrium) -> (verdict, K_rank, sigma_min)
+CERTIFY_GOLDENS = [
+    ("langevin", [0.0, 0.0], [1.0, 0.0], False, ("positive", 2, 0.05305581916924009)),
+    ("bhw", [0.0, 0.0], [1.0, 0.5], False, ("positive", 2, 0.12015323218198984)),
+    ("bhw", [0.0, 0.0], [2.0, 1.0], True, ("positive", 2, 0.09270507422145345)),
+]
+
+
+@pytest.mark.parametrize("name,x,z,via,expected", CERTIFY_GOLDENS)
+def test_certify_goldens(name, x, z, via, expected):
+    model = get_builtin(name)
+    basis = choose_basis(compute_C(model))
+    cert = certify(model, basis, x, z, 1.0,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4, via_equilibrium=via))
+    verdict, rank, sigma_min = expected
+    assert cert.verdict == verdict
+    assert cert.K_rank == rank
+    assert cert.sigma_min == pytest.approx(sigma_min, rel=1e-6)

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import constant_vectors, polynomials, vector_fields
+from conecert.closure import choose_basis, compute_C
+from conecert.models import BUILTINS, get_builtin
 from conecert.polyfield import (
     NO_DEGREE,
     Derivation,
     DimensionMismatchError,
     Polynomial,
     PolyVectorField,
+    _kernel,
     ad_power,
     compile_field,
     compile_jacobian,
@@ -25,6 +28,7 @@ from conecert.polyfield import (
     poly_to_json,
     relative_degree,
 )
+from conecert.reach import CertifyOptions, certify
 
 F = Fraction
 
@@ -279,3 +283,81 @@ def test_compile_jacobian_matches_symbolic(bhw_model):
     x = np.array([0.7, -1.3])
     expected = [[J[i][j].eval(x) for j in range(2)] for i in range(2)]
     assert np.allclose(jf(x), expected, atol=1e-12)
+
+
+def _dyadic_point(rng, dim):
+    # denominators are powers of two, so the float point is the rational one
+    return [F(int(n), 8) for n in rng.integers(-12, 13, size=dim)]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_kernel_matches_exact(name):
+    model = get_builtin(name)
+    V = model.drift
+    f = compile_field(V)
+    jf = compile_jacobian(V)
+    J = jacobian(V)
+    rng = np.random.default_rng(7)
+    for _ in range(1 if V.dim > 8 else 4):
+        q = _dyadic_point(rng, V.dim)
+        x = np.array([float(c) for c in q])
+        exact = np.array([float(c) for c in V.eval_exact(q)])
+        scale = max(1.0, np.abs(exact).max())
+        np.testing.assert_allclose(f(x), exact, rtol=1e-12, atol=1e-12 * scale)
+        exact_J = np.array([[float(p.eval_exact(q)) if p.terms else 0.0 for p in row]
+                            for row in J])
+        scale = max(1.0, np.abs(exact_J).max())
+        np.testing.assert_allclose(jf(x), exact_J, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_fields(3))
+def test_kernel_matches_exact_random_fields(V):
+    q = [F(3, 4), F(-5, 2), F(1, 8)]
+    x = np.array([float(c) for c in q])
+    exact = np.array([float(c) for c in V.eval_exact(q)])
+    assert np.allclose(compile_field(V)(x), exact, rtol=1e-12, atol=1e-12)
+    exact_J = [[float(p.eval_exact(q)) for p in row] for row in jacobian(V)]
+    assert np.allclose(compile_jacobian(V)(x), exact_J, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_input_shapes(bhw_model):
+    f = compile_field(bhw_model.drift)
+    jf = compile_jacobian(bhw_model.drift)
+    xs = np.random.default_rng(2).uniform(-2, 2, (3, 4, 2))
+    assert f(xs).shape == (3, 4, 2)
+    assert jf(xs).shape == (3, 4, 2, 2)
+    assert f(xs[0]).shape == (4, 2)
+    assert jf(xs[0]).shape == (4, 2, 2)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(f(xs[i, j]), f(xs)[i, j])
+            assert np.array_equal(jf(xs[i, j]), jf(xs)[i, j])
+    # lists and integer points are accepted
+    assert np.array_equal(f([1, 2]), f(np.array([1.0, 2.0])))
+
+
+def test_kernel_zero_and_constant_fields():
+    xs = np.random.default_rng(3).normal(size=(5, 3))
+    zero = PolyVectorField.zero(3)
+    assert np.array_equal(compile_field(zero)(xs), np.zeros((5, 3)))
+    assert np.array_equal(compile_jacobian(zero)(xs), np.zeros((5, 3, 3)))
+    const = PolyVectorField.from_constant([F(1, 2), F(0), F(-3)])
+    assert np.array_equal(compile_field(const)(xs), np.tile([0.5, 0.0, -3.0], (5, 1)))
+    assert np.array_equal(compile_field(const)(xs[0]), [0.5, 0.0, -3.0])
+    assert np.array_equal(compile_jacobian(const)(xs), np.zeros((5, 3, 3)))
+
+
+def test_certify_builds_each_kernel_once():
+    model = get_builtin("langevin")
+    basis = choose_basis(compute_C(model))
+    options = CertifyOptions(seed=0, n_steps=200, pieces=4)
+    _kernel.cache_clear()
+    cert = certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
+    assert cert.verdict == "positive"
+    info = _kernel.cache_info()
+    # the drift plus [X0, X1] (rank check) and [X1, X0] (twist check)
+    assert info.misses == info.currsize == 1 + 2 * model.r
+    assert info.hits > 0
+    certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
+    assert _kernel.cache_info().misses == info.misses
