@@ -10,6 +10,7 @@ budget).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -41,15 +42,16 @@ class RationalSpan:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[tuple[int, tuple[Fraction, ...]]] = []  # (pivot, row)
+        # (pivot, the row's nonzero (index, value) pairs)
+        self.rows: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = []
 
     def reduce(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         v = list(v)
         for pivot, row in self.rows:
             c = v[pivot]
             if c != 0:
-                for i in range(self.dim):
-                    v[i] -= c * row[i]
+                for i, r in row:
+                    v[i] -= c * r
         return tuple(v)
 
     def contains(self, v: tuple[Fraction, ...]) -> bool:
@@ -61,7 +63,7 @@ class RationalSpan:
         for pivot in range(self.dim):
             if red[pivot] != 0:
                 inv = 1 / red[pivot]
-                row = tuple(c * inv for c in red)
+                row = tuple((i, c * inv) for i, c in enumerate(red) if c != 0)
                 self.rows.append((pivot, row))
                 self.rows.sort(key=lambda pr: pr[0])
                 return True
@@ -193,14 +195,15 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
     span = state.odd_span
     added = False
 
-    gen_keys = {_field_key(W) for W, _, _ in new_gens}
+    # fields cache their hashes, so keying on them hashes each field once
+    gen_keys = {W for W, _, _ in new_gens}
 
-    w_list = [(W, w_deriv, _field_key(W)) for W, w_deriv in _w_candidates(state, combo_budget)]
+    w_list = list(_w_candidates(state, combo_budget))
 
     for v_value, v_deriv in _v_candidates(state, combo_budget):
         V = PolyVectorField.from_constant(v_value)
-        for W, w_deriv, w_key in w_list:
-            pair = (tuple(v_value), w_key)
+        for W, w_deriv in w_list:
+            pair = (V, W)
             if pair in state.pairs_done:
                 # both arguments existed in an earlier round; the result
                 # has already been folded in
@@ -233,11 +236,9 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                         new_even.append(ConstantField(value, "even", deriv))
                         added = True
             else:
-                key = _field_key(B)
-                neg_key = _field_key(B.scale(-1))
-                if key in gen_keys or (parity == "odd" and neg_key in gen_keys):
+                if B in gen_keys or (parity == "odd" and B.scale(-1) in gen_keys):
                     continue
-                gen_keys.add(key)
+                gen_keys.add(B)
                 new_gens.append((B, parity, deriv))
                 added = True
 
@@ -249,10 +250,6 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
         round=state.round + 1,
         last_round_added=added,
     )
-
-
-def _field_key(V: PolyVectorField):
-    return tuple(tuple(sorted(p.terms.items())) for p in V.components)
 
 
 # --------------------------------------------------------------------
@@ -371,9 +368,49 @@ class PositivityBasis:
         return len(self.vectors)
 
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[float(c) for c in v] for v in self.vectors]
-        ).T  # columns are basis vectors
+        # np.array keeps the column-major layout of the cached matrix, so
+        # products with the copy round as they always have
+        return np.array(self._matrix)
+
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        # columns are basis vectors; read-only, as every query shares it
+        B = np.array([[float(c) for c in v] for v in self.vectors]).T
+        B.flags.writeable = False
+        return B
+
+    @functools.cached_property
+    def _singular(self) -> bool:
+        return abs(np.linalg.det(self._matrix)) < 1e-12
+
+    @functools.cached_property
+    def _error_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """|B^-1| |B| and |B^-1|, one-sided rows only: the componentwise
+        sensitivity of the solved coefficients to rounding."""
+        inv = np.abs(np.linalg.inv(self._matrix)[self.k :])
+        return inv @ np.abs(self._matrix), inv
+
+    @functools.cached_property
+    def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """One-sided rows of B^-1 over Q, as sparse (column, value) lists,
+        by Gauss-Jordan elimination of [B | I]."""
+        n = self.dim
+        rows = [
+            [v[i] for v in self.vectors] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)
+        ]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+            if pivot is None:
+                raise SingularBasisError("positivity basis is singular over Q")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            inv = 1 / rows[col][col]
+            rows[col] = [c * inv for c in rows[col]]
+            for r in range(n):
+                f = rows[r][col]
+                if r != col and f != 0:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        return [[(j, c) for j, c in enumerate(row[n:]) if c != 0] for row in rows[self.k :]]
 
     def to_json(self) -> dict:
         return {
@@ -405,23 +442,43 @@ def choose_basis(C: ConeSpan) -> PositivityBasis:
     return PositivityBasis(vectors=vectors, k=k)
 
 
+# first-order componentwise error bound of a partial-pivoting solve with
+# pivot growth up to d (3 d^2 u), plus the rounding of B and of z - x,
+# doubled for the rounding of the float inverse it is computed from
+_BAND_UNIT = 8 * np.finfo(float).eps
+
+
 def d_membership(
-    basis: PositivityBasis,
-    x: np.ndarray,
-    z: np.ndarray,
-    strictness_tol: float = 1e-9,
+    basis: PositivityBasis, x: np.ndarray, z: np.ndarray
 ) -> tuple[bool, np.ndarray]:
     """Solve B c = z - x; membership needs every one-sided coefficient
-    strictly positive (boundary points are excluded)."""
+    strictly positive (boundary points are excluded).
+
+    The verdict is exact for the float inputs given.  A one-sided float
+    coefficient decides its sign only outside its rounding-error band;
+    inside it, the coefficient is recomputed over Q from the exact
+    difference z - x.  The float coefficients are returned either way.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    B = basis.matrix()
-    if abs(np.linalg.det(B)) < 1e-12:
+    if basis._singular:
         raise SingularBasisError("positivity basis matrix is singular")
     rhs = z - x
-    coeffs = np.linalg.solve(B, rhs)
-    tol = strictness_tol * np.linalg.norm(rhs)
-    member = bool(np.all(coeffs[basis.k :] > tol))
+    coeffs = np.linalg.solve(basis._matrix, rhs)
+    one_sided = coeffs[basis.k :]
+    sens, inv = basis._error_rows
+    band = _BAND_UNIT * basis.dim**2 * (sens @ np.abs(coeffs) + inv @ np.abs(rhs))
+    if np.all(one_sided > band):
+        return True, coeffs
+    if not (np.all(one_sided >= -band) and np.all(np.isfinite(rhs))):
+        # a coefficient certainly not positive, or an input not finite
+        return False, coeffs
+    exact_rhs = [Fraction(b) - Fraction(a) for a, b in zip(x.tolist(), z.tolist())]
+    rows = basis._exact_rows
+    member = all(
+        sum(c * exact_rhs[j] for j, c in rows[i]) > 0
+        for i in np.flatnonzero(one_sided <= band)
+    )
     return member, coeffs
 
 

@@ -52,8 +52,7 @@ def is_equilibrium(
     model: ModelSpec, y, tol: float = 1e-10
 ) -> tuple[bool, np.ndarray, float]:
     """Least-squares control cancelling the drift at y; the residual is
-    the norm of what no control can reach.  Exact-rational points with
-    exact-rational residual zero short-circuit the float path."""
+    the norm of what no control can reach."""
     from .polyfield import compile_field
 
     if tol <= 0:

@@ -101,7 +101,10 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, c: Rational) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(c)})
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        c = Fraction(c)
+        return cls._raw(dim, {(0,) * dim: c} if c else {})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Polynomial":
@@ -118,7 +121,7 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return self.terms.get((0,) * self.dim, _ZERO)
 
     def degree(self) -> int | DegreeSentinel:
         if not self.terms:
@@ -189,30 +192,6 @@ class Polynomial:
             d[i] -= 1
             terms[tuple(d)] = c * e[i]
         return Polynomial._raw(self.dim, terms)
-
-    def substitute_line(self, v: Sequence[Rational]) -> "Polynomial":
-        """Substitute x := lambda*v, returning a univariate polynomial in lambda."""
-        if len(v) != self.dim:
-            raise DimensionMismatchError(f"point length {len(v)} != dim {self.dim}")
-        v = [c if type(c) is Fraction else Fraction(c) for c in v]
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            coeff = c
-            for vi, ei in zip(v, e):
-                if ei:
-                    if vi == 0:
-                        coeff = Fraction(0)
-                        break
-                    coeff *= vi**ei
-            if coeff == 0:
-                continue
-            key = (sum(e),)
-            s = terms.get(key, Fraction(0)) + coeff
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial._raw(1, terms)
 
     def eval_exact(self, x: Sequence[Rational]) -> Fraction:
         if len(x) != self.dim:
@@ -287,6 +266,14 @@ class PolyVectorField:
                 )
         object.__setattr__(self, "components", tuple(self.components))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # computed once; the closure keys its bookkeeping on fields
+        return hash(self.components)
+
     @classmethod
     def zero(cls, dim: int) -> "PolyVectorField":
         return cls(dim, tuple(Polynomial.zero(dim) for _ in range(dim)))
@@ -334,13 +321,23 @@ def jacobian(V: PolyVectorField) -> list[list[Polynomial]]:
 
 def directional_derivative(W: PolyVectorField, v: Sequence[Rational]) -> PolyVectorField:
     """Derivative of W along the constant direction v, component-wise."""
+    if len(v) != W.dim:
+        raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
+    nz = [(k, Fraction(vk)) for k, vk in enumerate(v) if vk]
     comps = []
     for p in W.components:
-        acc = Polynomial.zero(W.dim)
-        for k, vk in enumerate(v):
-            if vk:
-                acc = acc + p.diff(k).scale(vk)
-        comps.append(acc)
+        acc: dict[Exponents, Fraction] = {}
+        for e, c in p.terms.items():
+            for k, vk in nz:
+                ek = e[k]
+                if ek:
+                    de = e[:k] + (ek - 1,) + e[k + 1 :]
+                    s = acc.get(de, _ZERO) + c * ek * vk
+                    if s == 0:
+                        acc.pop(de, None)
+                    else:
+                        acc[de] = s
+        comps.append(Polynomial._raw(W.dim, acc))
     return PolyVectorField(W.dim, tuple(comps))
 
 
@@ -348,6 +345,11 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
     """Commutator [V, W]^j = sum_k (V^k dW^j/dx_k - W^k dV^j/dx_k)."""
     if V.dim != W.dim:
         raise DimensionMismatchError(f"dim {V.dim} vs {W.dim}")
+    # a constant argument has zero partials, so one of the two sums vanishes
+    if V.is_constant():
+        return directional_derivative(W, V.constant_value())
+    if W.is_constant():
+        return directional_derivative(V, [-c for c in W.constant_value()])
     d = V.dim
     v_nz = [k for k in range(d) if not V.components[k].is_zero()]
     w_nz = [k for k in range(d) if not W.components[k].is_zero()]
@@ -407,16 +409,23 @@ def relative_degree(
     """
     if len(v) != W.dim:
         raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
-    v = [c if type(c) is Fraction else Fraction(c) for c in v]
-    best: int | None = None
+    # on the line a term c x^e is c prod(v_i^e_i) lambda^|e|; it vanishes
+    # unless every variable it uses is in the support of v
+    support = [i for i, c in enumerate(v) if c]
+    scales = [(i, Fraction(v[i])) for i in support if v[i] != 1]
+    best = -1
     for p in W.components:
-        q = p.substitute_line(v)
-        d = q.degree()
-        if d is NO_DEGREE:
-            continue
-        if best is None or d > best:
-            best = d
-    if best is None:
+        sums: dict[int, Fraction] = {}
+        for e, c in p.terms.items():
+            deg = sum(map(e.__getitem__, support))
+            if deg <= best or sum(e) != deg:
+                continue
+            for i, vi in scales:
+                if e[i]:
+                    c *= vi ** e[i]
+            sums[deg] = sums.get(deg, _ZERO) + c
+        best = max([best, *(deg for deg, s in sums.items() if s)])
+    if best < 0:
         return None
     return best, ("odd" if best % 2 else "even")
 

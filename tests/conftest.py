@@ -12,11 +12,21 @@ def small_fractions():
     )
 
 
+@st.composite
+def exponents(draw, dim: int, max_degree: int):
+    """Exponent vectors of total degree <= max_degree, drawn without
+    rejection: each entry is capped by the degree the earlier ones left,
+    and the entries are then shuffled."""
+    left, exps = max_degree, []
+    for _ in range(dim):
+        e = draw(st.integers(min_value=0, max_value=left))
+        exps.append(e)
+        left -= e
+    return tuple(draw(st.permutations(exps)))
+
+
 def polynomials(dim: int, max_degree: int = 3, max_terms: int = 4):
-    exps = st.lists(
-        st.integers(min_value=0, max_value=max_degree), min_size=dim, max_size=dim
-    ).filter(lambda e: sum(e) <= max_degree).map(tuple)
-    term = st.tuples(exps, small_fractions())
+    term = st.tuples(exponents(dim, max_degree), small_fractions())
     return st.lists(term, max_size=max_terms).map(
         lambda terms: Polynomial(dim, dict(terms))
     )

@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_vectors
 from conecert.closure import (
     BasisSelectionError,
+    PositivityBasis,
     RationalSpan,
+    SingularBasisError,
     choose_basis,
     closure_init,
     closure_step,
@@ -171,6 +174,81 @@ def test_membership_boundary_excluded(bhw_model):
     basis = choose_basis(compute_C(bhw_model))
     member, _ = d_membership(basis, [0.0, 0.0], [0.0, 1.0])
     assert not member
+
+
+@pytest.mark.parametrize("z,expected", [([1e-10, 1.0], True), ([-1e-10, 1.0], False)])
+def test_membership_exact_near_boundary(bhw_model, z, expected):
+    # one-sided coefficient 1e-10 against |z - x| = 1: decided by its sign
+    basis = choose_basis(compute_C(bhw_model))
+    member, _ = d_membership(basis, [0.0, 0.0], z)
+    assert member is expected
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _exact_coefficients(vectors, rhs):
+    # Cramer's rule over Q; the matrix's columns are the basis vectors
+    B = [[v[i] for v in vectors] for i in range(len(rhs))]
+    full = _det(B)
+    return [_det([row[:j] + [b] + row[j + 1 :] for row, b in zip(B, rhs)]) / full
+            for j in range(len(vectors))]
+
+
+@st.composite
+def near_boundary_queries(draw):
+    d = draw(st.integers(2, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    vectors = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+                   .filter(lambda vs: _det(vs) != 0))
+    k = draw(st.integers(0, d - 1))
+    x = np.array(draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d)))
+    c = draw(st.lists(st.floats(-2, 2), min_size=d, max_size=d))
+    # one-sided coefficients at or within a few ulps of zero: the float
+    # solve cannot tell their signs apart, so the exact path decides
+    c[k:] = [draw(st.sampled_from([0.0, 1e-17, -1e-17, 1e-16, -1e-16])) for _ in c[k:]]
+    z = x + np.array([[float(e) for e in v] for v in vectors]).T @ np.array(c)
+    return PositivityBasis(vectors=[tuple(v) for v in vectors], k=k), x, z
+
+
+@given(near_boundary_queries())
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_rational_oracle_inside_band(query):
+    basis, x, z = query
+    exact = _exact_coefficients(basis.vectors, [F(b) - F(a) for a, b in zip(x, z)])
+    member, coeffs = d_membership(basis, x, z)
+    assert member == all(c > 0 for c in exact[basis.k :])
+    assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
+
+
+def test_membership_coefficients_bit_identical_at_d96():
+    basis = choose_basis(compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0))
+    assert basis.dim == 96
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        x = rng.normal(scale=0.5, size=96)
+        z = x + rng.normal(size=96)
+        _, coeffs = d_membership(basis, x, z)
+        assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
+
+
+def test_basis_matrix_is_a_copy(bhw_model):
+    basis = choose_basis(compute_C(bhw_model))
+    B = basis.matrix()
+    before = B.copy()
+    B[:] = 0.0
+    assert np.array_equal(basis.matrix(), before)
+    assert d_membership(basis, [0.0, 0.0], [1.0, 5.0])[0]
+
+
+def test_membership_singular_basis_refused():
+    basis = PositivityBasis(vectors=[(F(1), F(0)), (F(2), F(0))], k=1)
+    with pytest.raises(SingularBasisError):
+        d_membership(basis, [0.0, 0.0], [1.0, 0.0])
 
 
 def test_membership_full_odd_basis_is_everything():

@@ -5,7 +5,11 @@ that a rewrite of the numerics reproduces the values the library gave
 before it.  Monte Carlo counts are pinned exactly (the Philox streams
 are part of the reproducibility contract); certificate figures are
 pinned to a relative tolerance, since they rest on float quadrature.
+The exact closure is pinned by the hash of its JSON report.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -55,3 +59,13 @@ def test_certify_goldens(name, x, z, via, expected):
     assert cert.verdict == verdict
     assert cert.K_rank == rank
     assert cert.sigma_min == pytest.approx(sigma_min, rel=1e-6)
+
+
+# sha256 of the sorted-key JSON report: values, derivation strings, rounds
+BURGERS_CLOSURE_SHA256 = "9135e64cac05a266b77215507ded214160e665f738818d7af54090a9d3cbe987"
+
+
+def test_burgers_closure_golden():
+    cone = compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0)
+    report = json.dumps(cone.to_json(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == BURGERS_CLOSURE_SHA256

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_vectors, polynomials, vector_fields
 from conecert.closure import choose_basis, compute_C
@@ -91,13 +92,6 @@ def test_diff():
     assert p.diff(1) == p_of(2, {(2, 0): 1})
 
 
-def test_substitute_line():
-    # p = x^2 + xy along v=(1,2): (1 + 2) lambda^2 = 3 lambda^2
-    p = p_of(2, {(2, 0): 1, (1, 1): 1})
-    q = p.substitute_line([F(1), F(2)])
-    assert q == p_of(1, {(2,): 3})
-
-
 def test_eval_exact_matches_float():
     p = p_of(2, {(2, 1): F(1, 2), (0, 1): -3})
     exact = p.eval_exact([F(1, 2), F(4)])
@@ -166,7 +160,53 @@ def test_directional_derivative_matches_constant_bracket():
     assert directional_derivative(W, v) == lie_bracket(V, W)
 
 
+def _bracket_by_jacobian(V, W):
+    # [V, W]^j = sum_k (V^k dW^j/dx_k - W^k dV^j/dx_k), from the exact Jacobians
+    JV, JW = jacobian(V), jacobian(W)
+    comps = []
+    for j in range(V.dim):
+        acc = Polynomial.zero(V.dim)
+        for k in range(V.dim):
+            acc = acc + V.components[k] * JW[j][k] - W.components[k] * JV[j][k]
+        comps.append(acc)
+    return PolyVectorField(V.dim, tuple(comps))
+
+
+@given(constant_vectors(3), vector_fields(3))
+@settings(max_examples=60, deadline=None)
+def test_bracket_with_constant_argument_matches_jacobian_formula(v, W):
+    V = PolyVectorField.from_constant(v)
+    assert lie_bracket(V, W) == _bracket_by_jacobian(V, W)
+    assert lie_bracket(W, V) == _bracket_by_jacobian(W, V)
+
+
 # -- relative degree --------------------------------------------------
+
+
+def _line_degree(v, W):
+    # degree of lambda -> W(lambda v) from exact values at lambda = 0..D:
+    # the highest order whose forward difference at 0 is nonzero
+    D = max((p.degree() for p in W.components if not p.is_zero()), default=0)
+    best = None
+    for p in W.components:
+        vals = [p.eval_exact([t * c for c in v]) for t in range(D + 1)]
+        for order in range(D + 1):
+            if vals[0] != 0 and (best is None or order > best):
+                best = order
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+    return best
+
+
+@given(
+    # zero entries drop the terms off the line; +-1 make cancellations likely
+    st.lists(st.sampled_from([F(0), F(1), F(-1), F(2, 3)]), min_size=3, max_size=3),
+    vector_fields(3, max_degree=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_relative_degree_matches_exact_restriction(v, W):
+    deg = _line_degree(v, W)
+    expected = None if deg is None else (deg, "odd" if deg % 2 else "even")
+    assert relative_degree(v, W) == expected
 
 
 def test_relative_degree_undefined_for_zero_restriction():
