@@ -22,10 +22,8 @@ from .closure import (
     verify_derivations,
 )
 from .equilibria import (
-    ChainError,
     EquilibriumPoint,
     PositivityChain,
-    build_chain,
     find_equilibria,
     is_equilibrium,
 )
@@ -82,10 +80,8 @@ __all__ = [
     "d_membership",
     "twist_rank_check",
     "verify_derivations",
-    "ChainError",
     "EquilibriumPoint",
     "PositivityChain",
-    "build_chain",
     "find_equilibria",
     "is_equilibrium",
     "BUILTINS",

@@ -381,7 +381,8 @@ class PositivityBasis:
 
     @functools.cached_property
     def _singular(self) -> bool:
-        return abs(np.linalg.det(self._matrix)) < 1e-12
+        # a rank test, unlike |det|, does not depend on the vectors' scale
+        return np.linalg.matrix_rank(self._matrix) < self.dim
 
     @functools.cached_property
     def _error_rows(self) -> tuple[np.ndarray, np.ndarray]:

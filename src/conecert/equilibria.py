@@ -10,7 +10,6 @@ noise span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -44,10 +43,6 @@ class PositivityChain:
     equilibrium: EquilibriumPoint
 
 
-class ChainError(ValueError):
-    """No equilibrium links x to z through the positivity regions."""
-
-
 def is_equilibrium(
     model: ModelSpec, y, tol: float = 1e-10
 ) -> tuple[bool, np.ndarray, float]:
@@ -66,17 +61,6 @@ def is_equilibrium(
     u, _, _, _ = np.linalg.lstsq(B, -drift, rcond=None)
     residual = float(np.linalg.norm(drift + B @ u))
     return residual <= tol, u, residual
-
-
-def is_equilibrium_exact(model: ModelSpec, y: list[Fraction]) -> bool:
-    """Exact test for rational points: is -X0(y) in the noise span?"""
-    from .closure import RationalSpan
-
-    drift = model.drift.eval_exact([Fraction(c) for c in y])
-    span = RationalSpan(model.d)
-    for v in model.noise:
-        span.add(v)
-    return span.contains(tuple(drift))
 
 
 def find_equilibria(
@@ -169,15 +153,3 @@ def iter_chains(
             x=x, y=ep.y, z=z, coeffs_xy=coeffs_xy, coeffs_yz=coeffs_yz, equilibrium=ep
         )
 
-
-def build_chain(
-    model: ModelSpec,
-    basis: PositivityBasis,
-    x,
-    z,
-    equilibria: list[EquilibriumPoint],
-) -> PositivityChain:
-    """First feasible chain from iter_chains, or ChainError."""
-    for chain in iter_chains(model, basis, x, z, equilibria):
-        return chain
-    raise ChainError("no equilibrium chains x to z through the positivity regions")

@@ -1,5 +1,5 @@
-"""Controlled flows, Jacobian propagation, Gramian checks and control
-synthesis for positivity certificates.
+"""Controlled flows, Gramian checks and control synthesis for
+positivity certificates.
 
 The controlled flow follows the drift plus piecewise-constant inputs in
 the noise directions.  Along a synthesized path, invertibility of the
@@ -7,6 +7,12 @@ Gramian M_t = int J_{s,t} B B^T J_{s,t}^T ds (checked directly and via
 the rank of the noise-plus-first-bracket family along the trajectory)
 certifies strict positivity of the stopped transition density at the
 endpoint, for any stopping ball containing the whole path.
+
+One forward RK4 pass yields the state and, in the same stages, either
+the Gramian, from the Lyapunov equation dM/ds = A M + M A^T + B B^T, or
+the sensitivities of the terminal state to the control values, from
+dS/ds = A S + B E_p (E_p selects the active piece p), with
+A = DX0(Phi_s) and M_0 = S_0 = 0.
 """
 
 from __future__ import annotations
@@ -88,12 +94,10 @@ class ControlPath:
 
 @dataclass(frozen=True)
 class FlowResult:
-    times: np.ndarray  # quadrature nodes, including 0 and t
+    times: np.ndarray  # RK4 nodes, including 0 and t
     states: np.ndarray  # (n_nodes, d)
-    J0: np.ndarray  # (n_nodes, d, d) fundamental matrices J_{0,s}
-    exited: bool
-    exit_time: float | None
-    cond_J: float
+    M: np.ndarray | None  # Gramian M_t, when carried
+    S: np.ndarray | None  # control sensitivities S_t, when carried
     control: ControlPath
 
     @property
@@ -109,8 +113,9 @@ class FlowResult:
 
 
 def _steps_per_interval(control: ControlPath, n_steps: int) -> list[int]:
-    """Distribute RK4 substeps over control intervals, even counts so
-    composite Simpson applies on each interval, at least 2 per interval."""
+    """Distribute RK4 substeps over control intervals in proportion to
+    their lengths: an even count, at least 2, per interval, so that
+    doubling n_steps doubles every interval's count."""
     lengths = np.diff(control.breakpoints)
     out = []
     for L in lengths:
@@ -125,25 +130,26 @@ def integrate_flow(
     model: ModelSpec,
     x,
     control: ControlPath,
-    n_ball: int | None = None,
     n_steps: int = 2000,
     refine: bool = False,
     refine_tol: float = 1e-8,
     with_jacobian: bool = True,
 ) -> FlowResult:
-    """Fixed-step RK4 for the controlled flow, jointly propagating the
-    fundamental matrix dJ/ds = DX0(Phi) J from the identity.
+    """Fixed-step RK4 for the controlled flow; with_jacobian also
+    integrates the Gramian dM/ds = A M + M A^T + B B^T from M_0 = 0,
+    A = DX0(Phi_s), in the same stages.
 
     With refine=True the step is halved until two successive refinements
-    agree to refine_tol in relative terminal state.
+    agree to refine_tol in relative terminal state.  Only the terminal
+    state decides, and it does not depend on whether M is carried, so
+    the coarsest pass skips M.
     """
     x = np.asarray(x, dtype=float)
-    result = _integrate_once(model, x, control, n_ball, n_steps, with_jacobian)
+    carry = "gramian" if with_jacobian else None
+    result = _integrate_once(model, x, control, n_steps, None if refine else carry)
     if refine:
         for _ in range(6):
-            finer = _integrate_once(
-                model, x, control, n_ball, 2 * n_steps, with_jacobian
-            )
+            finer = _integrate_once(model, x, control, 2 * n_steps, carry)
             scale = 1.0 + np.linalg.norm(finer.terminal)
             if np.linalg.norm(finer.terminal - result.terminal) <= refine_tol * scale:
                 return finer
@@ -152,184 +158,107 @@ def integrate_flow(
     return result
 
 
-def _integrate_once(model, x, control, n_ball, n_steps, with_jacobian):
+def _integrate_once(model, x, control, n_steps, carry=None):
+    """One RK4 pass over the control's grid.  carry selects a matrix Y
+    advanced in the same stages, dY/ds = A Y (+ Y A^T) + G_p from Y_0 = 0:
+    "gramian" gives M_t (G_p = B B^T, with the transpose term),
+    "sensitivity" gives S_t = d(terminal)/d(control values), d x (pieces*r)
+    (G_p = B in piece p's columns)."""
     d = model.d
     B = model.noise_matrix()
     f = compile_field(model.drift)
-    Jf = compile_jacobian(model.drift) if with_jacobian else None
+    Jf = compile_jacobian(model.drift) if carry else None
+    n_pieces, r = control.values.shape
+    Y, drives = None, [None] * n_pieces
+    if carry == "gramian":
+        Y = np.zeros((d, d))
+        drives = [B @ B.T] * n_pieces
+    elif carry == "sensitivity":
+        Y = np.zeros((d, n_pieces * r))
+        drives = [np.zeros_like(Y) for _ in range(n_pieces)]
+        for p, G in enumerate(drives):
+            G[:, p * r : (p + 1) * r] = B
+    lyapunov = carry == "gramian"
 
     times = [0.0]
     states = [x.copy()]
-    Js = [np.eye(d)]
-    exited = False
-    exit_time = None
-
     state = x.copy()
-    J = np.eye(d)
     s = 0.0
-    if n_ball is not None and np.linalg.norm(state) >= n_ball:
-        exited, exit_time = True, 0.0
-
     # overflow in a step is diagnosed as divergence, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for (s0, s1), u, n_sub in zip(
+        for (s0, s1), u, n_sub, G in zip(
             zip(control.breakpoints[:-1], control.breakpoints[1:]),
             control.values,
             _steps_per_interval(control, n_steps),
+            drives,
         ):
             h = (s1 - s0) / n_sub
             forcing = B @ u if B.size else np.zeros(d)
             for _ in range(n_sub):
-                if with_jacobian:
-                    state, J = _rk4_step_joint(f, Jf, state, J, forcing, h)
-                else:
-                    state = _rk4_step(f, state, forcing, h)
+                state, Y = _rk4_step(f, state, forcing, h, Jf, Y, G, lyapunov)
                 s += h
                 if not np.all(np.isfinite(state)):
                     raise FlowDivergenceError(s)
                 times.append(s)
                 states.append(state)
-                if with_jacobian:
-                    Js.append(J)
-                if not exited and n_ball is not None and np.linalg.norm(state) >= n_ball:
-                    exited, exit_time = True, s
 
-    J0 = np.array(Js) if with_jacobian else np.zeros((0, d, d))
     return FlowResult(
         times=np.array(times),
         states=np.array(states),
-        J0=J0,
-        exited=exited,
-        exit_time=exit_time,
-        cond_J=float(np.linalg.cond(J0).max(initial=1.0)),
+        M=Y if carry == "gramian" else None,
+        S=Y if carry == "sensitivity" else None,
         control=control,
     )
 
 
-def _rk4_step(f, x, forcing, h):
+def _rk4_step(f, x, forcing, h, Jf=None, Y=None, G=None, lyapunov=False):
+    """One RK4 step of the state and, when Jf is given, of the matrix Y
+    driven by A = Jf(stage state) at the same four stages."""
     k1 = f(x) + forcing
-    k2 = f(x + 0.5 * h * k1) + forcing
-    k3 = f(x + 0.5 * h * k2) + forcing
-    k4 = f(x + h * k3) + forcing
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _rk4_step_joint(f, Jf, x, J, forcing, h):
-    k1 = f(x) + forcing
-    K1 = Jf(x) @ J
     x2 = x + 0.5 * h * k1
     k2 = f(x2) + forcing
-    K2 = Jf(x2) @ (J + 0.5 * h * K1)
     x3 = x + 0.5 * h * k2
     k3 = f(x3) + forcing
-    K3 = Jf(x3) @ (J + 0.5 * h * K2)
     x4 = x + h * k3
     k4 = f(x4) + forcing
-    K4 = Jf(x4) @ (J + h * K3)
-    return (
-        x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-        J + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4),
-    )
+    x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if Jf is None:
+        return x_new, None
+    A1, A2, A3, A4 = Jf(np.stack([x, x2, x3, x4]))
+
+    def rhs(A, Ys):
+        K = A @ Ys
+        if lyapunov:
+            K += K.T  # A M + M A^T, as M stays exactly symmetric
+        K += G
+        return K
+
+    K1 = rhs(A1, Y)
+    K2 = rhs(A2, Y + 0.5 * h * K1)
+    K3 = rhs(A3, Y + 0.5 * h * K2)
+    K4 = rhs(A4, Y + h * K3)
+    return x_new, Y + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
 
 
 # --------------------------------------------------------------------
 # Gramian.
 
 
-def _simpson_weights(times: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights; the grid is piecewise uniform with an
-    even number of steps per control interval by construction."""
-    n = len(times) - 1
-    w = np.zeros(len(times))
-    i = 0
-    while i < n:
-        # find the extent of the uniform run starting at i
-        h = times[i + 1] - times[i]
-        j = i
-        while j + 2 <= n and abs((times[j + 2] - times[j + 1]) - h) < 1e-12 * max(h, 1e-30):
-            j += 1
-        run = j - i + 1  # number of uniform steps from i
-        if run % 2:
-            run -= 1
-        if run >= 2:
-            for p in range(i, i + run, 2):
-                w[p] += h / 3.0
-                w[p + 1] += 4.0 * h / 3.0
-                w[p + 2] += h / 3.0
-            i += run
-        else:
-            w[i] += h / 2.0
-            w[i + 1] += h / 2.0
-            i += 1
-    return w
-
-
-def _jst_factors(flow: FlowResult, model: ModelSpec, cond_limit: float = 1e8):
-    """J_{s,t} at every node: fundamental-matrix factorization, with a
-    direct backward integration fallback when J_{0,s} is ill
-    conditioned.  Never silently wrong: the fallback recomputes from the
-    defining backward equation."""
-    Jt = flow.J0[-1]
-    if flow.cond_J <= cond_limit:
-        inv = np.linalg.inv(flow.J0)
-        return Jt[None, :, :] @ inv
-    return _backward_jst(flow, model)
-
-
-def _backward_jst(flow: FlowResult, model: ModelSpec) -> np.ndarray:
-    """Integrate dK/ds = -K DX0(Phi_s) backward from K_t = Id, jointly
-    re-integrating the state backward so RK4 midpoints are consistent."""
-    d = model.d
-    B = model.noise_matrix()
-    f = compile_field(model.drift)
-    Jf = compile_jacobian(model.drift)
-    control = flow.control
-    times = flow.times
-    K = np.eye(d)
-    out = np.zeros((len(times), d, d))
-    out[-1] = K
-    state = flow.states[-1].copy()
-    # walk the stored grid backwards
-    interval_idx = len(control.breakpoints) - 2
-    for i in range(len(times) - 1, 0, -1):
-        h = times[i] - times[i - 1]
-        while interval_idx > 0 and times[i - 1] < control.breakpoints[interval_idx] - 1e-12:
-            interval_idx -= 1
-        u = control.values[interval_idx]
-        forcing = B @ u if B.size else np.zeros(d)
-
-        def g(xs, Ks):
-            return -(f(xs) + forcing), -Ks @ Jf(xs)
-
-        k1, K1 = g(state, K)
-        k2, K2 = g(state + 0.5 * h * k1, K + 0.5 * h * K1)
-        k3, K3 = g(state + 0.5 * h * k2, K + 0.5 * h * K2)
-        k4, K4 = g(state + h * k3, K + h * K3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        K = K + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        out[i - 1] = K
-    return out
-
-
 class GramianError(RuntimeError):
-    """Conditioning failure in both Gramian evaluation paths."""
+    """The Gramian integrated along the flow is not finite."""
 
 
 def gramian(flow: FlowResult, model: ModelSpec) -> tuple[np.ndarray, float]:
-    """Deterministic Malliavin matrix by composite Simpson quadrature of
-    sum_m (J_{s,t} X_m)(J_{s,t} X_m)^T over the flow's own grid."""
+    """Deterministic Malliavin matrix M_t = int_0^t J_{s,t} B B^T J_{s,t}^T ds,
+    as integrated along the flow, and its smallest singular value."""
     d = model.d
     if model.r == 0:
         return np.zeros((d, d)), 0.0
-    B = model.noise_matrix()
-    Jst = _jst_factors(flow, model)
-    if not np.all(np.isfinite(Jst)):
-        raise GramianError("non-finite J_{s,t} factors in both evaluation paths")
-    cols = Jst @ B  # (n, d, r)
-    integrand = cols @ np.transpose(cols, (0, 2, 1))  # (n, d, d)
-    w = _simpson_weights(flow.times)
-    M = np.tensordot(w, integrand, axes=(0, 0))
-    M = 0.5 * (M + M.T)
+    if flow.M is None:
+        raise ValueError("flow was integrated without its Gramian (with_jacobian=False)")
+    if not np.all(np.isfinite(flow.M)):
+        raise GramianError("non-finite Gramian along the flow")
+    M = 0.5 * (flow.M + flow.M.T)
     sigma_min = float(np.linalg.svd(M, compute_uv=False)[-1])
     return M, sigma_min
 
@@ -373,24 +302,9 @@ class SynthesisError(RuntimeError):
 
 def _terminal_and_jac(model, x0, control: ControlPath, n_steps: int):
     """Terminal state and its Jacobian with respect to the per-piece
-    control values, via J_{s,t} integrated over each piece."""
-    flow = _integrate_once(model, x0, control, None, n_steps, True)
-    B = model.noise_matrix()
-    d = model.d
-    Jt = flow.J0[-1]
-    inv = np.linalg.inv(flow.J0)
-    n_pieces = len(control.values)
-    jac = np.zeros((d, n_pieces * model.r))
-    # each piece's integral gets its own Simpson rule over its own node
-    # range, with boundary nodes counted on both sides
-    i0 = 0
-    for p, n_sub in enumerate(_steps_per_interval(control, n_steps)):
-        i1 = i0 + n_sub
-        w = _simpson_weights(flow.times[i0 : i1 + 1])
-        acc = np.tensordot(w, inv[i0 : i1 + 1], axes=(0, 0))
-        jac[:, p * model.r : (p + 1) * model.r] = Jt @ acc @ B
-        i0 = i1
-    return flow.terminal, jac, flow
+    control values, from the forward sensitivities dS/ds = A S + B E_p."""
+    flow = _integrate_once(model, x0, control, n_steps, "sensitivity")
+    return flow.terminal, flow.S, flow
 
 
 def synthesize_leg(

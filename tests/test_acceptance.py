@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conecert.brackets import parse_bracket
 from conecert.closure import (
@@ -30,7 +31,6 @@ from conecert.polyfield import (
 from conecert.reach import (
     CertifyOptions,
     ControlPath,
-    _jst_factors,
     _terminal_and_jac,
     certify,
     gramian,
@@ -325,7 +325,7 @@ def test_criterion_8_property_suites():
         )
         assert jac_sum.is_zero()
 
-    # Gramian symmetry / PSD / cocycle at 1e-7
+    # Gramian symmetry / PSD at 1e-7
     m = get_builtin("bhw")
     for _ in range(5):
         control = ControlPath.uniform(0.8, rng.normal(scale=0.5, size=(2, m.r)))
@@ -334,10 +334,23 @@ def test_criterion_8_property_suites():
         M, _ = gramian(flow, m)
         assert np.max(np.abs(M - M.T)) < 1e-7
         assert np.linalg.eigvalsh(M)[0] >= -1e-7
-        Jst = _jst_factors(flow, m)
-        Jt = flow.J0[-1]
-        for i in range(0, len(flow.times), 100):
-            assert np.max(np.abs(Jst[i] @ flow.J0[i] - Jt)) < 1e-7
+
+    # Gramian against Van Loan's closed form, at cond(J_{0,t}) = e^20:
+    # expm([[-A, B B^T], [0, A^T]] t) = [[., F12], [0, F22]], M_t = F22^T F12
+    saddle = ModelSpec(
+        name="saddle",
+        d=2,
+        drift=PolyVectorField(
+            2, (Polynomial(2, {(1, 0): F(-10)}), Polynomial(2, {(0, 1): F(10)}))
+        ),
+        noise=((F(1), F(1)),),
+    )
+    A = np.diag([-10.0, 10.0])
+    E = expm(np.block([[-A, np.ones((2, 2))], [np.zeros((2, 2)), A.T]]))
+    exact = E[2:, 2:].T @ E[:2, 2:]
+    flow = integrate_flow(saddle, np.zeros(2), ControlPath.zero(1.0, 1))
+    M, _ = gramian(flow, saddle)
+    assert np.max(np.abs(M - exact) / np.abs(exact)) < 1e-7
 
     # variational gradient vs central differences at 1e-4 relative
     pieces = 3

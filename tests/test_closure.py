@@ -251,6 +251,17 @@ def test_membership_singular_basis_refused():
         d_membership(basis, [0.0, 0.0], [1.0, 0.0])
 
 
+def test_membership_short_orthogonal_basis_accepted():
+    # 0.1 I at d = 13 is perfectly conditioned although det = 1e-13
+    d = 13
+    basis = PositivityBasis(
+        vectors=[tuple(F(1, 10) * (i == j) for j in range(d)) for i in range(d)], k=0
+    )
+    member, coeffs = d_membership(basis, np.zeros(d), np.full(d, 0.05))
+    assert member
+    assert np.allclose(coeffs, 0.5)
+
+
 def test_membership_full_odd_basis_is_everything():
     basis = choose_basis(compute_C(get_builtin("langevin")))
     assert basis.k == basis.dim

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from conecert.closure import choose_basis, compute_C
-from conecert.equilibria import (
-    ChainError,
-    build_chain,
-    find_equilibria,
-    is_equilibrium,
-    is_equilibrium_exact,
-    iter_chains,
-)
+from conecert.equilibria import find_equilibria, is_equilibrium, iter_chains
 from conecert.models import bhw, get_builtin, langevin, quartic_double_well
 
 F = Fraction
@@ -39,12 +32,6 @@ def test_bhw_diagonal_equilibrium(bhw_model):
     assert np.allclose(u, [2.0])
     ok, _, resid = is_equilibrium(bhw_model, [1.0, 0.5])
     assert not ok and resid == pytest.approx(abs(-1.0 + 0.25))
-
-
-def test_is_equilibrium_exact(bhw_model):
-    assert is_equilibrium_exact(bhw_model, [F(1), F(1)])
-    assert is_equilibrium_exact(bhw_model, [F(2), F(-2)])
-    assert not is_equilibrium_exact(bhw_model, [F(1), F(2)])
 
 
 def test_is_equilibrium_rejects_bad_tol(bhw_model):
@@ -100,7 +87,8 @@ def test_find_equilibria_degenerate_box(bhw_model):
 def test_build_chain_bhw(bhw_model):
     basis = choose_basis(compute_C(bhw_model))
     eqs = find_equilibria(bhw_model, [(-3, 3), (-3, 3)], n_starts=64, seed=0)
-    chain = build_chain(bhw_model, basis, [0.0, 0.0], [2.0, 1.0], eqs)
+    chain = next(iter_chains(bhw_model, basis, [0.0, 0.0], [2.0, 1.0], eqs), None)
+    assert chain is not None
     # equilibrium is strictly in D(x): its even coefficient is positive
     assert chain.coeffs_xy[1] > 0
     assert chain.coeffs_yz[1] > 0
@@ -111,8 +99,7 @@ def test_build_chain_failure(bhw_model):
     basis = choose_basis(compute_C(bhw_model))
     eqs = find_equilibria(bhw_model, [(-3, 3), (-3, 3)], n_starts=64, seed=0)
     # target strictly left of x: no equilibrium can bridge the cone
-    with pytest.raises(ChainError):
-        build_chain(bhw_model, basis, [0.0, 0.0], [-2.0, 0.0], eqs)
+    assert next(iter_chains(bhw_model, basis, [0.0, 0.0], [-2.0, 0.0], eqs), None) is None
 
 
 def test_iter_chains_ordered_by_detour(bhw_model):

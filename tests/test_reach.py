@@ -1,5 +1,5 @@
-"""Controlled flow, Gramian quadrature, control synthesis, and the
-certificate pipeline."""
+"""Controlled flow, the Gramian and control sensitivities it carries,
+control synthesis, and the certificate pipeline."""
 
 from fractions import Fraction
 
@@ -15,8 +15,7 @@ from conecert.reach import (
     ControlPath,
     FlowDivergenceError,
     SynthesisError,
-    _jst_factors,
-    _simpson_weights,
+    _terminal_and_jac,
     certify,
     gramian,
     gramian_threshold,
@@ -78,11 +77,13 @@ def test_control_path_concat_and_uniform():
 
 
 def test_flow_jacobian_shear_oracle():
-    # linear drift (0, x): J(s) = [[1, 0], [s, 1]] exactly
+    # drift (0, x), control along e1: the terminal state's derivative in
+    # the value on piece [a, b] is (b - a, (b - a)(t - (a + b)/2)) exactly
     m = shear_model()
-    flow = integrate_flow(m, np.zeros(2), ControlPath.zero(1.0, 1))
-    for s, J in zip(flow.times, flow.J0):
-        assert np.allclose(J, [[1.0, 0.0], [s, 1.0]], atol=1e-12)
+    control = ControlPath(1.0, np.array([0.0, 0.25, 0.6, 1.0]), [[1.0], [-2.0], [0.5]])
+    _, S, _ = _terminal_and_jac(m, np.array([0.3, -0.1]), control, 40)
+    a, b = control.breakpoints[:-1], control.breakpoints[1:]
+    assert np.allclose(S, [b - a, (b - a) * (1.0 - 0.5 * (a + b))], atol=1e-12)
 
 
 def test_flow_matches_matrix_exponential():
@@ -91,7 +92,20 @@ def test_flow_matches_matrix_exponential():
     x0 = np.array([0.7, -0.3])
     flow = integrate_flow(m, x0, ControlPath.zero(1.0, 1), n_steps=2000)
     assert np.allclose(flow.terminal, expm(A) @ x0, atol=1e-7)
-    assert np.allclose(flow.J0[-1], expm(A), atol=1e-7)
+
+
+@pytest.mark.parametrize("name", ["bhw", "langevin2d"])
+def test_flow_states_independent_of_gramian(name):
+    # the carried matrix never feeds back into the state arithmetic
+    m = get_builtin(name)
+    rng = np.random.default_rng(4)
+    control = ControlPath.uniform(0.9, rng.normal(scale=0.5, size=(3, m.r)))
+    x0 = rng.normal(scale=0.4, size=m.d)
+    with_m = integrate_flow(m, x0, control, n_steps=300, with_jacobian=True)
+    without = integrate_flow(m, x0, control, n_steps=300, with_jacobian=False)
+    assert np.array_equal(with_m.states, without.states)
+    assert np.array_equal(with_m.times, without.times)
+    assert with_m.M is not None and without.M is None
 
 
 def test_flow_constant_control_forcing():
@@ -114,15 +128,6 @@ def test_flow_divergence_detected():
     assert 0 < exc_info.value.time <= 1.0
 
 
-def test_flow_ball_exit_recorded():
-    m = elliptic_model()
-    flow = integrate_flow(
-        m, np.zeros(2), ControlPath.constant(2.0, [2.0, 0.0]), n_ball=1
-    )
-    assert flow.exited
-    assert flow.exit_time == pytest.approx(0.5, abs=1e-2)
-
-
 def test_refine_halves_until_converged():
     m = linear_langevin()
     x0 = np.array([1.0, 0.0])
@@ -138,35 +143,6 @@ def test_refine_halves_until_converged():
     assert np.allclose(fine.terminal, exact, atol=1e-9)
 
 
-def test_cocycle_property():
-    # J_{0,t} = J_{s,t} J_{0,s} at every node
-    m = get_builtin("bhw")
-    control = ControlPath.uniform(1.0, [[0.5], [-1.0]])
-    flow = integrate_flow(m, np.array([0.3, 0.4]), control, n_steps=800)
-    Jst = _jst_factors(flow, m)
-    Jt = flow.J0[-1]
-    for i in range(0, len(flow.times), 50):
-        assert np.allclose(Jst[i] @ flow.J0[i], Jt, atol=1e-7)
-
-
-# -- quadrature -------------------------------------------------------
-
-
-def test_simpson_weights_exact_for_cubics():
-    times = np.linspace(0.0, 1.0, 9)
-    w = _simpson_weights(times)
-    assert np.sum(w) == pytest.approx(1.0)
-    for p in range(4):  # Simpson is exact through degree 3
-        assert np.dot(w, times**p) == pytest.approx(1.0 / (p + 1), abs=1e-12)
-
-
-def test_simpson_weights_piecewise_grid():
-    # two uniform runs with different steps, as produced by a 2-piece control
-    times = np.concatenate([np.linspace(0, 0.5, 5), np.linspace(0.5, 1.0, 9)[1:]])
-    w = _simpson_weights(times)
-    assert np.dot(w, times**2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
 # -- Gramian ----------------------------------------------------------
 
 
@@ -178,6 +154,29 @@ def test_gramian_shear_oracle():
     assert np.allclose(M, [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=1e-7)
     assert np.linalg.det(M) == pytest.approx(1.0 / 12.0, abs=1e-7)
     assert sigma_min > gramian_threshold(M)
+
+
+def test_gramian_van_loan_oracle_ill_conditioned():
+    # drift diag(-10, 10) x: cond(J_{0,1}) = e^20 > 1e8.  Closed form by
+    # Van Loan's method: expm([[-A, B B^T], [0, A^T]] t) = [[., F12], [0, F22]]
+    # gives M_t = F22^T F12.
+    m = ModelSpec(
+        name="saddle",
+        d=2,
+        drift=PolyVectorField(
+            2, (Polynomial(2, {(1, 0): F(-10)}), Polynomial(2, {(0, 1): F(10)}))
+        ),
+        noise=((F(1), F(1)),),
+    )
+    A = np.diag([-10.0, 10.0])
+    BBt = np.ones((2, 2))
+    assert np.linalg.cond(expm(A)) > 1e8
+    E = expm(np.block([[-A, BBt], [np.zeros((2, 2)), A.T]]))
+    exact = E[2:, 2:].T @ E[:2, 2:]
+    flow = integrate_flow(m, np.array([0.2, -0.1]), ControlPath.zero(1.0, 1))
+    M, sigma_min = gramian(flow, m)
+    assert np.allclose(M, exact, rtol=1e-7, atol=0)
+    assert sigma_min == pytest.approx(np.linalg.svd(exact, compute_uv=False)[-1], rel=1e-7)
 
 
 def test_gramian_symmetric_psd_random_flows():
@@ -265,8 +264,6 @@ def test_synthesis_langevin_leg():
 
 
 def test_synthesis_variational_gradient_matches_fd():
-    from conecert.reach import _terminal_and_jac
-
     m = get_builtin("bhw")
     pieces, r = 3, m.r
     u = np.array([0.4, -0.2, 0.7])
