@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from .models import ModelSpec
 from .polyfield import (
@@ -386,10 +387,13 @@ class PositivityBasis:
 
     @functools.cached_property
     def _error_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """|B^-1| |B| and |B^-1|, one-sided rows only: the componentwise
-        sensitivity of the solved coefficients to rounding."""
+        """|B^-1| |P L| |U| and |B^-1|, one-sided rows only: the componentwise
+        sensitivity of the solved coefficients to rounding.  |P L| |U|, not
+        |B|, bounds the solve's backward error: the factors fill in where B
+        has zeros."""
+        P, L, U = scipy.linalg.lu(self._matrix)
         inv = np.abs(np.linalg.inv(self._matrix)[self.k :])
-        return inv @ np.abs(self._matrix), inv
+        return inv @ np.abs(P @ L) @ np.abs(U), inv
 
     @functools.cached_property
     def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
@@ -443,9 +447,9 @@ def choose_basis(C: ConeSpan) -> PositivityBasis:
     return PositivityBasis(vectors=vectors, k=k)
 
 
-# first-order componentwise error bound of a partial-pivoting solve with
-# pivot growth up to d (3 d^2 u), plus the rounding of B and of z - x,
-# doubled for the rounding of the float inverse it is computed from
+# first-order componentwise error bound of a partial-pivoting LU solve,
+# 3 d u |B^-1| |P L| |U| |c|, taken as 3 d^2 u, plus the rounding of B and
+# of z - x, doubled for the rounding of the float inverse it is computed from
 _BAND_UNIT = 8 * np.finfo(float).eps
 
 
@@ -483,25 +487,24 @@ def d_membership(
     return member, coeffs
 
 
-def twist_rank_check(
-    model: ModelSpec, points: list[np.ndarray], threshold: float = 1e-9
-) -> bool:
+def bracket_rank(model: ModelSpec, points) -> int:
+    """Numerical rank (singular values above 1e-9 times the largest) of
+    the noise directions plus the first drift brackets [X0, X_j] at each
+    of the points."""
+    P = np.asarray(points, dtype=float).reshape(-1, model.d)
+    A = np.hstack(
+        [model.noise_matrix()]
+        + [compile_field(lie_bracket(model.drift, Xf))(P).T for Xf in model.noise_fields()]
+    )
+    if not A.any():  # no noise directions, or all of them zero
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(s > 1e-9 * s[0]))
+
+
+def twist_rank_check(model: ModelSpec, points: list[np.ndarray]) -> bool:
     """True when the noise directions plus first drift brackets at the
     sample points already span the state space numerically."""
     if not points:
         raise ValueError("points must be nonempty")
-    cols = [model.noise_matrix()[:, j] for j in range(model.r)]
-    P = np.asarray(points, dtype=float)
-    bracket_values = [
-        compile_field(lie_bracket(Xf, model.drift))(P) for Xf in model.noise_fields()
-    ]
-    for i in range(len(P)):
-        cols.extend(vals[i] for vals in bracket_values)
-    if not cols:
-        return False
-    A = np.array(cols).T
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return False
-    rank = int(np.sum(s > threshold * s[0]))
-    return rank == model.d
+    return bracket_rank(model, points) == model.d

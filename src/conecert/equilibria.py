@@ -110,6 +110,9 @@ def find_equilibria(
 
     found: list[EquilibriumPoint] = []
     for start in starts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(residual_fn(start))):
+                continue  # the drift overflows here; least_squares cannot start
         sol = least_squares(
             residual_fn, start, jac=residual_jac, xtol=1e-14, ftol=1e-14, gtol=1e-14
         )

@@ -4,6 +4,10 @@ Paths are frozen on first exit from the stopping ball; the fraction of
 unstopped paths landing in a small ball around the target, with a
 Clopper-Pearson lower confidence bound, corroborates (never proves) a
 positivity verdict.
+
+Each block of _CHUNK paths has its own Philox stream, from which every
+step draws that step's normals, so memory grows with the number of
+paths but not with the number of steps.
 """
 
 from __future__ import annotations
@@ -104,16 +108,15 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
         states = np.tile(x, (m, 1))
         ball2 = cfg.n_ball * cfg.n_ball
         frozen = np.einsum("ij,ij->i", states, states) >= ball2
-        if r > 0:
-            noise = rng.standard_normal((n_steps, m, r))
-        for step in range(n_steps):
+        for _ in range(n_steps):
             live = ~frozen
             if not live.any():
                 break
             cur = states[live]
             incr = f(cur) * dt
             if r > 0:
-                incr += (noise[step, live] * sqrt_dt) @ B.T
+                # the same stream, value for value, as one (n_steps, m, r) draw
+                incr += (rng.standard_normal((m, r))[live] * sqrt_dt) @ B.T
             nxt = cur + incr
             finite = np.isfinite(nxt).all(axis=1)
             if not finite.all():

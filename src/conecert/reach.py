@@ -13,20 +13,29 @@ the Gramian, from the Lyapunov equation dM/ds = A M + M A^T + B B^T, or
 the sensitivities of the terminal state to the control values, from
 dS/ds = A S + B E_p (E_p selects the active piece p), with
 A = DX0(Phi_s) and M_0 = S_0 = 0.
+
+`certify` takes one route whatever the query.  Membership yields the
+target of the transit from x: z itself, or the equilibrium y of a chain
+x -> y -> z, after which the control dwells at y for a quarter of t and
+a final leg of half the rest steers to z.  Twist waypoints, leg synthesis and the Gramian then run the same
+way for both.  The twist stage and `k_rank` share one bracket-rank
+routine, `closure.bracket_rank`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .closure import PositivityBasis, d_membership, twist_rank_check
-from .equilibria import EquilibriumPoint, find_equilibria, iter_chains
+from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_check
+from .equilibria import EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains
 from .models import ModelSpec
-from .polyfield import compile_field, compile_jacobian, lie_bracket
+# lie_bracket is not called here; the benchmark tracer patches the name
+from .polyfield import compile_field, compile_jacobian, lie_bracket  # noqa: F401
 
 
 class FlowDivergenceError(RuntimeError):
@@ -57,10 +66,6 @@ class ControlPath:
             raise ValueError("control values must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def r(self) -> int:
-        return self.values.shape[1]
 
     @classmethod
     def zero(cls, horizon: float, r: int) -> "ControlPath":
@@ -98,18 +103,10 @@ class FlowResult:
     states: np.ndarray  # (n_nodes, d)
     M: np.ndarray | None  # Gramian M_t, when carried
     S: np.ndarray | None  # control sensitivities S_t, when carried
-    control: ControlPath
-
-    @property
-    def t(self) -> float:
-        return float(self.times[-1])
 
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]
-
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.states, axis=1)))
 
 
 def _steps_per_interval(control: ControlPath, n_steps: int) -> list[int]:
@@ -207,7 +204,6 @@ def _integrate_once(model, x, control, n_steps, carry=None):
         states=np.array(states),
         M=Y if carry == "gramian" else None,
         S=Y if carry == "sensitivity" else None,
-        control=control,
     )
 
 
@@ -269,27 +265,11 @@ def gramian_threshold(M: np.ndarray) -> float:
     return 1e-8 * float(np.trace(M)) / d
 
 
-def k_rank(flow: FlowResult, model: ModelSpec, max_nodes: int = 200) -> int:
+def k_rank(flow: FlowResult, model: ModelSpec) -> int:
     """Numerical rank of the noise directions plus drift brackets
-    sampled along the interior of the trajectory."""
-    if model.r == 0:
-        return 0
-    cols = [model.noise_matrix()[:, j] for j in range(model.r)]
-    brackets = [
-        compile_field(lie_bracket(model.drift, Xf)) for Xf in model.noise_fields()
-    ]
+    sampled along the interior of the trajectory (about 200 nodes)."""
     interior = flow.states[1:-1]
-    if len(interior):
-        stride = max(1, len(interior) // max_nodes)
-        sample = interior[::stride]
-        for br in brackets:
-            vals = br(sample)
-            cols.extend(vals)
-    A = np.array(cols).T
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
+    return bracket_rank(model, interior[:: max(1, len(interior) // 200)])
 
 
 # --------------------------------------------------------------------
@@ -298,6 +278,14 @@ def k_rank(flow: FlowResult, model: ModelSpec, max_nodes: int = 200) -> int:
 
 class SynthesisError(RuntimeError):
     pass
+
+
+_SYNTHESIS_STARTS = 6  # least-squares starts per leg: zero, then random
+
+
+def _eps_reach(z) -> float:
+    """Terminal error a synthesized leg, and a certificate, may leave at z."""
+    return 1e-5 * (1.0 + np.linalg.norm(z))
 
 
 def _terminal_and_jac(model, x0, control: ControlPath, n_steps: int):
@@ -314,22 +302,19 @@ def synthesize_leg(
     t_leg: float,
     pieces: int = 6,
     seed: int = 0,
-    eps_reach: float | None = None,
     n_steps: int = 600,
-    max_starts: int = 6,
 ) -> ControlPath:
-    """Piecewise-constant control steering frm to to over t_leg, found
-    by damped least squares on the terminal error with the variational
-    flow supplying gradients.  Raises SynthesisError after the
-    multistart budget."""
+    """Piecewise-constant control steering frm to within _eps_reach(to)
+    of to over t_leg, found by damped least squares on the terminal error
+    with the variational flow supplying gradients.  Raises SynthesisError
+    after _SYNTHESIS_STARTS starts."""
     if t_leg <= 0:
         raise ValueError("t_leg must be positive")
     if pieces < 2:
         raise ValueError("need at least 2 control pieces")
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
-    if eps_reach is None:
-        eps_reach = 1e-5 * (1.0 + np.linalg.norm(to))
+    eps_reach = _eps_reach(to)
     r = model.r
     if r == 0:
         raise SynthesisError("no control directions available")
@@ -365,9 +350,8 @@ def synthesize_leg(
 
     rng = np.random.default_rng(seed)
     scale0 = np.linalg.norm(to - frm) / t_leg + 1.0
-    best = None
     best_err = np.inf
-    for start in range(max_starts):
+    for start in range(_SYNTHESIS_STARTS):
         if start == 0:
             u0 = np.zeros(pieces * r)
         else:
@@ -387,8 +371,7 @@ def synthesize_leg(
         except FlowDivergenceError:
             continue
         err = float(np.linalg.norm(check.terminal - to))
-        if err < best_err:
-            best, best_err = control, err
+        best_err = min(best_err, err)
         if err <= eps_reach:
             return control
     raise SynthesisError(
@@ -409,12 +392,12 @@ class ReachabilityCertificate:
     z: np.ndarray
     t: float
     waypoints: list
-    control: ControlPath | None
-    terminal_error: float | None
-    sigma_min: float | None
-    K_rank: int | None
-    ball_n: int | None
     verdict: str  # "positive" | "inconclusive"
+    control: ControlPath | None = None
+    terminal_error: float | None = None
+    sigma_min: float | None = None
+    K_rank: int | None = None
+    ball_n: int | None = None
     stage: str | None = None  # failing stage when inconclusive
     detail: str | None = None
     dwell: tuple[float, float] | None = None  # (start, duration) at the equilibrium
@@ -445,37 +428,33 @@ class CertifyOptions:
     equilibrium: EquilibriumPoint | None = None
     pieces: int = 8
     seed: int = 0
-    eps_reach: float | None = None
-    dwell_frac: float = 0.25
-    twist_budget: int = 12
     n_steps: int = 600
-    search_box_pad: float = 3.0
+
+
+_TWIST_BUDGET = 12  # waypoint sets tried before the twist stage gives up
+_DWELL_FRAC = 0.25  # share of t spent at the equilibrium
+_SEARCH_BOX_PAD = 3.0  # the equilibrium search box is the x-z box grown by this
 
 
 def _inconclusive(model, x, z, t, stage, detail, waypoints=()):
     return ReachabilityCertificate(
         model_name=model.name,
         model_hash=model.spec_hash(),
-        x=np.asarray(x, float),
-        z=np.asarray(z, float),
+        x=x,
+        z=z,
         t=t,
         waypoints=list(waypoints),
-        control=None,
-        terminal_error=None,
-        sigma_min=None,
-        K_rank=None,
-        ball_n=None,
         verdict="inconclusive",
         stage=stage,
         detail=detail,
     )
 
 
-def _slab_waypoints(basis: PositivityBasis, x, target, coeffs, count, rng):
-    """Waypoints in nested dyadic slabs between x and the target: the
-    one-sided coordinates advance through disjoint windows scaled by the
-    smallest one-sided coefficient, so each waypoint is strictly
-    reachable from its predecessor."""
+def _slab_waypoints(basis: PositivityBasis, x, coeffs, count, rng):
+    """Waypoints in nested dyadic slabs between x and the target x + B c
+    (c = coeffs): the one-sided coordinates advance through disjoint
+    windows scaled by the smallest one-sided coefficient, so each
+    waypoint is strictly reachable from its predecessor."""
     Bmat = basis.matrix()
     k = basis.k
     d = basis.dim
@@ -493,17 +472,17 @@ def _slab_waypoints(basis: PositivityBasis, x, target, coeffs, count, rng):
     return points
 
 
-def _select_twist_points(model, basis, x, target, coeffs, options, rng):
-    """Accumulate waypoints until the noise-plus-bracket family at the
-    collected points spans the state space, or the budget runs out."""
-    if twist_rank_check(model, [np.asarray(x, float)]):
-        return [], True
-    points = []
-    for count in range(1, options.twist_budget + 1):
-        points = _slab_waypoints(basis, x, target, coeffs, count, rng)
+def _select_twist_points(model, basis, x, coeffs, rng):
+    """Waypoints, accumulated until the noise-plus-bracket family at the
+    collected points spans the state space; None when the budget runs
+    out first."""
+    if twist_rank_check(model, [x]):
+        return []
+    for count in range(1, _TWIST_BUDGET + 1):
+        points = _slab_waypoints(basis, x, coeffs, count, rng)
         if twist_rank_check(model, points):
-            return points, True
-    return points, False
+            return points
+    return None
 
 
 def certify(
@@ -515,48 +494,26 @@ def certify(
     options: CertifyOptions | None = None,
 ) -> ReachabilityCertificate:
     """Assemble a machine-checkable positivity certificate: membership,
-    twist waypoints, per-leg control synthesis, full-path Gramian."""
+    twist waypoints, per-leg control synthesis, full-path Gramian, on
+    the one route the module docstring describes."""
     options = options or CertifyOptions()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(options.seed)
+    via = options.via_equilibrium
 
-    # --- membership stage
-    dwell = None
-    if options.via_equilibrium:
+    # --- membership stage: candidate transit targets and their coefficients
+    if via:
         if options.equilibrium is not None:
             equilibria = [options.equilibrium]
         else:
-            pad = options.search_box_pad
-            lo = np.minimum(x, z) - pad
-            hi = np.maximum(x, z) + pad
-            equilibria = find_equilibria(
-                model, list(zip(lo, hi)), n_starts=64, seed=options.seed,
-                tol=1e-8,
-            )
-        # Equilibria can come in families (whole curves of them), and a
-        # candidate too close to x gives waypoints where the bracket
-        # family degenerates; keep trying chains until one passes the
-        # twist check.
-        chain = None
-        twist_points = None
-        for candidate in iter_chains(model, basis, x, z, equilibria):
-            points, ok = _select_twist_points(
-                model, basis, x, candidate.y, candidate.coeffs_xy, options, rng
-            )
-            if ok:
-                chain = candidate
-                twist_points = points
-                break
-        if chain is None:
-            return _inconclusive(
-                model, x, z, t, "membership",
-                "no equilibrium chains x to z through the positivity regions"
-                " with a nondegenerate bracket family along the way",
-            )
-        y = chain.y
-        coeffs_first = chain.coeffs_xy
-        target_first = y
+            pad = _SEARCH_BOX_PAD
+            box = list(zip(np.minimum(x, z) - pad, np.maximum(x, z) + pad))
+            equilibria = find_equilibria(model, box, n_starts=64, seed=options.seed, tol=1e-8)
+        candidates = (
+            (chain.y, chain.coeffs_xy)
+            for chain in iter_chains(model, basis, x, z, equilibria)
+        )
     else:
         member, coeffs = d_membership(basis, x, z)
         if not member:
@@ -564,60 +521,52 @@ def certify(
                 model, x, z, t, "membership",
                 "target is not strictly inside the positivity region of x",
             )
-        y = None
-        coeffs_first = coeffs
-        target_first = z
+        candidates = [(z, coeffs)]
 
-        # --- twist stage
-        twist_points, ok = _select_twist_points(
-            model, basis, x, target_first, coeffs_first, options, rng
-        )
-        if not ok:
-            return _inconclusive(
-                model, x, z, t, "twist",
-                f"bracket family rank < d after {options.twist_budget} waypoint sets",
-            )
-
-    # --- time budget and waypoint list
-    if options.via_equilibrium:
-        transit = [x, *twist_points, y]
-        t_dwell = options.dwell_frac * t
-        t_final = 0.5 * (t - t_dwell)
-        t_transit_total = t - t_dwell - t_final
+    # --- twist stage.  Equilibria can come in families (whole curves of
+    # them), and a candidate too close to x gives waypoints where the
+    # bracket family degenerates; keep trying until one passes.
+    for target, coeffs in candidates:
+        twist_points = _select_twist_points(model, basis, x, coeffs, rng)
+        if twist_points is not None:
+            break
     else:
-        transit = [x, *twist_points, z]
-        t_dwell = 0.0
-        t_final = 0.0
-        t_transit_total = t
-    n_legs = len(transit) - 1
-    t_leg = t_transit_total / n_legs
+        if via:
+            return _inconclusive(
+                model, x, z, t, "membership",
+                "no equilibrium chains x to z through the positivity regions"
+                " with a nondegenerate bracket family along the way",
+            )
+        return _inconclusive(
+            model, x, z, t, "twist",
+            f"bracket family rank < d after {_TWIST_BUDGET} waypoint sets",
+        )
+
+    # --- time budget: for the direct route t - 0.0 - 0.0 == t exactly
+    t_dwell = _DWELL_FRAC * t if via else 0.0
+    t_final = 0.5 * (t - t_dwell) if via else 0.0
+    waypoints = [*twist_points, target]
+    t_leg = (t - t_dwell - t_final) / len(waypoints)
 
     # --- synthesis stage
-    waypoints = list(transit[1:])
     controls: list[ControlPath] = []
+    dwell = None
     current = x
     try:
-        for target in transit[1:]:
-            leg = _synthesize_escalating(
-                model, current, target, t_leg, options
-            )
+        for waypoint in waypoints:
+            leg = _synthesize_escalating(model, current, waypoint, t_leg, options)
             controls.append(leg)
             current = integrate_flow(
                 model, current, leg, n_steps=options.n_steps, with_jacobian=False
             ).terminal
-        if options.via_equilibrium:
-            _, u_eq, _ = _equilibrium_control(model, current)
-            dwell_start = sum(c.horizon for c in controls)
-            controls.append(ControlPath.constant(t_dwell, u_eq))
-            dwell = (dwell_start, t_dwell)
-            leg = _synthesize_escalating(model, current, z, t_final, options)
-            controls.append(leg)
+        if via:
+            dwell = (sum(c.horizon for c in controls), t_dwell)
+            controls.append(ControlPath.constant(t_dwell, _equilibrium_control(model, current)))
+            controls.append(_synthesize_escalating(model, current, z, t_final, options))
     except SynthesisError as exc:
         return _inconclusive(model, x, z, t, "synthesis", str(exc), waypoints)
 
-    control = controls[0]
-    for c in controls[1:]:
-        control = control.concat(c)
+    control = functools.reduce(ControlPath.concat, controls)
 
     # --- gramian stage
     try:
@@ -631,11 +580,9 @@ def certify(
 
     rank = k_rank(flow, model)
     terminal_error = float(np.linalg.norm(flow.terminal - z))
-    eps_reach = options.eps_reach
-    if eps_reach is None:
-        eps_reach = 1e-5 * (1.0 + np.linalg.norm(z))
+    eps_reach = _eps_reach(z)
     eps_gram = gramian_threshold(M)
-    ball_n = int(math.ceil(flow.max_norm())) + 1
+    ball_n = int(math.ceil(np.linalg.norm(flow.states, axis=1).max())) + 1
 
     ok = terminal_error <= eps_reach and sigma_min >= eps_gram and rank == model.d
     return ReachabilityCertificate(
@@ -662,14 +609,13 @@ def certify(
 
 
 def _equilibrium_control(model: ModelSpec, y):
-    from .equilibria import is_equilibrium
-
+    """Constant control that holds the state at the equilibrium y."""
     ok, u, resid = is_equilibrium(model, y, tol=1e-6)
     if not ok:
         raise SynthesisError(
             f"dwell point {y} is not an equilibrium (residual {resid:.3g})"
         )
-    return ok, u, resid
+    return u
 
 
 def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions):
@@ -680,7 +626,6 @@ def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions):
                 model, frm, to, t_leg,
                 pieces=options.pieces * factor,
                 seed=options.seed + factor,
-                eps_reach=options.eps_reach,
                 n_steps=options.n_steps,
             )
         except SynthesisError as exc:

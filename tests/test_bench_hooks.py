@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conecert import reach
+from conecert.closure import choose_basis, compute_C
 from conecert.models import get_builtin
 
 
@@ -48,3 +49,21 @@ def test_tracer_counts_flow_steps_and_gramian(tracing):
     assert tracer.counts["reach.flow.steps"] == len(flow.times) - 1
     assert tracer.stat("reach.flow", 0) == 1
     assert tracer.stat("reach.gramian", 0) == 1
+
+
+def test_tracer_sees_every_certify_layer(tracing):
+    m = get_builtin("langevin")
+    basis = choose_basis(compute_C(m))
+    options = reach.CertifyOptions(seed=0, n_steps=200, pieces=4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op("hooks", 0):
+            cert = reach.certify(m, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
+    finally:
+        tracer.uninstall()
+    assert cert.verdict == "positive"
+    assert tracer.stat("closure.twist", 0) >= 1
+    assert tracer.stat("reach.k_rank", 0) == 1
+    assert tracer.stat("reach.certify", 0) == 1
+    assert tracer.stat("reach.synthesis", 0) >= 1

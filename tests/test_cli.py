@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecert.cli import main
 from conecert.models import bhw, save_model
@@ -60,6 +62,11 @@ def test_equilibria_command(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "equilibrium point" in out
+
+
+def test_equilibria_overflowing_box_finds_none(capsys):
+    assert main(["equilibria", "--builtin", "bhw", "--box=0,1e160;0,1"]) == 0
+    assert "found 0 equilibrium point(s)" in capsys.readouterr().out
 
 
 def test_bracket_command(capsys):
@@ -147,3 +154,24 @@ LANGEVIN = ["--builtin", "langevin", "--from", "0,0", "--to", "1,0"]
 ])
 def test_malformed_inputs_exit_two(argv):
     assert _exit_code(argv) == 2
+
+
+# any finite float, tiny or huge
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+EXIT_CODES = {0, 2, 3}  # never 1, the internal-error code
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS).map(sorted), min_size=1, max_size=3))
+def test_equilibria_box_never_internal_error(intervals):
+    box = ";".join(f"{lo!r},{hi!r}" for lo, hi in intervals)
+    argv = ["equilibria", "--builtin", "bhw", "--starts", "2", f"--box={box}"]
+    assert _exit_code(argv) in EXIT_CODES
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=3))
+def test_verify_from_never_internal_error(x):
+    argv = ["verify", "--builtin", "langevin", "--paths", "1",
+            f"--from={','.join(map(repr, x))}", "--to", "1,0", "--t", "1"]
+    assert _exit_code(argv) in EXIT_CODES

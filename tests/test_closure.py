@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_vectors
@@ -14,6 +14,7 @@ from conecert.closure import (
     PositivityBasis,
     RationalSpan,
     SingularBasisError,
+    bracket_rank,
     choose_basis,
     closure_init,
     closure_step,
@@ -23,7 +24,8 @@ from conecert.closure import (
     twist_rank_check,
     verify_derivations,
 )
-from conecert.models import bhw, get_builtin, langevin, quartic_double_well
+from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_double_well
+from conecert.polyfield import Polynomial, PolyVectorField
 
 F = Fraction
 
@@ -217,6 +219,8 @@ def near_boundary_queries(draw):
 
 @given(near_boundary_queries())
 @settings(max_examples=200, deadline=None)
+# exact coefficients (0, 1e-16); the LU factors of B fill in its zero
+@example((PositivityBasis([(F(3), F(1)), (F(1), F(0))], 0), np.zeros(2), np.array([1e-16, 0.0])))
 def test_membership_matches_rational_oracle_inside_band(query):
     basis, x, z = query
     exact = _exact_coefficients(basis.vectors, [F(b) - F(a) for a, b in zip(x, z)])
@@ -281,6 +285,18 @@ def test_twist_rank_bhw(bhw_model):
     assert twist_rank_check(bhw_model, [np.array([0.5, 1.0])])
     assert not twist_rank_check(bhw_model, [np.array([0.0, 0.0])])
     assert not twist_rank_check(bhw_model, [np.array([3.0, 0.0])])
+    assert bracket_rank(bhw_model, [[0.5, 1.0]]) == 2
+    assert bracket_rank(bhw_model, [[3.0, 0.0], [0.0, 0.0]]) == 1
+
+
+def test_twist_rank_noiseless_model():
+    silent = ModelSpec(
+        name="silent", d=2,
+        drift=PolyVectorField(2, (Polynomial.variable(2, 1), Polynomial.zero(2))),
+        noise=(),
+    )
+    assert bracket_rank(silent, [[1.0, 2.0]]) == 0
+    assert not twist_rank_check(silent, [np.array([1.0, 2.0])])
 
 
 def test_twist_rank_needs_points(bhw_model):

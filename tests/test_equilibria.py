@@ -84,6 +84,12 @@ def test_find_equilibria_degenerate_box(bhw_model):
         find_equilibria(bhw_model, [(1, 1), (0, 2)])
 
 
+def test_find_equilibria_skips_overflowing_starts(bhw_model):
+    # x^2 overflows at nearly every start in this box; an empty list is
+    # a valid outcome
+    assert find_equilibria(bhw_model, [(0, 1e160), (0, 1)]) == []
+
+
 def test_build_chain_bhw(bhw_model):
     basis = choose_basis(compute_C(bhw_model))
     eqs = find_equilibria(bhw_model, [(-3, 3), (-3, 3)], n_starts=64, seed=0)

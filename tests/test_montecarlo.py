@@ -1,5 +1,6 @@
 """Stopped Euler-Maruyama simulation and binomial evidence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,20 @@ def test_path_count_invariance_of_common_paths():
     small = simulate(m, np.zeros(2), SimConfig(n_paths=4096, **base))
     large = simulate(m, np.zeros(2), SimConfig(n_paths=8192, **base))
     assert large.hits >= small.hits
+
+
+def test_noise_memory_independent_of_steps():
+    # 4000 steps x 256 paths x 2 normals, drawn as one block, take 16 MB
+    m = get_builtin("langevin2d")
+    cfg = SimConfig.default(t=1.0, z=np.zeros(m.d), n_ball=10.0, n_paths=256, seed=0)
+    assert round(cfg.t / cfg.dt) * cfg.n_paths * m.r * 8 > 16e6
+    tracemalloc.start()
+    try:
+        simulate(m, np.zeros(m.d), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_stopping_freezes_paths():

@@ -316,7 +316,31 @@ def test_certify_membership_failure(bhw_model):
     cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.0], 1.0)
     assert cert.verdict == "inconclusive"
     assert cert.stage == "membership"
+    assert cert.detail == "target is not strictly inside the positivity region of x"
     assert cert.control is None
+
+
+NO_CHAIN = (
+    "no equilibrium chains x to z through the positivity regions"
+    " with a nondegenerate bracket family along the way"
+)
+
+
+@pytest.mark.parametrize("z, via, stage, detail", [
+    # z - x lies along the one-sided direction (1, 0), so every waypoint
+    # is on y = 0, where [X0, X1] is parallel to X1
+    ([1.0, 0.0], False, "twist", "bracket family rank < d after 12 waypoint sets"),
+    ([-1.0, 0.3], True, "membership", NO_CHAIN),
+    # the drift overflows at the equilibrium search's starts
+    ([1e160, 1.0], True, "membership", NO_CHAIN),
+])
+def test_certify_refusal_stages(bhw_model, z, via, stage, detail):
+    basis = choose_basis(compute_C(bhw_model))
+    cert = certify(
+        bhw_model, basis, [0.0, 0.0], z, 1.0, CertifyOptions(via_equilibrium=via)
+    )
+    assert (cert.verdict, cert.stage, cert.detail) == ("inconclusive", stage, detail)
+    assert cert.control is None and cert.sigma_min is None and cert.dwell is None
 
 
 def test_certify_via_equilibrium_bhw(bhw_model):
