@@ -7,115 +7,93 @@ symbolically, tests membership of displacement vectors in the associated
 one-sided region, synthesizes a control steering the deterministic flow
 between the endpoints, certifies nondegeneracy of the flow's Gramian,
 and corroborates verdicts with stopped Monte Carlo simulation.
+
+The package root imports none of its modules.  Each public name, and
+each submodule, is imported from its home module on first access
+(PEP 562), so a process loads only what it uses: `conecert --help`
+loads neither scipy nor the numerics.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .closure import (
-    BasisSelectionError,
-    ConeSpan,
-    PositivityBasis,
-    choose_basis,
-    compute_C,
-    d_membership,
-    twist_rank_check,
-    verify_derivations,
-)
-from .equilibria import (
-    EquilibriumPoint,
-    PositivityChain,
-    find_equilibria,
-    is_equilibrium,
-)
-from .models import (
-    BUILTINS,
-    ModelError,
-    ModelSpec,
-    bhw,
-    burgers,
-    get_builtin,
-    langevin,
-    load_model,
-    nonexample3d,
-    save_model,
-)
-from .montecarlo import (
-    PositivityEvidence,
-    SimConfig,
-    clopper_pearson_lower,
-    density_heatmap,
-    simulate,
-)
-from .polyfield import (
-    NO_DEGREE,
-    Polynomial,
-    PolyVectorField,
-    ad_power,
-    lie_bracket,
-    relative_degree,
-)
-from .reach import (
-    CertifyOptions,
-    ControlPath,
-    FlowDivergenceError,
-    FlowResult,
-    GramianError,
-    ReachabilityCertificate,
-    SynthesisError,
-    certify,
-    gramian,
-    gramian_threshold,
-    integrate_flow,
-    k_rank,
-    synthesize_leg,
-)
+_EXPORTS = {
+    "closure": (
+        "BasisSelectionError",
+        "ConeSpan",
+        "PositivityBasis",
+        "choose_basis",
+        "compute_C",
+        "d_membership",
+        "twist_rank_check",
+        "verify_derivations",
+    ),
+    "equilibria": (
+        "EquilibriumPoint",
+        "PositivityChain",
+        "find_equilibria",
+        "is_equilibrium",
+    ),
+    "models": (
+        "BUILTINS",
+        "ModelError",
+        "ModelSpec",
+        "bhw",
+        "burgers",
+        "get_builtin",
+        "langevin",
+        "load_model",
+        "nonexample3d",
+        "save_model",
+    ),
+    "montecarlo": (
+        "PositivityEvidence",
+        "SimConfig",
+        "clopper_pearson_lower",
+        "density_heatmap",
+        "simulate",
+    ),
+    "polyfield": (
+        "NO_DEGREE",
+        "Polynomial",
+        "PolyVectorField",
+        "ad_power",
+        "lie_bracket",
+        "relative_degree",
+    ),
+    "reach": (
+        "CertifyOptions",
+        "ControlPath",
+        "FlowDivergenceError",
+        "FlowResult",
+        "GramianError",
+        "ReachabilityCertificate",
+        "SynthesisError",
+        "certify",
+        "gramian",
+        "gramian_threshold",
+        "integrate_flow",
+        "k_rank",
+        "synthesize_leg",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "brackets", "cli"}
 
-__all__ = [
-    "__version__",
-    "BasisSelectionError",
-    "ConeSpan",
-    "PositivityBasis",
-    "choose_basis",
-    "compute_C",
-    "d_membership",
-    "twist_rank_check",
-    "verify_derivations",
-    "EquilibriumPoint",
-    "PositivityChain",
-    "find_equilibria",
-    "is_equilibrium",
-    "BUILTINS",
-    "ModelError",
-    "ModelSpec",
-    "bhw",
-    "burgers",
-    "get_builtin",
-    "langevin",
-    "load_model",
-    "nonexample3d",
-    "save_model",
-    "PositivityEvidence",
-    "SimConfig",
-    "clopper_pearson_lower",
-    "density_heatmap",
-    "simulate",
-    "NO_DEGREE",
-    "Polynomial",
-    "PolyVectorField",
-    "ad_power",
-    "lie_bracket",
-    "relative_degree",
-    "CertifyOptions",
-    "ControlPath",
-    "FlowDivergenceError",
-    "FlowResult",
-    "GramianError",
-    "ReachabilityCertificate",
-    "SynthesisError",
-    "certify",
-    "gramian",
-    "gramian_threshold",
-    "integrate_flow",
-    "k_rank",
-    "synthesize_leg",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -3,6 +3,9 @@ with machine-readable reports.
 
 Exit codes: 0 success / positive verdict, 2 input error, 3 hypothesis
 unmet or inconclusive verdict, 1 internal error.
+
+Each command imports the modules it runs, so `--help`, an argparse
+error or an exact-algebra command never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .brackets import BracketParseError, parse_bracket, pretty_field
-from .closure import BasisSelectionError, choose_basis, compute_C
-from .equilibria import find_equilibria
 from .models import BUILTINS, ModelError, get_builtin, load_model
-from .montecarlo import SimConfig, density_heatmap, simulate
-from .reach import CertifyOptions, certify, integrate_flow
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -85,6 +83,8 @@ def _emit(report: dict, args, summary: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .closure import BasisSelectionError, choose_basis, compute_C
+
     t0 = time.monotonic()
     model = _load_spec(args)
     cone = compute_C(model, max_rounds=args.max_rounds, combo_budget=args.combo_budget)
@@ -110,6 +110,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
+    from .equilibria import find_equilibria
+
     t0 = time.monotonic()
     model = _load_spec(args)
     if args.box:
@@ -133,6 +135,9 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from .closure import BasisSelectionError, choose_basis, compute_C
+    from .reach import CertifyOptions, certify, integrate_flow
+
     t0 = time.monotonic()
     model = _load_spec(args)
     x = _parse_vector(getattr(args, "from"))
@@ -173,6 +178,8 @@ def cmd_reach(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .montecarlo import SimConfig, density_heatmap, simulate
+
     t0 = time.monotonic()
     model = _load_spec(args)
     x = _parse_vector(getattr(args, "from"))
@@ -207,6 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    from .brackets import BracketParseError, parse_bracket, pretty_field
+
     t0 = time.monotonic()
     model = _load_spec(args)
     try:

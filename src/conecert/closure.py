@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .models import ModelSpec
 from .polyfield import (
@@ -391,6 +390,8 @@ class PositivityBasis:
         sensitivity of the solved coefficients to rounding.  |P L| |U|, not
         |B|, bounds the solve's backward error: the factors fill in where B
         has zeros."""
+        import scipy.linalg  # deferred: the exact-algebra commands never get here
+
         P, L, U = scipy.linalg.lu(self._matrix)
         inv = np.abs(np.linalg.inv(self._matrix)[self.k :])
         return inv @ np.abs(P @ L) @ np.abs(U), inv

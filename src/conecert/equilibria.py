@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .closure import PositivityBasis, d_membership
 from .models import ModelSpec
@@ -76,6 +75,8 @@ def find_equilibria(
     Returns verified points, deduplicated within 1e-6; an empty list is
     a valid outcome and claims nothing about nonexistence.
     """
+    from scipy.stats import qmc  # deferred: loading it loads all of scipy.stats
+
     if len(box) != model.d or any(hi <= lo for lo, hi in box):
         raise ValueError(f"degenerate box {box}")
     B = model.noise_matrix()
@@ -106,25 +107,27 @@ def find_equilibria(
     sampler = qmc.Sobol(d=model.d, seed=seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    starts = lo + (hi - lo) * sampler.random(n_starts)
-
     found: list[EquilibriumPoint] = []
-    for start in starts:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(residual_fn(start))):
-                continue  # the drift overflows here; least_squares cannot start
-        sol = least_squares(
-            residual_fn, start, jac=residual_jac, xtol=1e-14, ftol=1e-14, gtol=1e-14
-        )
-        y = sol.x
-        if np.any(y < lo - 1e-9) or np.any(y > hi + 1e-9):
-            continue
-        ok, u, resid = is_equilibrium(model, y, tol=tol)
-        if not ok:
-            continue
-        if any(np.linalg.norm(y - ep.y) < 1e-6 for ep in found):
-            continue
-        found.append(EquilibriumPoint(y=y, u=u, residual=resid))
+    # On a box with huge bounds the starts, the drift and the solver's own
+    # arithmetic can overflow.  A start whose squared residual is not finite
+    # is skipped, and every solution is checked below, so no float fault is
+    # an error here.
+    with np.errstate(all="ignore"):
+        for start in lo + (hi - lo) * sampler.random(n_starts):
+            r0 = residual_fn(start)
+            if not np.isfinite(r0 @ r0):
+                continue  # least_squares cannot start here
+            y = least_squares(
+                residual_fn, start, jac=residual_jac, xtol=1e-14, ftol=1e-14, gtol=1e-14
+            ).x
+            if not np.all((lo - 1e-9 <= y) & (y <= hi + 1e-9)):
+                continue  # outside the box, or not finite
+            ok, u, resid = is_equilibrium(model, y, tol=tol)
+            if not ok:
+                continue
+            if any(np.linalg.norm(y - ep.y) < 1e-6 for ep in found):
+                continue
+            found.append(EquilibriumPoint(y=y, u=u, residual=resid))
     found.sort(key=lambda ep: (ep.residual, tuple(ep.y)))
     return found
 

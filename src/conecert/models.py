@@ -316,29 +316,30 @@ def _norm2(a) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
-class _ComplexPoly:
-    """Pair (re, im) of real Polynomials standing for one complex value."""
+def _add_i_product(acc: tuple[dict, dict], c: Fraction, u, v) -> None:
+    """Add i*c*u*v to the complex component acc = (re terms, im terms),
+    for complex variables u, v given by their (re, im) coordinates.
+    Terms are keyed by sorted pairs of variable indices."""
+    if not c:
+        return
+    (ur, ui), (vr, vi) = u, v
+    re, im = acc
+    for terms, i, j, s in ((re, ur, vi, -c), (re, ui, vr, -c), (im, ur, vr, c), (im, ui, vi, -c)):
+        key = (i, j) if i <= j else (j, i)
+        terms[key] = terms.get(key, 0) + s
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re: Polynomial, im: Polynomial):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return _ComplexPoly(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        return _ComplexPoly(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, c: Fraction):
-        return _ComplexPoly(self.re.scale(c), self.im.scale(c))
-
-    def times_i(self):
-        return _ComplexPoly(-self.im, self.re)
+def _from_index_terms(dim: int, terms: dict) -> Polynomial:
+    """Polynomial from {tuple of variable indices: coefficient}; an
+    index's multiplicity in its tuple is its exponent."""
+    out = {}
+    for key, c in terms.items():
+        if c:
+            e = [0] * dim
+            for i in key:
+                e[i] += 1
+            out[tuple(e)] = c
+    return Polynomial._raw(dim, out)
 
 
 def burgers(
@@ -364,44 +365,32 @@ def burgers(
         if tuple(k) not in mode_set:
             raise ModelError(f"forced mode {k} outside the truncation index set")
 
-    def cvar(k, which: str) -> _ComplexPoly:
-        re = Polynomial.variable(dim, layout.coord(k, f"re_{which}"))
-        im = Polynomial.variable(dim, layout.coord(k, f"im_{which}"))
-        return _ComplexPoly(re, im)
-
-    zero = _ComplexPoly(Polynomial.zero(dim), Polynomial.zero(dim))
-    comps: list[Polynomial] = [Polynomial.zero(dim)] * dim
+    # (re, im) coordinates of each mode's complex amplitudes
+    w = {k: (layout.coord(k, "re_w"), layout.coord(k, "im_w")) for k in modes}
+    q = {k: (layout.coord(k, "re_q"), layout.coord(k, "im_q")) for k in modes}
+    comps: list[Polynomial | None] = [None] * dim
     for k in modes:
-        # symmetrized nonlinearities
-        Fperp = zero
-        Fpar = zero
+        # dw = visc*w_k + i*Fperp, dq = visc*q_k + i*Fpar, with the
+        # symmetrized nonlinearities Fperp and Fpar summed over l
+        visc = Fraction(-nu * _norm2(k))
+        (wr, wi), (qr, qi) = w[k], q[k]
+        dw = ({(wr,): visc}, {(wi,): visc})
+        dq = ({(qr,): visc}, {(qi,): visc})
         for l in modes:
             kl = (k[0] - l[0], k[1] - l[1])
             if kl not in mode_set:
                 continue
-            wl, ql = cvar(l, "w"), cvar(l, "q")
-            wkl, qkl = cvar(kl, "w"), cvar(kl, "q")
             lp_k = _dot(_perp(l), k)
             nl, nkl = _norm2(l), _norm2(kl)
-            Fperp = Fperp + (wl * wkl).scale(
-                Fraction(lp_k, 2) * (Fraction(1, nl) - Fraction(1, nkl))
-            )
-            Fperp = Fperp + (wl * qkl).scale(Fraction(_dot(kl, k), nkl))
-            Fpar = Fpar + (wl * wkl).scale(Fraction(-lp_k * lp_k, nl * nkl))
-            Fpar = Fpar + (wl * qkl).scale(
-                Fraction(lp_k * _dot(kl, (k[0] + l[0], k[1] + l[1])), nl * nkl)
-            )
-            Fpar = Fpar + (ql * qkl).scale(
-                Fraction(_dot(l, kl) * _norm2(k), 2 * nl * nkl)
-            )
-        wk, qk = cvar(k, "w"), cvar(k, "q")
-        visc = Fraction(-nu * _norm2(k))
-        dw = wk.scale(visc) + Fperp.times_i()
-        dq = qk.scale(visc) + Fpar.times_i()
-        comps[layout.coord(k, "re_w")] = dw.re
-        comps[layout.coord(k, "im_w")] = dw.im
-        comps[layout.coord(k, "re_q")] = dq.re
-        comps[layout.coord(k, "im_q")] = dq.im
+            _add_i_product(dw, Fraction(lp_k, 2) * (Fraction(1, nl) - Fraction(1, nkl)),
+                           w[l], w[kl])
+            _add_i_product(dw, Fraction(_dot(kl, k), nkl), w[l], q[kl])
+            _add_i_product(dq, Fraction(-lp_k * lp_k, nl * nkl), w[l], w[kl])
+            _add_i_product(dq, Fraction(lp_k * _dot(kl, (k[0] + l[0], k[1] + l[1])),
+                                        nl * nkl), w[l], q[kl])
+            _add_i_product(dq, Fraction(_dot(l, kl) * _norm2(k), 2 * nl * nkl), q[l], q[kl])
+        for i, terms in zip((wr, wi, qr, qi), (*dw, *dq)):
+            comps[i] = _from_index_terms(dim, terms)
 
     drift = PolyVectorField(dim, tuple(comps))
     noise = []

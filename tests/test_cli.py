@@ -2,12 +2,17 @@
 
 import csv
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conecert
 from conecert.cli import main
 from conecert.models import bhw, save_model
 
@@ -175,3 +180,50 @@ def test_verify_from_never_internal_error(x):
     argv = ["verify", "--builtin", "langevin", "--paths", "1",
             f"--from={','.join(map(repr, x))}", "--to", "1,0", "--t", "1"]
     assert _exit_code(argv) in EXIT_CODES
+
+
+# Each command imports what it runs: the exact-algebra commands, --help and
+# argparse errors load no scipy, and a direct reach no scipy.stats.
+SCIPY_HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.stats")
+SRC = str(Path(conecert.__file__).resolve().parents[1])
+
+
+def _loaded_after(argv):
+    """Modules a fresh interpreter holds after importing the CLI and, unless
+    argv is None, running main(argv)."""
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        from conecert.cli import main
+        try:
+            if {argv!r} is not None:
+                main({argv!r})
+        except SystemExit:  # --help and argparse errors
+            pass
+        print(" ".join(sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _under(modules, packages):
+    return sorted(m for m in modules if any(m == p or m.startswith(p + ".") for p in packages))
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["--help"],
+    ["models"],
+    ["analyze", "--builtin", "bhw"],
+    ["bracket", "--builtin", "bhw", "--expr", "ad^2(X1)(X0)"],
+    ["analyze", "--builtin", "bhw", "--max-rounds", "0"],
+])
+def test_light_commands_load_no_scipy(argv):
+    assert _under(_loaded_after(argv), SCIPY_HEAVY) == []
+
+
+def test_direct_reach_loads_no_scipy_stats():
+    modules = _loaded_after(["reach", *LANGEVIN, "--t", "1", "--pieces", "4"])
+    assert "conecert.reach" in modules
+    assert _under(modules, ["scipy.stats"]) == []

@@ -1,5 +1,6 @@
 """Equilibrium search and the x -> equilibrium -> z chain."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,27 @@ def test_find_equilibria_skips_overflowing_starts(bhw_model):
     # x^2 overflows at nearly every start in this box; an empty list is
     # a valid outcome
     assert find_equilibria(bhw_model, [(0, 1e160), (0, 1)]) == []
+
+
+# boxes with huge finite bounds, each overflowing somewhere: in the squared
+# norm of the starts' residuals, in the solver's trust-region arithmetic,
+# or in the box width itself
+HUGE_BOXES = [
+    ("bhw", [(0, 1e150), (0, 1)]),
+    ("bhw", [(1.5243448201481792e16, 3.7338969076329064e16),
+             (-8.544012179583062e56, 4.4527802084354433e-122)]),
+    ("bhw", [(-3.545298355692283e51, -1.6703356487053424e16),
+             (1e-06, 5.4717223385380376e16)]),
+    ("langevin", [(-1e100, 1e100)] * 2),
+    ("nonexample3d", [(-1.7976931348623157e308, 1.7976931348623157e308)] * 3),
+]
+
+
+@pytest.mark.parametrize("name,box", HUGE_BOXES)
+def test_find_equilibria_huge_box_warns_nothing(name, box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_equilibria(get_builtin(name), box, n_starts=16) == []
 
 
 def test_build_chain_bhw(bhw_model):

@@ -10,6 +10,7 @@ The exact closure is pinned by the hash of its JSON report.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from conecert import (
     CertifyOptions,
     SimConfig,
+    burgers,
     certify,
     choose_basis,
     compute_C,
@@ -69,3 +71,16 @@ def test_burgers_closure_golden():
     cone = compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0)
     report = json.dumps(cone.to_json(), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == BURGERS_CLOSURE_SHA256
+
+
+# sha256 of the model JSON: every drift term and coefficient of the truncation
+BURGERS_SPEC_SHA256 = "0890a0bc01005d7bbb3bc7b39b6d8eb653de1013bafa7c49d1ba30436e2cc16d"
+# N=3 (d=192), nu=1/2, forced incompressible and compressible modes (r=6)
+BURGERS_N3_SPEC_SHA256 = "d4d0046337b8edcdd88f664505de2bb536ae506d1f69a1ee0125f9b98e837b62"
+
+
+def test_burgers_spec_goldens():
+    assert get_builtin("burgers").spec_hash() == BURGERS_SPEC_SHA256
+    model = burgers(3, Fraction(1, 2), forced_sigma=[(1, 0)], forced_gamma=[(0, 1), (1, 1)])
+    assert (model.d, model.r) == (192, 6)
+    assert model.spec_hash() == BURGERS_N3_SPEC_SHA256
