@@ -7,7 +7,10 @@ positivity verdict.
 
 Each block of _CHUNK paths has its own Philox stream, from which every
 step draws that step's normals, so memory grows with the number of
-paths but not with the number of steps.
+paths but not with the number of steps.  A block steps its live paths
+as one compacted array; it re-gathers them, and writes the leavers'
+rows back, only on a step where some path stops.  The ball-exit test
+is also the finiteness test: NaN and inf never land inside the ball.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
+        for name, v in (("t", self.t), ("dt", self.dt)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
             raise ValueError(f"dt={self.dt} too coarse; need dt <= t/100")
         if self.delta <= 0:
@@ -99,38 +107,42 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     sqrt_dt = math.sqrt(dt)
 
     endpoints = np.zeros((cfg.n_paths, d))
-    stopped = np.zeros(cfg.n_paths, dtype=bool)
+    stopped = np.ones(cfg.n_paths, dtype=bool)
     nonfinite = 0
+    ball2 = cfg.n_ball * cfg.n_ball
 
-    for start in range(0, cfg.n_paths, _CHUNK):
-        m = min(_CHUNK, cfg.n_paths - start)
-        rng = _chunk_rng(cfg.seed, start // _CHUNK)
-        states = np.tile(x, (m, 1))
-        ball2 = cfg.n_ball * cfg.n_ball
-        frozen = np.einsum("ij,ij->i", states, states) >= ball2
-        for _ in range(n_steps):
-            live = ~frozen
-            if not live.any():
-                break
-            cur = states[live]
-            incr = f(cur) * dt
-            if r > 0:
-                # the same stream, value for value, as one (n_steps, m, r) draw
-                incr += (rng.standard_normal((m, r))[live] * sqrt_dt) @ B.T
-            nxt = cur + incr
-            finite = np.isfinite(nxt).all(axis=1)
-            if not finite.all():
-                nonfinite += int(m) - int(frozen.sum()) - int(finite.sum())
+    # overflow in a step is diagnosed as a nonfinite path, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, cfg.n_paths, _CHUNK):
+            m = min(_CHUNK, cfg.n_paths - start)
+            rng = _chunk_rng(cfg.seed, start // _CHUNK)
+            states = np.tile(x, (m, 1))
+            # idx: the live rows of the chunk, cur: their states (a NaN
+            # start is live, so its first step counts it as nonfinite)
+            idx = np.flatnonzero(~(np.einsum("ij,ij->i", states, states) >= ball2))
+            cur = states[idx]
+            for _ in range(n_steps):
+                if idx.size == 0:
+                    break
+                incr = f(cur) * dt
+                if r > 0:
+                    # the same stream, value for value, as one (n_steps, m, r) draw
+                    noise = rng.standard_normal((m, r))
+                    incr += ((noise if idx.size == m else noise[idx]) * sqrt_dt) @ B.T
+                nxt = cur + incr
+                # NaN and inf fail the test, so "all inside" means "all finite"
+                inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
+                if inside.all():
+                    cur = nxt
+                    continue
+                finite = np.isfinite(nxt).all(axis=1)
+                nonfinite += idx.size - int(finite.sum())
                 nxt[~finite] = np.nan
-            states[live] = nxt
-            # NaN compares false, so nonfinite paths freeze here too
-            inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
-            if not inside.all():
-                still = live.copy()
-                still[live] = inside
-                frozen = ~still
-        endpoints[start : start + m] = states
-        stopped[start : start + m] = frozen
+                states[idx[~inside]] = nxt[~inside]
+                idx, cur = idx[inside], nxt[inside]
+            states[idx] = cur
+            endpoints[start : start + m] = states
+            stopped[start + idx] = False
     return endpoints, stopped, nonfinite
 
 

@@ -49,3 +49,12 @@ def bhw_model():
     from conecert.models import bhw
 
     return bhw(0, 0, 1, 2, 1)
+
+
+def cubic_blowup():
+    """dx = 50 x^3 dt + dW: from x = 0.5 many paths overflow within t = 1."""
+    from conecert.models import ModelSpec
+
+    x = Polynomial.variable(1, 0)
+    return ModelSpec(name="cubic", d=1, drift=PolyVectorField(1, ((x * x * x).scale(50),)),
+                     noise=((Fraction(1),),))

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cubic_blowup
 
 from conecert import (
     CertifyOptions,
@@ -25,6 +26,7 @@ from conecert import (
     get_builtin,
     simulate,
 )
+from conecert.montecarlo import _simulate_endpoints
 
 # (model, target, seed, stopping ball) -> (hits, stopped_fraction, nonfinite_paths)
 SIMULATE_GOLDENS = [
@@ -41,6 +43,27 @@ def test_simulate_goldens(name, z, seed, ball, expected):
     cfg = SimConfig.default(t=1.0, z=np.array(z), n_ball=ball, n_paths=1000, seed=seed)
     ev = simulate(model, np.zeros(model.d), cfg)
     assert (ev.hits, ev.stopped_fraction, ev.nonfinite_paths) == expected
+
+
+# (model, x, SimConfig kwargs) -> (sha256 of endpoints + stopped mask,
+# stopped paths, nonfinite_paths); the same at 1 and 2 BLAS threads.
+# The cubic model overflows on 1855 of its 5000 paths.
+ENDPOINT_GOLDENS = [
+    (lambda: get_builtin("langevin"), [0.0, 0.0],
+     dict(t=1.0, dt=1e-3, n_ball=1.3, n_paths=5000, seed=0, z=[1.0, 0.0], delta=0.25),
+     ("62d447552fd6144ebafa374fef630630c43cbfd9dc72e4a8356163066ade456f", 1262, 0)),
+    (cubic_blowup, [0.5],
+     dict(t=1.0, dt=1e-3, n_ball=1e300, n_paths=5000, seed=1, z=[0.0], delta=0.25),
+     ("cdf0b92a88c60caa0e429c2b07f5eff1ad95e96ddba9afd431d4c2693fdbf6b6", 5000, 1855)),
+]
+
+
+@pytest.mark.parametrize("model,x,kwargs,expected", ENDPOINT_GOLDENS,
+                         ids=["langevin_stop_heavy", "cubic_blowup"])
+def test_simulate_endpoint_goldens(model, x, kwargs, expected):
+    endpoints, stopped, nonfinite = _simulate_endpoints(model(), np.array(x), SimConfig(**kwargs))
+    digest = hashlib.sha256(endpoints.tobytes() + stopped.tobytes()).hexdigest()
+    assert (digest, int(stopped.sum()), nonfinite) == expected
 
 
 # (model, x, z, via_equilibrium) -> (verdict, K_rank, sigma_min)

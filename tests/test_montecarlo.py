@@ -1,10 +1,12 @@
 """Stopped Euler-Maruyama simulation and binomial evidence."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cubic_blowup
 from scipy.stats import beta, ncx2
 
 from conecert.models import ModelSpec, get_builtin
@@ -41,6 +43,19 @@ def test_simconfig_validation():
     with pytest.raises(ValueError):  # target ball pokes out of stopping ball
         SimConfig(t=1.0, dt=1e-3, n_ball=1.0, n_paths=10, seed=0,
                   z=np.array([1.0, 0.0]), delta=0.25)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_paths", 0), ("n_paths", -5),
+    ("t", 0.0), ("t", -1.0), ("t", float("nan")), ("t", float("inf")),
+    ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
+])
+def test_simconfig_rejects_bad_sizes(field, value):
+    kwargs = dict(t=1.0, dt=1e-3, n_ball=10, n_paths=10, seed=0,
+                  z=np.zeros(2), delta=0.1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        SimConfig(**kwargs)
 
 
 def test_simconfig_default_dt():
@@ -137,6 +152,16 @@ def test_noise_memory_independent_of_steps():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_diverging_paths_warn_nothing():
+    cfg = SimConfig(t=1.0, dt=1e-3, n_ball=1e300, n_paths=500, seed=1,
+                    z=np.zeros(1), delta=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = simulate(cubic_blowup(), np.array([0.5]), cfg)
+    assert ev.nonfinite_paths > 0
+    assert ev.stopped_fraction == 1.0 and ev.hits == 0
 
 
 def test_stopping_freezes_paths():
