@@ -2,17 +2,20 @@
 
 Starting from the noise directions, iterated top-degree adjoints of
 constant odd directions against the stored generators accumulate an odd
-subspace and a one-sided cone of even directions.  Every direction
-carries a derivation tree; the result is a sound under-approximation of
-the full cone (enumeration is bounded by a round limit and a combination
-budget).
+subspace and a one-sided cone of even directions.  Each side of a round
+lists its plain candidates first, then at most 2000 integer combinations
+of pairs (seeds on the direction side, generators on the other) with
+coefficients up to the combination budget in size; an even member takes
+positive coefficients only.  Every direction carries a derivation tree;
+the result is a sound under-approximation of the full cone (enumeration
+is bounded by a round limit and a combination budget).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -128,80 +131,49 @@ def closure_init(model: ModelSpec) -> GenerationState:
     )
 
 
-def _v_candidates(state: GenerationState, combo_budget: int, cap: int = 2000):
-    """Constant odd directions to bracket with, plus integer combinations
-    of the seed span (the seed set is a genuine subspace, so integer
-    combinations of seeds stay inside the odd family)."""
-    for cf in state.odd_constants:
-        yield cf.value, cf.derivation
-    if combo_budget < 1:
-        return
-    seeds = [cf for cf in state.odd_constants if cf.parity == "seed"]
-    count = 0
-    coeffs = [c for c in range(-combo_budget, combo_budget + 1) if c != 0]
-    for a, b in itertools.combinations(seeds, 2):
-        for ca in coeffs:
-            for cb in coeffs:
-                value = tuple(
-                    ca * x + cb * y for x, y in zip(a.value, b.value)
-                )
-                if all(c == 0 for c in value):
-                    continue
-                yield value, Derivation.combo(
-                    [(Fraction(ca), a.derivation), (Fraction(cb), b.derivation)]
-                )
-                count += 1
-                if count >= cap:
-                    return
+_COMBO_CAP = 2000  # integer combinations tried per side and round
 
 
-def _w_candidates(state: GenerationState, combo_budget: int, cap: int = 2000):
-    """Generators to bracket into, plus integer combinations.  Even
-    generators admit only nonnegative coefficients (cone directions)."""
-    gens = state.nonconstant_generators
-    for W, _, deriv in gens:
-        yield W, deriv
-    if combo_budget < 1:
-        return
-    count = 0
-    for (Wa, pa, da), (Wb, pb, db) in itertools.combinations(gens, 2):
-        ca_range = (
-            range(1, combo_budget + 1)
-            if pa == "even"
-            else [c for c in range(-combo_budget, combo_budget + 1) if c != 0]
-        )
-        cb_range = (
-            range(1, combo_budget + 1)
-            if pb == "even"
-            else [c for c in range(-combo_budget, combo_budget + 1) if c != 0]
-        )
-        for ca in ca_range:
-            for cb in cb_range:
-                W = Wa.scale(ca) + Wb.scale(cb)
-                yield W, Derivation.combo(
-                    [(Fraction(ca), da), (Fraction(cb), db)]
-                )
-                count += 1
-                if count >= cap:
-                    return
+def _candidates(items, pool, combo_budget: int):
+    """Each (field, parity, derivation) item as (field, derivation), then
+    at most _COMBO_CAP combinations ca*A + cb*B of pairs from the pool,
+    0 < |c| <= combo_budget.  An even (one-sided) member takes c > 0 only:
+    the cone is closed under positive combinations, not under negation."""
+    for X, _, deriv in items:
+        yield X, deriv
+    positive = range(1, combo_budget + 1)
+    both = [*range(-combo_budget, 0), *positive]
+    combos = (
+        (ca, A, da, cb, B, db)
+        for (A, pa, da), (B, pb, db) in itertools.combinations(pool, 2)
+        for ca in (positive if pa == "even" else both)
+        for cb in (positive if pb == "even" else both)
+    )
+    for ca, A, da, cb, B, db in itertools.islice(combos, _COMBO_CAP):
+        yield A.scale(ca) + B.scale(cb), Derivation.combo([(ca, da), (cb, db)])
 
 
 def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationState:
     """One round: bracket every admissible (V, W) pair at its relative
-    degree and fold the results in.  Returns a new state."""
-    new_odd = list(state.odd_constants)
-    new_even = list(state.even_constants)
-    new_gens = list(state.nonconstant_generators)
+    degree and fold the results into the state, which is returned.  Both
+    candidate lists are fixed before the round, so a direction found in
+    it is bracketed from the next round on."""
     span = state.odd_span
+    gens = state.nonconstant_generators
     added = False
 
     # fields cache their hashes, so keying on them hashes each field once
-    gen_keys = {W for W, _, _ in new_gens}
+    gen_keys = {W for W, _, _ in gens}
 
-    w_list = list(_w_candidates(state, combo_budget))
+    # V: the odd constants, plus combinations of the seeds; the seeds are
+    # linearly independent, so no such combination is zero
+    odd = [(PolyVectorField.from_constant(cf.value), cf.parity, cf.derivation)
+           for cf in state.odd_constants]
+    v_list = list(_candidates(odd, [v for v in odd if v[1] == "seed"], combo_budget))
+    w_list = list(_candidates(gens, gens, combo_budget))
 
-    for v_value, v_deriv in _v_candidates(state, combo_budget):
-        V = PolyVectorField.from_constant(v_value)
+    for V, v_deriv in v_list:
+        v_value = V.constant_value()
         for W, w_deriv in w_list:
             pair = (V, W)
             if pair in state.pairs_done:
@@ -224,7 +196,7 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                 value = B.constant_value()
                 if parity == "odd":
                     if span.add(value):
-                        new_odd.append(ConstantField(value, "odd", deriv))
+                        state.odd_constants.append(ConstantField(value, "odd", deriv))
                         added = True
                 else:
                     residual = span.reduce(value)
@@ -233,23 +205,18 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                     key = primitive_direction(residual)
                     if key not in state.even_seen:
                         state.even_seen.add(key)
-                        new_even.append(ConstantField(value, "even", deriv))
+                        state.even_constants.append(ConstantField(value, "even", deriv))
                         added = True
             else:
                 if B in gen_keys or (parity == "odd" and B.scale(-1) in gen_keys):
                     continue
                 gen_keys.add(B)
-                new_gens.append((B, parity, deriv))
+                gens.append((B, parity, deriv))
                 added = True
 
-    return replace(
-        state,
-        odd_constants=new_odd,
-        even_constants=new_even,
-        nonconstant_generators=new_gens,
-        round=state.round + 1,
-        last_round_added=added,
-    )
+    state.round += 1
+    state.last_round_added = added
+    return state
 
 
 # --------------------------------------------------------------------

@@ -90,28 +90,48 @@ def load_model(path: str) -> ModelSpec:
     return model_from_json(data)
 
 
+def _positive_int(data: dict, key: str, default=None) -> int:
+    v = data.get(key, default)
+    if type(v) is not int or v < 1:  # bool is an int subclass; reject it too
+        raise ModelError(f"{key} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _rational(x, where: str) -> Fraction:
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ModelError(f"{where}: {x!r} is not a rational number") from exc
+
+
 def model_from_json(data: dict) -> ModelSpec:
+    if not isinstance(data, dict):
+        raise ModelError(f"model JSON must be an object, got {data!r}")
     for key in ("name", "d", "drift", "noise"):
         if key not in data:
             raise ModelError(f"model JSON missing field {key!r}")
-    d = int(data["d"])
+    d = _positive_int(data, "d")
     try:
         drift = field_from_json(data["drift"], d)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"drift: {exc}") from exc
+    if not isinstance(data["noise"], list):
+        raise ModelError(f"noise must be a list, got {data['noise']!r}")
     noise = []
     for i, v in enumerate(data["noise"]):
-        if len(v) != d:
-            raise ModelError(f"noise[{i}] has length {len(v)}, expected {d}")
-        noise.append(tuple(Fraction(c) for c in v))
-    params = {k: Fraction(v) for k, v in data.get("params", {}).items()}
+        if not isinstance(v, list) or len(v) != d:
+            raise ModelError(f"noise[{i}] must be a list of length {d}, got {v!r}")
+        noise.append(tuple(_rational(c, f"noise[{i}]") for c in v))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ModelError(f"params must be an object, got {params!r}")
     return ModelSpec(
         name=data["name"],
         d=d,
         drift=drift,
         noise=tuple(noise),
-        params=params,
-        default_ball_n=int(data.get("default_ball_n", 10)),
+        params={k: _rational(v, f"params[{k!r}]") for k, v in params.items()},
+        default_ball_n=_positive_int(data, "default_ball_n", 10),
     )
 
 

@@ -39,20 +39,18 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        for name, v in (("t", self.t), ("dt", self.dt)):
+        for name, v in (("t", self.t), ("dt", self.dt), ("delta", self.delta)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
             raise ValueError(f"dt={self.dt} too coarse; need dt <= t/100")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.n_ball < np.linalg.norm(self.z) + self.delta:
-            raise ValueError(
-                "stopping ball must contain the target ball: "
-                f"n_ball={self.n_ball} < |z|+delta={np.linalg.norm(self.z)+self.delta}"
-            )
+        # the stopping ball must contain the target ball; +inf (no stopping
+        # ball) passes, NaN fails
+        need = np.linalg.norm(self.z) + self.delta
+        if not self.n_ball >= need:
+            raise ValueError(f"n_ball must be at least |z|+delta={need}, got {self.n_ball}")
 
     @classmethod
     def default(cls, t, z, n_ball, n_paths=100_000, seed=0, delta=0.25, dt=None):

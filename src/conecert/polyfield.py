@@ -534,7 +534,7 @@ def poly_from_json(data: list[dict], dim: int) -> Polynomial:
         try:
             coeff = Fraction(entry["coeff"])
             exps = tuple(int(e) for e in entry["exps"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial term {i}: {entry!r}") from exc
         if len(exps) != dim:
             raise ValueError(

@@ -58,3 +58,21 @@ def cubic_blowup():
     x = Polynomial.variable(1, 0)
     return ModelSpec(name="cubic", d=1, drift=PolyVectorField(1, ((x * x * x).scale(50),)),
                      noise=((Fraction(1),),))
+
+
+# dx = -x dt + dW, as model JSON, and payloads that must be rejected
+GOOD_MODEL_JSON = {"name": "m", "d": 1, "drift": [[{"coeff": "-1/1", "exps": [1]}]],
+                   "noise": [["1"]]}
+
+MALFORMED_MODELS = {
+    "not_an_object": 5,
+    "d_string": {**GOOD_MODEL_JSON, "d": "x"},
+    "d_zero": {**GOOD_MODEL_JSON, "d": 0, "drift": [], "noise": []},
+    "d_fractional": {**GOOD_MODEL_JSON, "d": 1.7},
+    "noise_not_a_list": {**GOOD_MODEL_JSON, "noise": 5},
+    "noise_not_a_number": {**GOOD_MODEL_JSON, "noise": [["a"]]},
+    "noise_div_zero": {**GOOD_MODEL_JSON, "noise": [["1/0"]]},
+    "drift_div_zero": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "1/0", "exps": [1]}]]},
+    "param_not_a_number": {**GOOD_MODEL_JSON, "params": {"a": "q"}},
+    "ball_not_a_number": {**GOOD_MODEL_JSON, "default_ball_n": "x"},
+}

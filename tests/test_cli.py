@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecert
+from conftest import MALFORMED_MODELS
 from conecert.cli import main
 from conecert.models import bhw, save_model
 
@@ -53,6 +54,13 @@ def test_malformed_model_file_is_input_error(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"name": "x", "d": 1}))
     assert main(["analyze", "--model", str(bad2)]) == 2
+
+
+@pytest.mark.parametrize("name", ["d_string", "drift_div_zero"])
+def test_malformed_model_values_exit_two(tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]))
+    assert main(["analyze", "--model", str(path)]) == 2
 
 
 def test_analyze_custom_model_file(tmp_path):

@@ -1,6 +1,8 @@
 """Cone generation, basis selection, and membership in the positivity
 region."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from conecert.closure import (
     PositivityBasis,
     RationalSpan,
     SingularBasisError,
+    _candidates,
     bracket_rank,
     choose_basis,
     closure_init,
@@ -25,7 +28,7 @@ from conecert.closure import (
     verify_derivations,
 )
 from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_double_well
-from conecert.polyfield import Polynomial, PolyVectorField
+from conecert.polyfield import Derivation, Polynomial, PolyVectorField
 
 F = Fraction
 
@@ -140,6 +143,103 @@ def test_closure_reaches_fixpoint(bhw_model):
     for _ in range(6):
         state = closure_step(state, combo_budget=1)
     assert not state.last_round_added
+
+
+# -- per-round goldens ------------------------------------------------
+
+
+def cross_model():
+    """d=3, noise e1 and e2, drift (0, 0, x*y): only combinations of the
+    seeds reach e3."""
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    zero = Polynomial.zero(3)
+    return ModelSpec("cross", 3, PolyVectorField(3, (zero, zero, x * y)),
+                     ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
+
+
+def quad_model():
+    """d=2, noise e1, drift (y, x^2 y + x^2)."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return ModelSpec("quad", 2, PolyVectorField(2, (y, x * x * y + x * x)),
+                     ((F(1), F(0)),))
+
+
+def _round_digest(model, combo_budget, rounds):
+    """sha256 over every round's full state: counters, constants with
+    parities and derivations, and the generators' parities and
+    derivations."""
+    def constants(cfs):
+        return [[[str(c) for c in cf.value], cf.parity, str(cf.derivation)] for cf in cfs]
+
+    h = hashlib.sha256()
+    state = closure_init(model)
+    for _ in range(rounds):
+        state = closure_step(state, combo_budget=combo_budget)
+        row = {
+            "round": state.round,
+            "added": state.last_round_added,
+            "pairs": len(state.pairs_done),
+            "odd": constants(state.odd_constants),
+            "even": constants(state.even_constants),
+            "gens": [[p, str(dv)] for _, p, dv in state.nonconstant_generators],
+        }
+        h.update(json.dumps(row, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+ROUND_MODELS = {"langevin2d": lambda: get_builtin("langevin2d"),
+                "cross": cross_model, "quad": quad_model}
+
+
+@pytest.mark.parametrize("name,budget,digest", [
+    ("langevin2d", 1, "069634830e3ecdaa0ae9e79e770b19c522ce21bb999c3905933fe6fd8789e0c5"),
+    ("langevin2d", 2, "e34a7bc26cc1def0c5334fd8ea462f36459242070f55b9b3a023f866f6035585"),
+    ("cross", 1, "5621cd941f2c1bb6b2346df53ce0ff5d8b50b592b5b7f1f44e25ccb0640ea964"),
+    ("cross", 2, "939d7fdaf0a459bfeed634aac77e2a2df6b4d04079a8ad8a34f2e681620cab85"),
+    ("quad", 1, "574e88d6f160b0ef17b64cf02b9eb28ae777bbd23793b84ae51731dff0773512"),
+    ("quad", 2, "59ade780e2a61094b85ec3993dee8d842f658567a4d694348e11b8bc9644d081"),
+])
+def test_closure_round_goldens(name, budget, digest):
+    assert _round_digest(ROUND_MODELS[name](), budget, 4) == digest
+
+
+def test_burgers_combination_round_golden():
+    # one round at budget 1: 120 seed pairs, 4 coefficient pairs each
+    digest = "7dabc390723e99deb3d89a2326d0c2c6683e340a3ca8484b95c950c0b1cd7324"
+    assert _round_digest(get_builtin("burgers"), 1, 1) == digest
+
+
+def test_combinations_add_a_direction():
+    model = cross_model()
+    plain = compute_C(model, combo_budget=0)
+    assert plain.rank() == 2 and not plain.even_generators
+    cone = compute_C(model, combo_budget=1)
+    assert [cf.value for cf in cone.even_generators] == [
+        (F(0), F(0), F(1)), (F(0), F(0), F(-1))
+    ]
+    assert [str(cf.derivation) for cf in cone.even_generators] == [
+        "ad^2((-1*(X1) + -1*(X2)))(X0)", "ad^2((-1*(X1) + X2))(X0)"
+    ]
+    assert cone.rank() == 3 and cone.rounds == 2 and cone.exhausted
+    assert verify_derivations(model, cone)
+
+
+def test_candidates_capped_in_order():
+    # 70 two-sided items: every item, then the first 2000 of the
+    # 70*69/2 * 4 pair combinations, coefficient pairs in (-1, 1) order
+    items = [(PolyVectorField.from_constant([F(int(i == j)) for j in range(70)]),
+              "seed", Derivation.leaf(f"X{i}")) for i in range(70)]
+    out = list(_candidates(items, items, 1))
+    assert len(out) == 70 + 2000
+    assert [str(dv) for _, dv in out[70:74]] == [
+        "(-1*(X0) + -1*(X1))", "(-1*(X0) + X1)", "(X0 + -1*(X1))", "(X0 + X1)"
+    ]
+    assert str(out[-1][1]) == "(X7 + X45)"  # pair 500 is (7, 45)
+    even = [(V, "even", dv) for V, _, dv in items[:2]]
+    assert [str(dv) for _, dv in _candidates([], even, 2)] == [
+        "(X0 + X1)", "(X0 + 2*(X1))", "(2*(X0) + X1)", "(2*(X0) + 2*(X1))"
+    ]
+    assert list(_candidates(items, items, 0)) == [(V, dv) for V, _, dv in items]
 
 
 # -- basis and membership ---------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from conecert.brackets import BracketParseError, parse_bracket, pretty_field
 from conecert.models import (
     BUILTINS,
@@ -290,6 +291,16 @@ def test_model_from_json_diagnostics():
             {"name": "x", "d": 2, "drift": [[{"coeff": "1/1", "exps": [9]}]],
              "noise": []}
         )
+
+
+def test_model_from_json_accepts_good():
+    assert model_from_json(GOOD_MODEL_JSON).d == 1
+
+
+@pytest.mark.parametrize("data", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_model_from_json_rejects_malformed(data):
+    with pytest.raises(ModelError):
+        model_from_json(data)
 
 
 def test_spec_hash_distinguishes_params():

@@ -49,6 +49,8 @@ def test_simconfig_validation():
     ("n_paths", 0), ("n_paths", -5),
     ("t", 0.0), ("t", -1.0), ("t", float("nan")), ("t", float("inf")),
     ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
+    ("n_ball", float("nan")), ("n_ball", 0.05),
+    ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
 ])
 def test_simconfig_rejects_bad_sizes(field, value):
     kwargs = dict(t=1.0, dt=1e-3, n_ball=10, n_paths=10, seed=0,
@@ -177,6 +179,13 @@ def test_stopping_freezes_paths():
     ev = simulate(m, np.zeros(1), cfg)
     assert ev.stopped_fraction == 1.0
     assert ev.hits == 0 and ev.lower_cb == 0.0
+
+
+def test_infinite_stopping_ball_stops_nothing():
+    cfg = SimConfig(t=1.0, dt=1e-3, n_ball=float("inf"), n_paths=200, seed=0,
+                    z=np.zeros(2), delta=2.0)
+    ev = simulate(brownian2d(), np.zeros(2), cfg)
+    assert ev.stopped_fraction == 0.0 and ev.hits > 0
 
 
 def test_heatmap_matches_gaussian_histogram():
