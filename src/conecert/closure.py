@@ -352,22 +352,13 @@ class PositivityBasis:
         return np.linalg.matrix_rank(self._matrix) < self.dim
 
     @functools.cached_property
-    def _error_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """|B^-1| |P L| |U| and |B^-1|, one-sided rows only: the componentwise
-        sensitivity of the solved coefficients to rounding.  |P L| |U|, not
-        |B|, bounds the solve's backward error: the factors fill in where B
-        has zeros."""
-        import scipy.linalg  # deferred: the exact-algebra commands never get here
-
-        P, L, U = scipy.linalg.lu(self._matrix)
-        inv = np.abs(np.linalg.inv(self._matrix)[self.k :])
-        return inv @ np.abs(P @ L) @ np.abs(U), inv
-
-    @functools.cached_property
     def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
         """One-sided rows of B^-1 over Q, as sparse (column, value) lists,
-        by Gauss-Jordan elimination of [B | I]."""
+        by Gauss-Jordan elimination of [B | I]; none when every direction
+        is two-sided."""
         n = self.dim
+        if self.k == n:
+            return []
         rows = [
             [v[i] for v in self.vectors] + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)
@@ -397,17 +388,17 @@ class BasisSelectionError(ValueError):
 
 
 def choose_basis(C: ConeSpan) -> PositivityBasis:
-    """All odd directions first, then greedily complete from the even
-    generators; raises when the cone is rank deficient."""
+    """All two-sided directions first (the odd ones, then each even
+    generator whose negation is an even generator too), then greedily
+    complete from the even generators; raises when the cone is rank
+    deficient."""
+    evens = [cf.value for cf in C.even_generators]
+    negated = {tuple(-c for c in v) for v in evens}
+    two_sided = [cf.value for cf in C.odd_basis] + [v for v in evens if v in negated]
     span = RationalSpan(C.dim)
-    vectors = []
-    for cf in C.odd_basis:
-        if span.add(cf.value):
-            vectors.append(cf.value)
+    vectors = [v for v in two_sided if span.add(v)]
     k = len(vectors)
-    for cf in C.even_generators:
-        if span.add(cf.value):
-            vectors.append(cf.value)
+    vectors += [v for v in evens if span.add(v)]
     if len(vectors) < C.dim:
         raise BasisSelectionError(
             f"cone has rank {len(vectors)} < dimension {C.dim}"
@@ -415,22 +406,16 @@ def choose_basis(C: ConeSpan) -> PositivityBasis:
     return PositivityBasis(vectors=vectors, k=k)
 
 
-# first-order componentwise error bound of a partial-pivoting LU solve,
-# 3 d u |B^-1| |P L| |U| |c|, taken as 3 d^2 u, plus the rounding of B and
-# of z - x, doubled for the rounding of the float inverse it is computed from
-_BAND_UNIT = 8 * np.finfo(float).eps
-
-
 def d_membership(
     basis: PositivityBasis, x: np.ndarray, z: np.ndarray
 ) -> tuple[bool, np.ndarray]:
-    """Solve B c = z - x; membership needs every one-sided coefficient
-    strictly positive (boundary points are excluded).
-
-    The verdict is exact for the float inputs given.  A one-sided float
-    coefficient decides its sign only outside its rounding-error band;
-    inside it, the coefficient is recomputed over Q from the exact
-    difference z - x.  The float coefficients are returned either way.
+    """Membership of z in the positivity region of x: every one-sided
+    coefficient of z - x in the basis strictly positive (boundary points
+    are excluded), decided over Q from the exact rows of B^-1 and the
+    exact difference of the float inputs.  The float solve of B c = z - x
+    only supplies the returned coefficients.  A float difference z - x
+    that is not finite (a non-finite endpoint, or an overflow) is never a
+    member: no caller could use its coefficients.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -438,21 +423,13 @@ def d_membership(
         raise SingularBasisError("positivity basis matrix is singular")
     rhs = z - x
     coeffs = np.linalg.solve(basis._matrix, rhs)
-    one_sided = coeffs[basis.k :]
-    sens, inv = basis._error_rows
-    band = _BAND_UNIT * basis.dim**2 * (sens @ np.abs(coeffs) + inv @ np.abs(rhs))
-    if np.all(one_sided > band):
-        return True, coeffs
-    if not (np.all(one_sided >= -band) and np.all(np.isfinite(rhs))):
-        # a coefficient certainly not positive, or an input not finite
+    if not np.all(np.isfinite(rhs)):
         return False, coeffs
-    exact_rhs = [Fraction(b) - Fraction(a) for a, b in zip(x.tolist(), z.tolist())]
     rows = basis._exact_rows
-    member = all(
-        sum(c * exact_rhs[j] for j, c in rows[i]) > 0
-        for i in np.flatnonzero(one_sided <= band)
-    )
-    return member, coeffs
+    if not rows:
+        return True, coeffs
+    exact_rhs = [Fraction(b) - Fraction(a) for a, b in zip(x.tolist(), z.tolist())]
+    return all(sum(c * exact_rhs[j] for j, c in row) > 0 for row in rows), coeffs
 
 
 def bracket_rank(model: ModelSpec, points) -> int:

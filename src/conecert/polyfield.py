@@ -149,29 +149,14 @@ class Polynomial:
         return Polynomial._raw(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_dim(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) - c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial._raw(self.dim, terms)
+        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
         terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+        _accumulate_product(terms, self, other, 1)
         return Polynomial._raw(self.dim, terms)
 
     __rmul__ = __mul__

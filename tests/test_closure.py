@@ -3,13 +3,18 @@ region."""
 
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conecert
 from conftest import constant_vectors
 from conecert.closure import (
     BasisSelectionError,
@@ -31,6 +36,7 @@ from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_doubl
 from conecert.polyfield import Derivation, Polynomial, PolyVectorField
 
 F = Fraction
+SRC = str(Path(conecert.__file__).resolve().parents[1])
 
 
 # -- exact linear algebra ---------------------------------------------
@@ -224,6 +230,14 @@ def test_combinations_add_a_direction():
     assert verify_derivations(model, cone)
 
 
+def test_opposite_even_generators_are_two_sided():
+    # the cone holds e3 and -e3, so e3 is a two-sided basis direction
+    basis = choose_basis(compute_C(cross_model(), combo_budget=1))
+    assert basis.k == 3
+    for z in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.3, -0.2, -0.5]):
+        assert d_membership(basis, np.zeros(3), z)[0]
+
+
 def test_candidates_capped_in_order():
     # 70 two-sided items: every item, then the first 2000 of the
     # 70*69/2 * 4 pair combinations, coefficient pairs in (-1, 1) order
@@ -338,6 +352,23 @@ def test_membership_coefficients_bit_identical_at_d96():
         z = x + rng.normal(size=96)
         _, coeffs = d_membership(basis, x, z)
         assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
+
+
+def test_membership_loads_no_scipy():
+    # a one-sided coefficient of 1e-10 against |z - x| = 1, in a fresh
+    # interpreter: the exact decision needs no float error analysis
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        from conecert.closure import choose_basis, compute_C, d_membership
+        from conecert.models import get_builtin
+        basis = choose_basis(compute_C(get_builtin("bhw")))
+        assert d_membership(basis, [0.0, 0.0], [1e-10, 1.0])[0]
+        print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == ""
 
 
 def test_basis_matrix_is_a_copy(bhw_model):

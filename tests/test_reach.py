@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conecert.closure import choose_basis, compute_C
+from conecert.closure import choose_basis, compute_C, d_membership
 from conecert.models import ModelSpec, get_builtin, langevin
 from conecert.polyfield import Polynomial, PolyVectorField
 from conecert.reach import (
@@ -318,6 +318,23 @@ def test_certify_membership_failure(bhw_model):
     assert cert.stage == "membership"
     assert cert.detail == "target is not strictly inside the positivity region of x"
     assert cert.control is None
+
+
+@pytest.mark.parametrize("x, z", [
+    ([0.0, 0.0], [np.nan, 0.0]),
+    ([0.0, 0.0], [np.inf, 1.0]),
+    # finite endpoints whose float difference overflows
+    ([-1e308, 0.0], [1e308, 0.0]),
+])
+def test_nonfinite_difference_never_member(x, z):
+    # langevin's basis is all two-sided (k = d): no one-sided row decides
+    m = get_builtin("langevin")
+    basis = choose_basis(compute_C(m))
+    assert basis.k == basis.dim
+    with np.errstate(over="ignore"):
+        assert d_membership(basis, x, z)[0] is False
+        cert = certify(m, basis, x, z, 1.0)
+    assert (cert.verdict, cert.stage) == ("inconclusive", "membership")
 
 
 NO_CHAIN = (
