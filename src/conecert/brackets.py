@@ -2,18 +2,20 @@
 defining fields.
 
 Grammar:  expr := "[" expr "," expr "]" | "ad^" INT "(" expr ")" "(" expr ")"
-                 | atom
+                 | "(" term ("+" term)* ")" | atom
+          term := expr | INT "*" "(" expr ")"
 Atoms name the drift ("X0"), a noise field by index ("X1", "X2", ...),
 or, for the spectral Burgers models, a coordinate field by wavevector:
 X(1,0), Y(1,0) for the incompressible real/imaginary directions and
-Xt(1,0), Yt(1,0) for the compressible ones.
+Xt(1,0), Yt(1,0) for the compressible ones.  The closure writes every
+derivation it reports in this language, so `parse_bracket` re-derives it.
 """
 
 from __future__ import annotations
 
 import re
 
-from .models import ModelSpec, burgers_layout
+from .models import ModelError, ModelSpec, burgers_layout
 from .polyfield import PolyVectorField, ad_power, lie_bracket
 
 
@@ -22,8 +24,9 @@ class BracketParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(\[|\]|,|\(|\)|ad\^\d+|Xt|Yt|X\d+|X|Y|-?\d+)"
+    r"\s*(\[|\]|,|\(|\)|\+|\*|ad\^\d+|Xt|Yt|X\d+|X|Y|-?\d+)"
 )
+_INT = re.compile(r"-?\d+")
 
 
 def _tokenize(expr: str) -> list[str]:
@@ -47,7 +50,7 @@ class _Parser:
         self.model = model
         try:
             self.layout = burgers_layout(model)
-        except Exception:
+        except ModelError:
             self.layout = None
 
     def peek(self):
@@ -77,14 +80,30 @@ class _Parser:
             return lie_bracket(a, b)
         if tok and tok.startswith("ad^"):
             m = int(self.take()[3:])
+            a = self.group()
+            return ad_power(a, self.group(), m)
+        if tok == "(":
             self.take("(")
-            a = self.expr()
+            out = self.term()
+            while self.peek() == "+":
+                self.take("+")
+                out = out + self.term()
             self.take(")")
-            self.take("(")
-            b = self.expr()
-            self.take(")")
-            return ad_power(a, b, m)
+            return out
         return self.atom()
+
+    def term(self) -> PolyVectorField:
+        if not _INT.fullmatch(self.peek() or ""):
+            return self.expr()
+        c = self.integer()
+        self.take("*")
+        return self.group().scale(c)
+
+    def group(self) -> PolyVectorField:
+        self.take("(")
+        out = self.expr()
+        self.take(")")
+        return out
 
     def atom(self) -> PolyVectorField:
         tok = self.take()
@@ -103,13 +122,21 @@ class _Parser:
                     f"{tok}(k1,k2) fields need a spectral model"
                 )
             self.take("(")
-            k1 = int(self.take())
+            k1 = self.integer()
             self.take(",")
-            k2 = int(self.take())
+            k2 = self.integer()
             self.take(")")
+            if (k1, k2) not in self.layout.modes:
+                raise BracketParseError(f"{tok}({k1},{k2}): mode outside the truncation")
             part = {"X": "re_w", "Y": "im_w", "Xt": "re_q", "Yt": "im_q"}[tok]
             return PolyVectorField.from_constant(self.layout.unit((k1, k2), part))
         raise BracketParseError(f"unknown atom {tok!r}")
+
+    def integer(self) -> int:
+        tok = self.take()
+        if not _INT.fullmatch(tok):
+            raise BracketParseError(f"expected an integer, got {tok!r}")
+        return int(tok)
 
 
 def parse_bracket(expr: str, model: ModelSpec) -> PolyVectorField:
@@ -121,7 +148,7 @@ def pretty_field(V: PolyVectorField, model: ModelSpec) -> str:
     combinations of the named coordinate fields."""
     try:
         layout = burgers_layout(model)
-    except Exception:
+    except ModelError:
         layout = None
     if layout is not None and V.is_constant():
         value = V.constant_value()

@@ -6,9 +6,10 @@ subspace and a one-sided cone of even directions.  Each side of a round
 lists its plain candidates first, then at most 2000 integer combinations
 of pairs (seeds on the direction side, generators on the other) with
 coefficients up to the combination budget in size; an even member takes
-positive coefficients only.  Every direction carries a derivation tree;
-the result is a sound under-approximation of the full cone (enumeration
-is bounded by a round limit and a combination budget).
+positive coefficients only.  Every direction carries its derivation, a
+bracket expression that `conecert bracket --expr` evaluates; the result
+is a sound under-approximation of the full cone (enumeration is bounded
+by a round limit and a combination budget).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .brackets import parse_bracket
 from .models import ModelSpec
 from .polyfield import (
     ConstantField,
-    Derivation,
     PolyVectorField,
     ad_power,
     compile_field,
@@ -104,7 +105,7 @@ class GenerationState:
     even_constants: list[ConstantField]
     # (field, parity, derivation); parity of a nonconstant generator
     # controls the sign of admissible coefficients in combinations
-    nonconstant_generators: list[tuple[PolyVectorField, str, Derivation]]
+    nonconstant_generators: list[tuple[PolyVectorField, str, str]]
     round: int = 0
     odd_span: RationalSpan = None
     even_seen: set = field(default_factory=set)
@@ -120,12 +121,12 @@ def closure_init(model: ModelSpec) -> GenerationState:
         if all(c == 0 for c in v):
             continue
         if span.add(v):
-            odd.append(ConstantField(v, "seed", Derivation.leaf(f"X{j}")))
+            odd.append(ConstantField(v, "seed", f"X{j}"))
     return GenerationState(
         model=model,
         odd_constants=odd,
         even_constants=[],
-        nonconstant_generators=[(model.drift, "odd", Derivation.leaf("X0"))],
+        nonconstant_generators=[(model.drift, "odd", "X0")],
         round=0,
         odd_span=span,
     )
@@ -150,7 +151,11 @@ def _candidates(items, pool, combo_budget: int):
         for cb in (positive if pb == "even" else both)
     )
     for ca, A, da, cb, B, db in itertools.islice(combos, _COMBO_CAP):
-        yield A.scale(ca) + B.scale(cb), Derivation.combo([(ca, da), (cb, db)])
+        yield A.scale(ca) + B.scale(cb), f"({_term(ca, da)} + {_term(cb, db)})"
+
+
+def _term(c: int, deriv: str) -> str:
+    return deriv if c == 1 else f"{c}*({deriv})"
 
 
 def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationState:
@@ -191,7 +196,7 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
             B = ad_power(V, W, m)
             if B.is_zero():
                 continue
-            deriv = Derivation.ad(m, v_deriv, w_deriv)
+            deriv = f"[{v_deriv}, {w_deriv}]" if m == 1 else f"ad^{m}({v_deriv})({w_deriv})"
             if B.is_constant():
                 value = B.constant_value()
                 if parity == "odd":
@@ -252,8 +257,8 @@ class ConeSpan:
             "exhausted": self.exhausted,
             "rounds": self.rounds,
             "derivations": {
-                "odd": [str(cf.derivation) for cf in self.odd_basis],
-                "even": [str(cf.derivation) for cf in self.even_generators],
+                "odd": [cf.derivation for cf in self.odd_basis],
+                "even": [cf.derivation for cf in self.even_generators],
             },
         }
 
@@ -273,9 +278,9 @@ def compute_C(
             exhausted = True
             break
 
-    # linearly independent odd directions, in discovery order
-    span = RationalSpan(model.d)
-    odd_basis = [cf for cf in state.odd_constants if span.add(cf.value)]
+    # each odd constant was kept because it enlarged the odd span, so
+    # they are linearly independent, in discovery order
+    span = state.odd_span
 
     # evens modulo the odd span, deduplicated as primitive cone directions
     even_out = []
@@ -292,7 +297,7 @@ def compute_C(
 
     return ConeSpan(
         dim=model.d,
-        odd_basis=odd_basis,
+        odd_basis=state.odd_constants,
         even_generators=even_out,
         exhausted=exhausted,
         rounds=state.round,
@@ -300,19 +305,16 @@ def compute_C(
 
 
 def verify_derivations(model: ModelSpec, cone: ConeSpan) -> bool:
-    """Re-evaluate every derivation tree through the bracket engine and
-    compare with the stored direction (evens modulo the odd span)."""
-    leaves = {"X0": model.drift}
-    for j, v in enumerate(model.noise, start=1):
-        leaves[f"X{j}"] = PolyVectorField.from_constant(v)
+    """Re-evaluate every derivation with the bracket parser and compare
+    with the stored direction (evens modulo the odd span)."""
     span = RationalSpan(model.d)
     for cf in cone.odd_basis:
-        V = cf.derivation.evaluate(leaves)
+        V = parse_bracket(cf.derivation, model)
         if not V.is_constant() or V.constant_value() != cf.value:
             return False
         span.add(cf.value)
     for cf in cone.even_generators:
-        V = cf.derivation.evaluate(leaves)
+        V = parse_bracket(cf.derivation, model)
         if not V.is_constant():
             return False
         residual = span.reduce(V.constant_value())
@@ -421,8 +423,9 @@ def d_membership(
     z = np.asarray(z, dtype=float)
     if basis._singular:
         raise SingularBasisError("positivity basis matrix is singular")
-    rhs = z - x
-    coeffs = np.linalg.solve(basis._matrix, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = z - x
+        coeffs = np.linalg.solve(basis._matrix, rhs)
     if not np.all(np.isfinite(rhs)):
         return False, coeffs
     rows = basis._exact_rows

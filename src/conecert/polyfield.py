@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -415,73 +415,10 @@ def relative_degree(
     return best, ("odd" if best % 2 else "even")
 
 
-# --------------------------------------------------------------------
-# Bracket-derivation trees
-#
-# Each constant direction discovered by the closure carries a tree that
-# re-evaluates (through the functions above) to its exact value.  Leaves
-# name the model's defining fields; internal nodes record ad-power
-# applications and rational linear combinations.
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Expression tree for how a field was produced.
-
-    kind: "leaf" (name), "ad" (m-fold bracket of v_tree into w_tree) or
-    "combo" (rational linear combination of subtrees).
-    """
-
-    kind: str
-    name: str | None = None
-    m: int | None = None
-    v: "Derivation | None" = None
-    w: "Derivation | None" = None
-    parts: tuple[tuple[Fraction, "Derivation"], ...] = ()
-
-    @classmethod
-    def leaf(cls, name: str) -> "Derivation":
-        return cls(kind="leaf", name=name)
-
-    @classmethod
-    def ad(cls, m: int, v: "Derivation", w: "Derivation") -> "Derivation":
-        return cls(kind="ad", m=m, v=v, w=w)
-
-    @classmethod
-    def combo(cls, parts: Iterable[tuple[Rational, "Derivation"]]) -> "Derivation":
-        return cls(
-            kind="combo", parts=tuple((Fraction(c), t) for c, t in parts)
-        )
-
-    def evaluate(self, leaves: Mapping[str, PolyVectorField]) -> PolyVectorField:
-        if self.kind == "leaf":
-            return leaves[self.name]
-        if self.kind == "ad":
-            return ad_power(self.v.evaluate(leaves), self.w.evaluate(leaves), self.m)
-        if self.kind == "combo":
-            dim = self.parts[0][1].evaluate(leaves).dim
-            acc = PolyVectorField.zero(dim)
-            for c, t in self.parts:
-                acc = acc + t.evaluate(leaves).scale(c)
-            return acc
-        raise ValueError(f"unknown derivation kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "leaf":
-            return self.name
-        if self.kind == "ad":
-            if self.m == 1:
-                return f"[{self.v}, {self.w}]"
-            return f"ad^{self.m}({self.v})({self.w})"
-        terms = " + ".join(
-            str(t) if c == 1 else f"{c}*({t})" for c, t in self.parts
-        )
-        return f"({terms})"
-
-
 @dataclass(frozen=True)
 class ConstantField:
-    """A constant direction with its parity tag and derivation record.
+    """A constant direction with its parity tag and derivation, the
+    bracket expression (`brackets.parse_bracket` syntax) that produced it.
 
     parity is "seed" for the noise fields and their span, else the
     parity of the relative degree that produced the direction.
@@ -489,7 +426,7 @@ class ConstantField:
 
     value: tuple[Fraction, ...]
     parity: str
-    derivation: Derivation
+    derivation: str
 
     def __post_init__(self):
         if self.parity not in ("odd", "even", "seed"):

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 import conecert
 from conftest import MALFORMED_MODELS
+from test_closure import cross_model
 from conecert.cli import main
+from conecert.closure import RationalSpan, primitive_direction
 from conecert.models import bhw, save_model
 
 
@@ -90,6 +94,40 @@ def test_bracket_command(capsys):
     assert main(["bracket", "--builtin", "bhw", "--expr", "[[X1"]) == 2
 
 
+def _bracket_value(source, expr, tmp_path):
+    out = tmp_path / "bracket.json"
+    assert main(["bracket", *source, f"--expr={expr}", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["constant"]
+    return tuple(Fraction(c) for c in result["field"].strip("()").split(","))
+
+
+@pytest.mark.parametrize("name", ["bhw", "cross"])
+def test_analyze_derivations_evaluate_through_bracket(tmp_path, capsys, name):
+    # every derivation the report prints re-derives its direction through
+    # `bracket --expr`: an odd one exactly, an even one as a positive
+    # multiple modulo the odd span
+    if name == "cross":
+        path = tmp_path / "cross.json"
+        save_model(cross_model(), str(path))
+        source = ["--model", str(path)]
+    else:
+        source = ["--builtin", name]
+    report = tmp_path / "analyze.json"
+    assert main(["analyze", *source, "--combo-budget", "1", "--out", str(report)]) == 0
+    result = json.loads(report.read_text())["result"]
+    odd, even = result["derivations"]["odd"], result["derivations"]["even"]
+    assert len(odd) == len(result["odd_basis"]) and len(even) == len(result["even_generators"])
+    assert even
+    span = RationalSpan(result["dim"])
+    for expr, value in zip(odd, result["odd_basis"]):
+        assert _bracket_value(source, expr, tmp_path) == tuple(map(Fraction, value))
+        span.add(tuple(map(Fraction, value)))
+    for expr, value in zip(even, result["even_generators"]):
+        residual = span.reduce(_bracket_value(source, expr, tmp_path))
+        assert primitive_direction(residual) == tuple(map(Fraction, value))
+
+
 def test_reach_positive_with_trajectory(tmp_path, capsys):
     out = tmp_path / "cert.json"
     traj = tmp_path / "traj.csv"
@@ -114,6 +152,19 @@ def test_reach_membership_failure_exit_three(capsys):
     ])
     assert code == 3
     assert "membership" in capsys.readouterr().out
+
+
+def test_reach_overflowing_difference_warns_nothing():
+    # z - x overflows: never a member, and no RuntimeWarning on the way
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "reach", "--builtin", "bhw",
+         "--from=-1e308,0", "--to=1e308,0.5", "--t", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 3
+    assert "membership" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_reach_dimension_mismatch(capsys):
@@ -188,6 +239,34 @@ def test_verify_from_never_internal_error(x):
     argv = ["verify", "--builtin", "langevin", "--paths", "1",
             f"--from={','.join(map(repr, x))}", "--to", "1,0", "--t", "1"]
     assert _exit_code(argv) in EXIT_CODES
+
+
+# every token of the bracket grammar, with noise indices and coefficients
+# beyond the model's
+BRACKET_TOKENS = st.sampled_from(
+    ["[", "]", ",", "(", ")", "+", "*", *(f"ad^{m}" for m in range(4)),
+     "X0", "X1", "X2", *map(str, range(-2, 6))]
+)
+SPECTRAL_ATOMS = st.builds(
+    "{}({},{})".format,
+    st.sampled_from(["X", "Y", "Xt", "Yt"]),
+    *[st.one_of(BRACKET_TOKENS, st.integers().map(str), st.text(max_size=3))] * 2,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(BRACKET_TOKENS, max_size=12))
+def test_bracket_expr_never_internal_error(tokens):
+    argv = ["bracket", "--builtin", "bhw", f"--expr={' '.join(tokens)}"]
+    assert _exit_code(argv) in {0, 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(BRACKET_TOKENS, max_size=3), SPECTRAL_ATOMS,
+       st.lists(BRACKET_TOKENS, max_size=3))
+def test_bracket_spectral_atom_never_internal_error(before, atom, after):
+    expr = " ".join([*before, atom, *after])
+    assert _exit_code(["bracket", "--builtin", "burgers", f"--expr={expr}"]) in {0, 2}
 
 
 # Each command imports what it runs: the exact-algebra commands, --help and

@@ -33,7 +33,7 @@ from conecert.closure import (
     verify_derivations,
 )
 from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_double_well
-from conecert.polyfield import Derivation, Polynomial, PolyVectorField
+from conecert.polyfield import Polynomial, PolyVectorField
 
 F = Fraction
 SRC = str(Path(conecert.__file__).resolve().parents[1])
@@ -242,7 +242,7 @@ def test_candidates_capped_in_order():
     # 70 two-sided items: every item, then the first 2000 of the
     # 70*69/2 * 4 pair combinations, coefficient pairs in (-1, 1) order
     items = [(PolyVectorField.from_constant([F(int(i == j)) for j in range(70)]),
-              "seed", Derivation.leaf(f"X{i}")) for i in range(70)]
+              "seed", f"X{i}") for i in range(70)]
     out = list(_candidates(items, items, 1))
     assert len(out) == 70 + 2000
     assert [str(dv) for _, dv in out[70:74]] == [

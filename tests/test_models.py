@@ -27,7 +27,7 @@ from conecert.models import (
     save_model,
     shell1_forcing,
 )
-from conecert.polyfield import PolyVectorField, lie_bracket, relative_degree
+from conecert.polyfield import PolyVectorField, ad_power, lie_bracket, relative_degree
 
 F = Fraction
 
@@ -251,7 +251,7 @@ def test_parse_bracket_noise_index(bhw_model):
     )
 
 
-def test_parse_bracket_errors(bhw_model):
+def test_parse_bracket_errors(bhw_model, bg):
     with pytest.raises(BracketParseError):
         parse_bracket("X5", bhw_model)
     with pytest.raises(BracketParseError):
@@ -260,6 +260,22 @@ def test_parse_bracket_errors(bhw_model):
         parse_bracket("X(1,0)", bhw_model)  # spectral atom, planar model
     with pytest.raises(BracketParseError):
         parse_bracket("foo", bhw_model)
+    with pytest.raises(BracketParseError):
+        parse_bracket("X(X1,0)", bg)  # wavevector entry not an integer
+    with pytest.raises(BracketParseError):
+        parse_bracket("X(1,5)", bg)  # mode outside the truncation
+
+
+def test_parse_bracket_combinations():
+    m = get_builtin("langevin2d")  # two noise fields
+    X0 = m.drift
+    X1, X2 = (PolyVectorField.from_constant(v) for v in m.noise)
+    assert parse_bracket("[X1, X0]", m) == lie_bracket(X1, X0)
+    assert parse_bracket("(-1*(X1) + X2)", m) == X1.scale(-1) + X2
+    assert parse_bracket("(2*((X1 + X2)) + X0)", m) == (X1 + X2).scale(2) + X0
+    assert parse_bracket("ad^2((-1*(X1) + X2))(X0)", m) == ad_power(
+        X2 + X1.scale(-1), X0, 2
+    )
 
 
 def test_pretty_field_spectral(bg):

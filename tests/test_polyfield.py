@@ -12,7 +12,6 @@ from conecert.closure import choose_basis, compute_C
 from conecert.models import BUILTINS, get_builtin
 from conecert.polyfield import (
     NO_DEGREE,
-    Derivation,
     DimensionMismatchError,
     Polynomial,
     PolyVectorField,
@@ -287,20 +286,6 @@ def test_poly_json_roundtrip(p):
 @settings(max_examples=30, deadline=None)
 def test_field_json_roundtrip(V):
     assert field_from_json(field_to_json(V), 2) == V
-
-
-def test_derivation_evaluate_and_str():
-    leaves = {
-        "X0": PolyVectorField(
-            2, (Polynomial.zero(2), Polynomial.variable(2, 0))
-        ),
-        "X1": PolyVectorField.from_constant([F(1), F(0)]),
-    }
-    d = Derivation.ad(1, Derivation.leaf("X1"), Derivation.leaf("X0"))
-    assert d.evaluate(leaves) == lie_bracket(leaves["X1"], leaves["X0"])
-    assert str(d) == "[X1, X0]"
-    d2 = Derivation.ad(2, Derivation.leaf("X1"), Derivation.leaf("X0"))
-    assert str(d2) == "ad^2(X1)(X0)"
 
 
 # -- compiled evaluation ----------------------------------------------
