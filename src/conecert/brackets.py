@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import re
 
-from .models import ModelError, ModelSpec, burgers_layout
-from .polyfield import PolyVectorField, ad_power, lie_bracket
+from .models import ModelSpec
+from .polyfield import PolyVectorField, lie_bracket
 
 
 class BracketParseError(ValueError):
@@ -27,6 +27,16 @@ _TOKEN = re.compile(
     r"\s*(\[|\]|,|\(|\)|\+|\*|ad\^\d+|Xt|Yt|X\d+|X|Y|-?\d+)"
 )
 _INT = re.compile(r"-?\d+")
+# Brackets of nonconstant fields grow without bound, in degree and in
+# coefficient length: the products of operand sizes that one expression may
+# spend on brackets, about a second of exact arithmetic on the small builtins
+_BRACKET_WORK = 100_000
+
+
+def _size(V: PolyVectorField) -> int:
+    """Terms of V, each weighted by its coefficient's length in 64-bit words."""
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+               for p in V.components for c in p.terms.values())
 
 
 def _tokenize(expr: str) -> list[str]:
@@ -48,10 +58,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.model = model
-        try:
-            self.layout = burgers_layout(model)
-        except ModelError:
-            self.layout = None
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -77,11 +84,13 @@ class _Parser:
             self.take(",")
             b = self.expr()
             self.take("]")
-            return lie_bracket(a, b)
+            return self.bracket(a, b)
         if tok and tok.startswith("ad^"):
             m = int(self.take()[3:])
-            a = self.group()
-            return ad_power(a, self.group(), m)
+            a, out = self.group(), self.group()
+            while m and not out.is_zero():  # a zero iterate stays zero
+                out, m = self.bracket(a, out), m - 1
+            return out
         if tok == "(":
             self.take("(")
             out = self.term()
@@ -91,6 +100,12 @@ class _Parser:
             self.take(")")
             return out
         return self.atom()
+
+    def bracket(self, a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:
+        self.work += _size(a) * _size(b)
+        if self.work > _BRACKET_WORK:
+            raise BracketParseError(f"expression too large (bracket budget {_BRACKET_WORK})")
+        return lie_bracket(a, b)
 
     def term(self) -> PolyVectorField:
         if not _INT.fullmatch(self.peek() or ""):
@@ -117,19 +132,20 @@ class _Parser:
                 )
             return PolyVectorField.from_constant(self.model.noise[idx - 1])
         if tok in ("X", "Y", "Xt", "Yt"):
-            if self.layout is None:
+            layout = self.model.layout
+            if layout is None:
                 raise BracketParseError(
-                    f"{tok}(k1,k2) fields need a spectral model"
+                    f"{tok}(k1,k2) fields need --builtin burgers; model JSON has no layout"
                 )
             self.take("(")
             k1 = self.integer()
             self.take(",")
             k2 = self.integer()
             self.take(")")
-            if (k1, k2) not in self.layout.modes:
+            if (k1, k2) not in layout.modes:
                 raise BracketParseError(f"{tok}({k1},{k2}): mode outside the truncation")
             part = {"X": "re_w", "Y": "im_w", "Xt": "re_q", "Yt": "im_q"}[tok]
-            return PolyVectorField.from_constant(self.layout.unit((k1, k2), part))
+            return PolyVectorField.from_constant(layout.unit((k1, k2), part))
         raise BracketParseError(f"unknown atom {tok!r}")
 
     def integer(self) -> int:
@@ -146,10 +162,7 @@ def parse_bracket(expr: str, model: ModelSpec) -> PolyVectorField:
 def pretty_field(V: PolyVectorField, model: ModelSpec) -> str:
     """Render a field; constants in spectral models print as linear
     combinations of the named coordinate fields."""
-    try:
-        layout = burgers_layout(model)
-    except ModelError:
-        layout = None
+    layout = model.layout
     if layout is not None and V.is_constant():
         value = V.constant_value()
         parts = []

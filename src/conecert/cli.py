@@ -193,7 +193,13 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    evidence = simulate(model, x, cfg)
+    if args.heatmap:
+        lo = min(x.min(), z.min()) - 2
+        hi = max(x.max(), z.max()) + 2
+        edges = np.linspace(lo, hi, 41)
+        evidence, counts = density_heatmap(model, x, cfg, (edges, edges))
+    else:
+        evidence = simulate(model, x, cfg)
     report = _report("verify", model,
                      {"from": x.tolist(), "to": z.tolist(), "t": args.t,
                       "paths": args.paths, "seed": args.seed, "delta": args.delta,
@@ -205,10 +211,6 @@ def cmd_verify(args) -> int:
         f" stopped fraction {evidence.stopped_fraction:.3f})"
     ))
     if args.heatmap:
-        lo = min(x.min(), z.min()) - 2
-        hi = max(x.max(), z.max()) + 2
-        edges = np.linspace(lo, hi, 41)
-        counts = density_heatmap(model, x, cfg, (edges, edges))
         np.savetxt(args.heatmap, counts, delimiter=",", fmt="%d")
     return EXIT_OK if evidence.lower_cb > 0 else EXIT_UNMET
 

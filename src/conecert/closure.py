@@ -100,7 +100,6 @@ def primitive_direction(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 @dataclass
 class GenerationState:
-    model: ModelSpec
     odd_constants: list[ConstantField]
     even_constants: list[ConstantField]
     # (field, parity, derivation); parity of a nonconstant generator
@@ -123,7 +122,6 @@ def closure_init(model: ModelSpec) -> GenerationState:
         if span.add(v):
             odd.append(ConstantField(v, "seed", f"X{j}"))
     return GenerationState(
-        model=model,
         odd_constants=odd,
         even_constants=[],
         nonconstant_generators=[(model.drift, "odd", "X0")],
@@ -243,9 +241,6 @@ class ConeSpan:
         for cf in self.even_generators:
             span.add(cf.value)
         return span.rank
-
-    def is_full_dim(self) -> bool:
-        return self.rank() == self.dim
 
     def to_json(self) -> dict:
         return {

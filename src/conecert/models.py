@@ -36,7 +36,8 @@ class ModelSpec:
     noise: tuple[tuple[Fraction, ...], ...]
     params: dict[str, Fraction] = field(default_factory=dict)
     default_ball_n: int = 10
-    closed_form_notes: dict = field(default_factory=dict)
+    # spectral coordinate names of `burgers`; not in the JSON, so never loaded
+    layout: BurgersLayout | None = None
 
     def __post_init__(self):
         if self.drift.dim != self.d:
@@ -139,12 +140,6 @@ def model_from_json(data: dict) -> ModelSpec:
 # Langevin dynamics: velocity/position pairs with a polynomial potential.
 
 
-def _grad_poly(d: int, F_coeffs: dict) -> list[Polynomial]:
-    """Gradient of the potential F(y), a polynomial in d variables."""
-    F = Polynomial(d, {tuple(map(int, k.split(","))) if isinstance(k, str) else tuple(k): Fraction(v) for k, v in F_coeffs.items()})
-    return [F.diff(i) for i in range(d)]
-
-
 def langevin(
     d: int,
     gamma: Rational,
@@ -155,13 +150,12 @@ def langevin(
     dy = x dt.
 
     F_coeffs maps exponent tuples over the y variables to rational
-    coefficients; None means F = 0.
+    coefficients; None means F = 0.  When the sigmas span R^d the origin is
+    an equilibrium of the control family, and [X_j, X0] = (-gamma*sigma_j, sigma_j).
     """
     gamma = Fraction(gamma)
     n = 2 * d
-    if F_coeffs is None:
-        F_coeffs = {}
-    gradF = _grad_poly(d, F_coeffs)
+    F = Polynomial(d, F_coeffs or {})  # the potential, over the y variables
 
     def lift(p: Polynomial) -> Polynomial:
         # embed a polynomial in y-variables into the (x, y) space
@@ -172,7 +166,7 @@ def langevin(
     comps = []
     for i in range(d):
         xi = Polynomial.variable(n, i)
-        comps.append(xi.scale(-gamma) - lift(gradF[i]))
+        comps.append(xi.scale(-gamma) - lift(F.diff(i)))
     for i in range(d):
         comps.append(Polynomial.variable(n, i))
     drift = PolyVectorField(n, tuple(comps))
@@ -187,10 +181,6 @@ def langevin(
         drift=drift,
         noise=tuple(noise),
         params={"gamma": gamma},
-        closed_form_notes={
-            "equilibria": "origin when span(sigmas) = R^d",
-            "bracket": "[X_j, X0] = (-gamma*sigma_j, sigma_j)",
-        },
     )
 
 
@@ -222,7 +212,9 @@ def bhw(
 ) -> ModelSpec:
     """dx = (a1*x - alpha1*x^2 + y^2) dt, dy = (a2*y - alpha2*x*y) dt + eps dW.
 
-    Requires alpha2 > alpha1 > 0 and eps > 0.
+    Requires alpha2 > alpha1 > 0 and eps > 0.  Control equilibria lie on
+    x = (a1 +/- sqrt(a1^2 + 4*alpha1*y^2)) / (2*alpha1), and
+    ad^2(X1)(X0) = (2*eps^2, 0).
     """
     a1, a2 = Fraction(a1), Fraction(a2)
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
@@ -246,10 +238,6 @@ def bhw(
         drift=drift,
         noise=((Fraction(0), eps),),
         params={"a1": a1, "a2": a2, "alpha1": alpha1, "alpha2": alpha2, "eps": eps},
-        closed_form_notes={
-            "equilibrium_x": "x = (a1 +/- sqrt(a1^2 + 4*alpha1*y^2)) / (2*alpha1)",
-            "bracket": "ad^2(X1)(X0) = (2*eps^2, 0)",
-        },
     )
 
 
@@ -258,7 +246,10 @@ def bhw(
 
 
 def nonexample3d() -> ModelSpec:
-    """dx = -xy dt + dB, dy = (x^2 - yz) dt, dz = (y^2 - z) dt."""
+    """dx = -xy dt + dB, dy = (x^2 - yz) dt, dz = (y^2 - z) dt.
+
+    Its cone is span{e1} + cone{e2}, of dimension 2.
+    """
     x = Polynomial.variable(3, 0)
     y = Polynomial.variable(3, 1)
     z = Polynomial.variable(3, 2)
@@ -275,7 +266,6 @@ def nonexample3d() -> ModelSpec:
         d=3,
         drift=drift,
         noise=((Fraction(1), Fraction(0), Fraction(0)),),
-        closed_form_notes={"cone": "span{e1} + cone{e2}, dimension 2"},
     )
 
 
@@ -306,7 +296,6 @@ def index_set(N: int) -> list[tuple[int, int]]:
 class BurgersLayout:
     """Coordinate layout of the realified truncation."""
 
-    N: int
     modes: tuple[tuple[int, int], ...]
 
     def coord(self, k: tuple[int, int], part: str) -> int:
@@ -378,7 +367,7 @@ def burgers(
         raise ModelError(f"need N >= 2, got {N}")
     nu = Fraction(nu)
     modes = tuple(index_set(N))
-    layout = BurgersLayout(N=N, modes=modes)
+    layout = BurgersLayout(modes)
     dim = layout.dim
     mode_set = set(modes)
     for k in list(forced_sigma) + list(forced_gamma):
@@ -420,22 +409,14 @@ def burgers(
     for k in forced_gamma:
         noise.append(layout.unit(tuple(k), "re_q"))
         noise.append(layout.unit(tuple(k), "im_q"))
-    spec = ModelSpec(
+    return ModelSpec(
         name=f"burgers_N{N}",
         d=dim,
         drift=drift,
         noise=tuple(noise),
         params={"nu": nu},
-        closed_form_notes={"layout": layout},
+        layout=layout,
     )
-    return spec
-
-
-def burgers_layout(spec: ModelSpec) -> BurgersLayout:
-    layout = spec.closed_form_notes.get("layout")
-    if layout is None:
-        raise ModelError("not a burgers model")
-    return layout
 
 
 # --------------------------------------------------------------------

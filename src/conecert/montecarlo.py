@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta
 
-from .models import ModelSpec
+from .models import ModelError, ModelSpec
 from .polyfield import compile_field
 
 _CHUNK = 4096  # fixed path-block size; part of the reproducibility contract
@@ -144,10 +144,7 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     return endpoints, stopped, nonfinite
 
 
-def simulate(model: ModelSpec, x, cfg: SimConfig) -> PositivityEvidence:
-    """Euler-Maruyama with additive noise, frozen at first ball exit.
-    Stopped paths never count as hits."""
-    endpoints, stopped, nonfinite = _simulate_endpoints(model, x, cfg)
+def _evidence(cfg: SimConfig, endpoints, stopped, nonfinite) -> PositivityEvidence:
     live = ~stopped
     dist = np.linalg.norm(endpoints[live] - cfg.z, axis=1)
     hits = int(np.sum(dist <= cfg.delta))
@@ -160,18 +157,20 @@ def simulate(model: ModelSpec, x, cfg: SimConfig) -> PositivityEvidence:
     )
 
 
+def simulate(model: ModelSpec, x, cfg: SimConfig) -> PositivityEvidence:
+    """Euler-Maruyama with additive noise, frozen at first ball exit.
+    Stopped paths never count as hits."""
+    return _evidence(cfg, *_simulate_endpoints(model, x, cfg))
+
+
 def density_heatmap(
-    model: ModelSpec,
-    x,
-    cfg: SimConfig,
-    grid: tuple[np.ndarray, np.ndarray],
-    projection: tuple[int, int] = (0, 1),
-) -> np.ndarray:
-    """2-D histogram of unstopped endpoints over the given bin edges."""
-    if model.d < 2:
-        raise ValueError("heatmap needs at least two coordinates")
-    endpoints, stopped, _ = _simulate_endpoints(model, x, cfg)
+    model: ModelSpec, x, cfg: SimConfig, grid: tuple[np.ndarray, np.ndarray]
+) -> tuple[PositivityEvidence, np.ndarray]:
+    """`simulate`'s evidence and, from the same paths, the 2-D histogram of
+    the unstopped endpoints' first two coordinates over the bin edges."""
+    if model.d < 2:  # checked before simulating; the CLI reports it as an input error
+        raise ModelError("heatmap needs at least two coordinates")
+    endpoints, stopped, nonfinite = _simulate_endpoints(model, x, cfg)
     pts = endpoints[~stopped]
-    i, j = projection
-    counts, _, _ = np.histogram2d(pts[:, i], pts[:, j], bins=grid)
-    return counts
+    counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=grid)
+    return _evidence(cfg, endpoints, stopped, nonfinite), counts

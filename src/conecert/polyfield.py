@@ -3,15 +3,15 @@
 Coefficients are rationals (`fractions.Fraction`) throughout, so parity
 decisions and zero tests are never contaminated by floating point.  All
 values are immutable after construction and every operation is a pure
-function.
+function.  Floats enter only through the compiled kernels at the end of
+the module (`compile_field`, `compile_jacobian`), the one float evaluator.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -191,19 +191,6 @@ class Polynomial:
             total += term
         return total
 
-    def eval(self, x: Sequence[float]) -> float:
-        """Evaluate at a real point; rational substitution when possible."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError(f"point length {len(x)} != dim {self.dim}")
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for xi, ei in zip(x, e):
-                if ei:
-                    term *= float(xi) ** ei
-            total += term
-        return total
-
     # -- comparison / repr --------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -284,16 +271,8 @@ class PolyVectorField:
             self.dim, tuple(a + b for a, b in zip(self.components, other.components))
         )
 
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(
-            self.dim, tuple(a - b for a, b in zip(self.components, other.components))
-        )
-
     def scale(self, c: Rational) -> "PolyVectorField":
         return PolyVectorField(self.dim, tuple(p.scale(c) for p in self.components))
-
-    def eval(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([p.eval(x) for p in self.components], dtype=float)
 
     def eval_exact(self, x: Sequence[Rational]) -> tuple[Fraction, ...]:
         return tuple(p.eval_exact(x) for p in self.components)
@@ -380,6 +359,8 @@ def ad_power(V: PolyVectorField, W: PolyVectorField, m: int) -> PolyVectorField:
         raise ValueError(f"m must be nonnegative, got {m}")
     out = W
     for _ in range(m):
+        if out.is_zero():  # every further iterate is zero too
+            break
         out = lie_bracket(V, out)
     return out
 
@@ -432,10 +413,6 @@ class ConstantField:
         if self.parity not in ("odd", "even", "seed"):
             raise ValueError(f"bad parity {self.parity!r}")
         object.__setattr__(self, "value", tuple(Fraction(c) for c in self.value))
-
-    @property
-    def dim(self) -> int:
-        return len(self.value)
 
 
 # --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, and file outputs."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecert
-from conftest import MALFORMED_MODELS
+import conecert.montecarlo
+from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from test_closure import cross_model
 from conecert.cli import main
 from conecert.closure import RationalSpan, primitive_direction
-from conecert.models import bhw, save_model
+from conecert.models import bhw, get_builtin, load_model, save_model
 
 
 def test_models_lists_builtins(capsys):
@@ -92,6 +94,30 @@ def test_bracket_command(capsys):
     ]) == 0
     assert "(2, 0)" in capsys.readouterr().out
     assert main(["bracket", "--builtin", "bhw", "--expr", "[[X1"]) == 2
+
+
+def test_bracket_work_is_bounded(capsys):
+    # an iterate that reaches zero ends the loop, however large N is
+    assert main(["bracket", "--builtin", "bhw", "--expr", "ad^100000(X1)(X0)"]) == 0
+    assert "= (0, 0)" in capsys.readouterr().out
+    # brackets whose terms keep multiplying are refused, not computed
+    for name, expr in [("nonexample3d", "ad^1000(X0)(X1)"), ("burgers", "ad^4(X0)(X1)"),
+                       ("burgers", "[X0,[X0,[X0,X1]]]")]:
+        assert main(["bracket", "--builtin", name, f"--expr={expr}"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_spectral_atoms_need_the_burgers_layout(tmp_path, capsys):
+    assert main(["bracket", "--builtin", "burgers", "--expr", "X(1,0)"]) == 0
+    assert main(["bracket", "--builtin", "bhw", "--expr", "X(1,0)"]) == 2
+    # model JSON carries no layout: the reloaded model has the same hash
+    # but no named spectral coordinates
+    path = tmp_path / "burgers.json"
+    save_model(get_builtin("burgers"), str(path))
+    reloaded = load_model(str(path))
+    assert reloaded.layout is None
+    assert reloaded.spec_hash() == get_builtin("burgers").spec_hash()
+    assert main(["bracket", "--model", str(path), "--expr", "X(1,0)"]) == 2
 
 
 def _bracket_value(source, expr, tmp_path):
@@ -176,7 +202,16 @@ def test_reach_dimension_mismatch(capsys):
     ]) == 2
 
 
-def test_verify_command(tmp_path, capsys):
+def _count_simulations(monkeypatch):
+    calls = []
+    simulate_endpoints = conecert.montecarlo._simulate_endpoints
+    monkeypatch.setattr(conecert.montecarlo, "_simulate_endpoints",
+                        lambda *args: calls.append(args) or simulate_endpoints(*args))
+    return calls
+
+
+def test_verify_command(tmp_path, capsys, monkeypatch):
+    calls = _count_simulations(monkeypatch)
     out = tmp_path / "verify.json"
     heat = tmp_path / "heat.csv"
     code = main([
@@ -190,6 +225,21 @@ def test_verify_command(tmp_path, capsys):
     grid = np.loadtxt(heat, delimiter=",")
     assert grid.shape == (40, 40)
     assert grid.sum() <= 4000
+    # the heatmap bins the endpoints the evidence counted: one simulation,
+    # and the same histogram as when the heatmap ran a second one
+    assert len(calls) == 1
+    assert hashlib.sha256(heat.read_bytes()).hexdigest() == (
+        "fbd30d86f6e658807d4dfe46f5b65c23d32580cc7fd05038717a6c1b4b455259")
+
+
+def test_verify_heatmap_needs_two_coordinates(tmp_path, monkeypatch):
+    calls = _count_simulations(monkeypatch)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(GOOD_MODEL_JSON))
+    heat = tmp_path / "heat.csv"
+    assert main(["verify", "--model", str(path), "--from", "0", "--to", "0", "--t", "1",
+                 "--paths", "10", "--heatmap", str(heat)]) == 2
+    assert not calls and not heat.exists()
 
 
 def _exit_code(argv):
@@ -244,8 +294,8 @@ def test_verify_from_never_internal_error(x):
 # every token of the bracket grammar, with noise indices and coefficients
 # beyond the model's
 BRACKET_TOKENS = st.sampled_from(
-    ["[", "]", ",", "(", ")", "+", "*", *(f"ad^{m}" for m in range(4)),
-     "X0", "X1", "X2", *map(str, range(-2, 6))]
+    ["[", "]", ",", "(", ")", "+", "*", *(f"ad^{m}" for m in (0, 1, 2, 3, 1000, 100000)),
+     "X0", "X1", "X2", "[X0,[X0,[X0,X1]]]", *map(str, range(-2, 6))]
 )
 SPECTRAL_ATOMS = st.builds(
     "{}({},{})".format,

@@ -16,7 +16,6 @@ from conecert.models import (
     ModelError,
     bhw,
     burgers,
-    burgers_layout,
     get_builtin,
     index_set,
     langevin,
@@ -27,7 +26,13 @@ from conecert.models import (
     save_model,
     shell1_forcing,
 )
-from conecert.polyfield import PolyVectorField, ad_power, lie_bracket, relative_degree
+from conecert.polyfield import (
+    PolyVectorField,
+    ad_power,
+    compile_field,
+    lie_bracket,
+    relative_degree,
+)
 
 F = Fraction
 
@@ -60,7 +65,7 @@ def test_bhw_drift_and_constraints():
     m = bhw(0, 0, 1, 2, 1)
     x, y = np.array([0.5, -1.5]), None
     assert np.allclose(
-        m.drift.eval([0.5, -1.5]),
+        compile_field(m.drift)([0.5, -1.5]),
         [-(0.5**2) + 1.5**2, -2 * 0.5 * (-1.5)],
     )
     with pytest.raises(ModelError):
@@ -72,7 +77,7 @@ def test_bhw_drift_and_constraints():
 def test_nonexample3d_drift():
     m = nonexample3d()
     assert np.allclose(
-        m.drift.eval([1.0, 2.0, 3.0]), [-2.0, 1.0 - 6.0, 4.0 - 3.0]
+        compile_field(m.drift)([1.0, 2.0, 3.0]), [-2.0, 1.0 - 6.0, 4.0 - 3.0]
     )
 
 
@@ -84,7 +89,7 @@ def test_nonexample3d_hormander_rank_full():
     b1 = lie_bracket(X1, m.drift)
     b2 = lie_bracket(b1, m.drift)
     pt = [0.3, 0.7, -0.2]
-    A = np.array([X1.eval(pt), b1.eval(pt), b2.eval(pt)]).T
+    A = np.array([compile_field(V)(pt) for V in (X1, b1, b2)]).T
     assert np.linalg.matrix_rank(A, tol=1e-9) == 3
 
 
@@ -115,13 +120,13 @@ def test_burgers_compressible_only_state_stays_compressible():
     # with w = 0 the incompressible drift components vanish: the
     # nonlinearity never regenerates w from q alone
     bg = get_builtin("burgers")
-    layout = burgers_layout(bg)
+    layout = bg.layout
     rng = np.random.default_rng(3)
     x = np.zeros(bg.d)
     for k in layout.modes:
         x[layout.coord(k, "re_q")] = rng.normal()
         x[layout.coord(k, "im_q")] = rng.normal()
-    v = bg.drift.eval(x)
+    v = compile_field(bg.drift)(x)
     for k in layout.modes:
         assert v[layout.coord(k, "re_w")] == pytest.approx(0.0, abs=1e-12)
         assert v[layout.coord(k, "im_w")] == pytest.approx(0.0, abs=1e-12)
@@ -230,7 +235,7 @@ def test_commutator_compressible_im_golden(bg, j, m):
 
 def test_spectral_relative_degree_is_one(bg):
     # n(X_m, [X_j, X0]) = 1 for forced j, m with j+m inside the truncation
-    layout = burgers_layout(bg)
+    layout = bg.layout
     j, m = (1, 0), (0, 1)
     inner = lie_bracket(
         PolyVectorField.from_constant(layout.unit(j, "re_w")), bg.drift
@@ -341,5 +346,5 @@ def test_bhw_equilibrium_parabola(a, b):
     m = bhw(a, b, 1, 2, 1)
     for y in (0.5, -1.25, 2.0):
         x = (a + np.sqrt(a * a + 4 * y * y)) / 2.0
-        vx = m.drift.eval([x, y])[0]
+        vx = compile_field(m.drift)([x, y])[0]
         assert vx == pytest.approx(0.0, abs=1e-9)

@@ -197,7 +197,8 @@ def test_heatmap_matches_gaussian_histogram():
     cfg = SimConfig(t=1.0, dt=5e-3, n_ball=10.0, n_paths=20000, seed=5,
                     z=np.zeros(2), delta=0.25)
     edges = np.linspace(-3.0, 3.0, 7)
-    counts = density_heatmap(m, np.zeros(2), cfg, (edges, edges))
+    ev, counts = density_heatmap(m, np.zeros(2), cfg, (edges, edges))
+    assert ev == simulate(m, np.zeros(2), cfg)
     cell = np.diff(norm.cdf(edges))
     expected = cfg.n_paths * np.outer(cell, cell)
     mask = expected > 10

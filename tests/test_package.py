@@ -1,6 +1,7 @@
 """The package root: a lazy surface that resolves each public name from
-its home module on first access."""
+its home module on first access, and the modules' imports."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -27,6 +28,7 @@ PUBLIC = {
               "gramian", "gramian_threshold", "integrate_flow", "k_rank", "synthesize_leg"],
 }
 SUBMODULES = ["brackets", "cli", *PUBLIC]
+PACKAGE_DIR = Path(conecert.__file__).resolve().parent
 
 
 def test_all_is_the_public_surface():
@@ -71,3 +73,36 @@ def test_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references.  `from __future__`
+    imports and import statements marked `# noqa: F401` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_check_sees_an_unused_name():
+    assert unused_imports("import json\nfrom dataclasses import dataclass, field\n"
+                          "@dataclass\nclass A:\n    x: int\n") == [
+        "line 1: json", "line 2: field"]
+    assert unused_imports("from __future__ import annotations\n"
+                          "import json  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_modules_import_nothing_unused(path):
+    assert unused_imports(path.read_text()) == []

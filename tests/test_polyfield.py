@@ -95,7 +95,8 @@ def test_eval_exact_matches_float():
     p = p_of(2, {(2, 1): F(1, 2), (0, 1): -3})
     exact = p.eval_exact([F(1, 2), F(4)])
     assert exact == F(1, 2) * F(1, 4) * 4 - 12
-    assert p.eval([0.5, 4.0]) == pytest.approx(float(exact))
+    f = compile_field(PolyVectorField(2, (p, Polynomial.zero(2))))
+    assert f([0.5, 4.0])[0] == pytest.approx(float(exact))
 
 
 # -- oracles for brackets ---------------------------------------------
@@ -127,7 +128,7 @@ def test_bracket_finite_difference_consistency():
     W = PolyVectorField(
         2, (p_of(2, {(0, 2): 1}), p_of(2, {(1, 0): 3, (0, 0): 1}))
     )
-    B = lie_bracket(V, W)
+    v, w, b = (compile_field(U) for U in (V, W, lie_bracket(V, W)))
     h = 1e-6
     for _ in range(5):
         x = rng.uniform(-1, 1, 2)
@@ -135,10 +136,10 @@ def test_bracket_finite_difference_consistency():
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            dW = (W.eval(x + e) - W.eval(x - e)) / (2 * h)
-            dV = (V.eval(x + e) - V.eval(x - e)) / (2 * h)
-            num += V.eval(x)[i] * dW - W.eval(x)[i] * dV
-        assert np.allclose(B.eval(x), num, atol=1e-6)
+            dW = (w(x + e) - w(x - e)) / (2 * h)
+            dV = (v(x + e) - v(x - e)) / (2 * h)
+            num += v(x)[i] * dW - w(x)[i] * dV
+        assert np.allclose(b(x), num, atol=1e-6)
 
 
 def test_ad_power_zero_and_identity():
@@ -146,6 +147,8 @@ def test_ad_power_zero_and_identity():
     W = PolyVectorField(2, (Polynomial.zero(2), Polynomial.variable(2, 0)))
     assert ad_power(V, W, 0) == W
     assert ad_power(V, W, 1) == lie_bracket(V, W)
+    # [V, W] = d/dy and [V, d/dy] = 0: the iteration stops at the zero iterate
+    assert ad_power(V, W, 10**12) == PolyVectorField.zero(2)
     with pytest.raises(ValueError):
         ad_power(V, W, -1)
 
@@ -297,16 +300,17 @@ def test_compile_field_matches_eval(bhw_model):
     xs = rng.uniform(-2, 2, (50, 2))
     batched = f(xs)
     for x, row in zip(xs, batched):
-        assert np.allclose(row, bhw_model.drift.eval(x), atol=1e-12)
+        assert np.allclose(row, np.array(bhw_model.drift.eval_exact(x), float), atol=1e-12)
     # single-point call
-    assert np.allclose(f(xs[0]), bhw_model.drift.eval(xs[0]), atol=1e-12)
+    assert np.allclose(f(xs[0]), np.array(bhw_model.drift.eval_exact(xs[0]), float),
+                       atol=1e-12)
 
 
 def test_compile_jacobian_matches_symbolic(bhw_model):
     jf = compile_jacobian(bhw_model.drift)
     J = jacobian(bhw_model.drift)
     x = np.array([0.7, -1.3])
-    expected = [[J[i][j].eval(x) for j in range(2)] for i in range(2)]
+    expected = [[float(J[i][j].eval_exact(x)) for j in range(2)] for i in range(2)]
     assert np.allclose(jf(x), expected, atol=1e-12)
 
 
