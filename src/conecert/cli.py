@@ -5,7 +5,7 @@ Exit codes: 0 success / positive verdict, 2 input error, 3 hypothesis
 unmet or inconclusive verdict, 1 internal error.
 
 Each command imports the modules it runs, so `--help`, an argparse
-error or an exact-algebra command never loads scipy.
+error, an exact-algebra command or `verify` never loads scipy.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Paths are frozen on first exit from the stopping ball; the fraction of
 unstopped paths landing in a small ball around the target, with a
 Clopper-Pearson lower confidence bound, corroborates (never proves) a
-positivity verdict.
+positivity verdict.  The bound is a binomial quantile: bisection on p
+of the regularized incomplete beta function I_p(k, n-k+1), which is
+evaluated by its continued fraction (Numerical Recipes 6.4, modified
+Lentz method), so this module needs no scipy.
 
 Each block of _CHUNK paths has its own Philox stream, from which every
 step draws that step's normals, so memory grows with the number of
@@ -16,10 +19,10 @@ is also the finiteness test: NaN and inf never land inside the ball.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
 
 from .models import ModelError, ModelSpec
 from .polyfield import compile_field
@@ -42,6 +45,8 @@ class SimConfig:
         for name, v in (("t", self.t), ("dt", self.dt), ("delta", self.delta)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
@@ -79,10 +84,75 @@ class PositivityEvidence:
 
 
 def clopper_pearson_lower(hits: int, n: int, confidence: float = 0.99) -> float:
-    """One-sided lower confidence bound on a binomial proportion."""
-    if hits <= 0:
+    """One-sided lower confidence bound on a binomial proportion: the p at
+    which I_p(hits, n - hits + 1) = 1 - confidence."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (isinstance(hits, numbers.Integral) and 0 <= hits <= n):
+        raise ValueError(f"hits must be an integer in [0, n={n}], got {hits!r}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    if hits == 0:
         return 0.0
-    return float(beta.ppf(1.0 - confidence, hits, n - hits + 1))
+    a, b, alpha = int(hits), int(n - hits + 1), 1.0 - confidence
+    # I_p rises from 0 to 1 on [0, 1]: halve [lo, hi] until no double lies inside
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _beta_inc(a, b, mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+_CF_TERMS = 1000  # the fraction converges in under 200 terms for n up to 1e12
+_TINY = 1e-300  # stands in for a zero denominator in Lentz's method
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _stirling_tail(x):
+    """log Gamma(x) - ((x - 1/2) log x - x + log(2 pi)/2), to 2e-14 for x >= 10."""
+    return sum(c / x ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+
+
+def _log_beta(a, b):
+    """log B(a, b).  For b >= 10, log Gamma(a+b) - log Gamma(b) is expanded
+    by Stirling's series, so its two ~b log b halves never cancel in
+    floating point (with lgamma alone, the bound for 3 hits in 10**6 is
+    off by 5e-10 relative)."""
+    a, b = min(a, b), max(a, b)
+    if b < 10:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_rising = (a * math.log(a + b) + (b - 0.5) * math.log1p(a / b) - a
+                  + _stirling_tail(a + b) - _stirling_tail(b))
+    return math.lgamma(a) - log_rising
+
+
+def _beta_inc(a, b, x):
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1.  The continued
+    fraction converges fast below (a+1)/(a+b+2); above it, I_x(a, b) is
+    1 - I_{1-x}(b, a)."""
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _beta_cf(a, b, x):
+    """The continued fraction of I_x(a, b) (Numerical Recipes 6.4), by the
+    modified Lentz method."""
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1) or _TINY)
+    h = d
+    for m in range(1, _CF_TERMS):
+        for term in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + term * d or _TINY)
+            c = 1.0 + term / c or _TINY
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

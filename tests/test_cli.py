@@ -270,6 +270,12 @@ def test_malformed_inputs_exit_two(argv):
     assert _exit_code(argv) == 2
 
 
+def test_verify_seed_past_philox_key_exits_two(capsys):
+    argv = ["verify", *LANGEVIN, "--t", "1", "--paths", "64", "--seed", str(10**42)]
+    assert _exit_code(argv) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 # any finite float, tiny or huge
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 EXIT_CODES = {0, 2, 3}  # never 1, the internal-error code
@@ -320,7 +326,8 @@ def test_bracket_spectral_atom_never_internal_error(before, atom, after):
 
 
 # Each command imports what it runs: the exact-algebra commands, --help and
-# argparse errors load no scipy, and a direct reach no scipy.stats.
+# argparse errors load no scipy, a direct reach no scipy.stats, and verify
+# no scipy module at all.
 SCIPY_HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.stats")
 SRC = str(Path(conecert.__file__).resolve().parents[1])
 
@@ -364,3 +371,9 @@ def test_direct_reach_loads_no_scipy_stats():
     modules = _loaded_after(["reach", *LANGEVIN, "--t", "1", "--pieces", "4"])
     assert "conecert.reach" in modules
     assert _under(modules, ["scipy.stats"]) == []
+
+
+def test_verify_loads_no_scipy():
+    modules = _loaded_after(["verify", *LANGEVIN, "--t", "1", "--paths", "64"])
+    assert "conecert.montecarlo" in modules
+    assert _under(modules, ["scipy"]) == []

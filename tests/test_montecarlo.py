@@ -51,6 +51,8 @@ def test_simconfig_validation():
     ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
     ("n_ball", float("nan")), ("n_ball", 0.05),
     ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
+    # Philox keys are integers in [0, 2**128)
+    ("seed", -1), ("seed", 2**128), ("seed", 10**42), ("seed", 1.5), ("seed", "0"),
 ])
 def test_simconfig_rejects_bad_sizes(field, value):
     kwargs = dict(t=1.0, dt=1e-3, n_ball=10, n_paths=10, seed=0,
@@ -58,6 +60,12 @@ def test_simconfig_rejects_bad_sizes(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=rf"^{field} "):
         SimConfig(**kwargs)
+
+
+def test_simconfig_accepts_the_largest_philox_key():
+    cfg = SimConfig(t=0.1, dt=1e-3, n_ball=10, n_paths=10, seed=2**128 - 1,
+                    z=np.zeros(2), delta=0.1)
+    assert simulate(brownian2d(), np.zeros(2), cfg).n_paths == 10
 
 
 def test_simconfig_default_dt():
@@ -83,6 +91,43 @@ def test_clopper_pearson_matches_beta_quantile():
 def test_clopper_pearson_monotone_in_hits():
     lows = [clopper_pearson_lower(h, 1000) for h in (1, 5, 20, 100)]
     assert lows == sorted(lows)
+
+
+def _cp_grid():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 10, 100, 2048, 10**4, 2 * 10**4, 10**5, 10**6):
+        ks = {1, 2, 3, n // 3, n // 2, n - 1, n, *rng.integers(1, n + 1, 5).tolist()}
+        for k in sorted(k for k in ks if 1 <= k <= n):
+            yield k, n, 0.99
+        for confidence in (0.95, 0.999):
+            yield n // 2 or 1, n, confidence
+            yield 1, n, confidence
+
+
+def test_clopper_pearson_matches_scipy_on_a_grid():
+    for k, n, confidence in _cp_grid():
+        low = clopper_pearson_lower(k, n, confidence)
+        assert low == pytest.approx(beta.ppf(1 - confidence, k, n - k + 1),
+                                    rel=1e-9, abs=0), (k, n, confidence)
+        assert 0 < low < k / n
+
+
+@pytest.mark.parametrize("hits,n,confidence", [
+    (5, 3, 0.99),     # more hits than trials
+    (-1, 10, 0.99),   # negative hits
+    (1.5, 10, 0.99),  # fractional hits
+    (1, 0, 0.99),     # no trials
+    (0, 0, 0.99),
+    (1, 2.5, 0.99),   # fractional trials
+    (1, 10, 1.5),    # confidence outside (0, 1)
+    (1, 10, 1.0),
+    (1, 10, 0.0),
+    (1, 10, -0.5),
+    (1, 10, float("nan")),
+])
+def test_clopper_pearson_rejects_bad_inputs(hits, n, confidence):
+    with pytest.raises(ValueError):
+        clopper_pearson_lower(hits, n, confidence)
 
 
 # -- simulation oracles -----------------------------------------------

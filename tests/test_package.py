@@ -75,6 +75,46 @@ def test_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+def test_montecarlo_loads_no_scipy():
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import conecert.montecarlo; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """The scipy modules a module imports when it is itself imported;
+    imports inside a function body are deferred and not listed."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(name for name in found if name.split(".")[0] == "scipy")
+
+
+def test_scipy_import_check_skips_deferred_imports():
+    assert module_level_scipy_imports(
+        "import scipy.linalg, json\n"
+        "if True:\n    from scipy.stats import beta\n"
+        "def f():\n    from scipy.stats import qmc\n"
+        "from .models import ModelSpec\n") == ["scipy.linalg", "scipy.stats"]
+
+
+def test_only_equilibria_and_reach_import_scipy_on_load():
+    found = {path.stem: module_level_scipy_imports(path.read_text())
+             for path in PACKAGE_DIR.glob("*.py")}
+    assert {stem: names for stem, names in found.items() if names} == {
+        "equilibria": ["scipy.optimize"], "reach": ["scipy.optimize"]}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never references.  `from __future__`
     imports and import statements marked `# noqa: F401` are exempt."""
