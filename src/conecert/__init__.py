@@ -67,7 +67,6 @@ _EXPORTS = {
         "ControlPath",
         "FlowDivergenceError",
         "FlowResult",
-        "GramianError",
         "ReachabilityCertificate",
         "SynthesisError",
         "certify",

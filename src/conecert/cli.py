@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ModelError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, ModelError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # stable CI contract: crashes exit 1

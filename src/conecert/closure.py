@@ -261,13 +261,17 @@ class ConeSpan:
 def compute_C(
     model: ModelSpec, max_rounds: int = 12, combo_budget: int = 1
 ) -> ConeSpan:
-    """Iterate closure rounds to fixpoint (of this enumeration) or the
-    round limit.  Even generators are reported modulo the odd span."""
+    """Iterate closure rounds to fixpoint (of this enumeration), to an odd
+    span of rank d, or to the round limit.  Even generators are reported
+    modulo the odd span."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = closure_init(model)
     exhausted = False
     for _ in range(max_rounds):
+        if state.odd_span.rank == model.d:  # the cone is R^d: no round changes it
+            exhausted = True
+            break
         state = closure_step(state, combo_budget)
         if not state.last_round_added:
             exhausted = True

@@ -111,6 +111,8 @@ def model_from_json(data: dict) -> ModelSpec:
     for key in ("name", "d", "drift", "noise"):
         if key not in data:
             raise ModelError(f"model JSON missing field {key!r}")
+    if not isinstance(data["name"], str):
+        raise ModelError(f"name must be a string, got {data['name']!r}")
     d = _positive_int(data, "d")
     try:
         drift = field_from_json(data["drift"], d)

@@ -12,14 +12,18 @@ One forward RK4 pass yields the state and, in the same stages, either
 the Gramian, from the Lyapunov equation dM/ds = A M + M A^T + B B^T, or
 the sensitivities of the terminal state to the control values, from
 dS/ds = A S + B E_p (E_p selects the active piece p), with
-A = DX0(Phi_s) and M_0 = S_0 = 0.
+A = DX0(Phi_s) and M_0 = S_0 = 0.  A pass whose state or matrix is
+not finite raises FlowDivergenceError.
 
 `certify` takes one route whatever the query.  Membership yields the
 target of the transit from x: z itself, or the equilibrium y of a chain
 x -> y -> z, after which the control dwells at y for a quarter of t and
-a final leg of half the rest steers to z.  Twist waypoints, leg synthesis and the Gramian then run the same
-way for both.  The twist stage and `k_rank` share one bracket-rank
-routine, `closure.bracket_rank`.
+a final leg of half the rest steers to z.  Twist waypoints, leg
+synthesis and the Gramian then run the same way for both.  Each leg is
+accepted on the solver's own sensitivity flow, and the next leg starts
+from that flow's terminal state; the refined flow of the whole path
+alone decides the terminal error and the Gramian.  The twist stage and
+`k_rank` share one bracket-rank routine, `closure.bracket_rank`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .polyfield import compile_field, compile_jacobian, lie_bracket  # noqa: F40
 
 class FlowDivergenceError(RuntimeError):
     def __init__(self, time: float):
-        super().__init__(f"flow diverged (non-finite state) at time {time:.6g}")
+        super().__init__(f"flow diverged (non-finite state or matrix) at time {time:.6g}")
         self.time = time
 
 
@@ -198,6 +202,9 @@ def _integrate_once(model, x, control, n_steps, carry=None):
                     raise FlowDivergenceError(s)
                 times.append(s)
                 states.append(state)
+    # a non-finite entry of Y stays non-finite under the RK4 update
+    if Y is not None and not np.all(np.isfinite(Y)):
+        raise FlowDivergenceError(s)
 
     return FlowResult(
         times=np.array(times),
@@ -240,10 +247,6 @@ def _rk4_step(f, x, forcing, h, Jf=None, Y=None, G=None, lyapunov=False):
 # Gramian.
 
 
-class GramianError(RuntimeError):
-    """The Gramian integrated along the flow is not finite."""
-
-
 def gramian(flow: FlowResult, model: ModelSpec) -> tuple[np.ndarray, float]:
     """Deterministic Malliavin matrix M_t = int_0^t J_{s,t} B B^T J_{s,t}^T ds,
     as integrated along the flow, and its smallest singular value."""
@@ -252,8 +255,6 @@ def gramian(flow: FlowResult, model: ModelSpec) -> tuple[np.ndarray, float]:
         return np.zeros((d, d)), 0.0
     if flow.M is None:
         raise ValueError("flow was integrated without its Gramian (with_jacobian=False)")
-    if not np.all(np.isfinite(flow.M)):
-        raise GramianError("non-finite Gramian along the flow")
     M = 0.5 * (flow.M + flow.M.T)
     sigma_min = float(np.linalg.svd(M, compute_uv=False)[-1])
     return M, sigma_min
@@ -303,11 +304,12 @@ def synthesize_leg(
     pieces: int = 6,
     seed: int = 0,
     n_steps: int = 600,
-) -> ControlPath:
+) -> tuple[ControlPath, np.ndarray]:
     """Piecewise-constant control steering frm to within _eps_reach(to)
     of to over t_leg, found by damped least squares on the terminal error
-    with the variational flow supplying gradients.  Raises SynthesisError
-    after _SYNTHESIS_STARTS starts."""
+    with the variational flow supplying gradients, and the n_steps
+    terminal state it reaches.  The leg is accepted on the solver's own
+    flow.  Raises SynthesisError after _SYNTHESIS_STARTS starts."""
     if t_leg <= 0:
         raise ValueError("t_leg must be positive")
     if pieces < 2:
@@ -324,7 +326,8 @@ def synthesize_leg(
     # constant control (to - frm)/t is already exact
     if model.drift.is_zero() and np.linalg.matrix_rank(B) == model.d:
         u, _, _, _ = np.linalg.lstsq(B, (to - frm) / t_leg, rcond=None)
-        return ControlPath.uniform(t_leg, np.tile(u, (pieces, 1)))
+        control = ControlPath.uniform(t_leg, np.tile(u, (pieces, 1)))
+        return control, _integrate_once(model, frm, control, n_steps).terminal
 
     ridge = 1e-6
 
@@ -361,19 +364,13 @@ def synthesize_leg(
                 residual, u0, jac=jac, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
                 max_nfev=200,
             )
+            terminal = flow_at(sol.x)[0]
         except FlowDivergenceError:
             continue
-        control = pack(sol.x)
-        try:
-            check = integrate_flow(
-                model, frm, control, n_steps=2 * n_steps, with_jacobian=False
-            )
-        except FlowDivergenceError:
-            continue
-        err = float(np.linalg.norm(check.terminal - to))
+        err = float(np.linalg.norm(terminal - to))
         best_err = min(best_err, err)
         if err <= eps_reach:
-            return control
+            return pack(sol.x), terminal
     raise SynthesisError(
         f"no control found steering {frm} to {to} in t={t_leg}"
         f" (best terminal error {best_err:.3g} > {eps_reach:.3g})"
@@ -554,15 +551,12 @@ def certify(
     current = x
     try:
         for waypoint in waypoints:
-            leg = _synthesize_escalating(model, current, waypoint, t_leg, options)
+            leg, current = _synthesize_escalating(model, current, waypoint, t_leg, options)
             controls.append(leg)
-            current = integrate_flow(
-                model, current, leg, n_steps=options.n_steps, with_jacobian=False
-            ).terminal
         if via:
             dwell = (sum(c.horizon for c in controls), t_dwell)
             controls.append(ControlPath.constant(t_dwell, _equilibrium_control(model, current)))
-            controls.append(_synthesize_escalating(model, current, z, t_final, options))
+            controls.append(_synthesize_escalating(model, current, z, t_final, options)[0])
     except SynthesisError as exc:
         return _inconclusive(model, x, z, t, "synthesis", str(exc), waypoints)
 
@@ -575,7 +569,7 @@ def certify(
             refine=True, with_jacobian=True,
         )
         M, sigma_min = gramian(flow, model)
-    except (FlowDivergenceError, GramianError) as exc:
+    except FlowDivergenceError as exc:
         return _inconclusive(model, x, z, t, "gramian", str(exc), waypoints)
 
     rank = k_rank(flow, model)

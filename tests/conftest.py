@@ -66,6 +66,7 @@ GOOD_MODEL_JSON = {"name": "m", "d": 1, "drift": [[{"coeff": "-1/1", "exps": [1]
 
 MALFORMED_MODELS = {
     "not_an_object": 5,
+    "name_not_a_string": {**GOOD_MODEL_JSON, "name": ["x"]},
     "d_string": {**GOOD_MODEL_JSON, "d": "x"},
     "d_zero": {**GOOD_MODEL_JSON, "d": 0, "drift": [], "noise": []},
     "d_fractional": {**GOOD_MODEL_JSON, "d": 1.7},

@@ -60,9 +60,14 @@ def test_malformed_model_file_is_input_error(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"name": "x", "d": 1}))
     assert main(["analyze", "--model", str(bad2)]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xe9"}')
+    assert main(["analyze", "--model", str(latin1)]) == 2
+    assert main(["analyze", "--model", str(tmp_path)]) == 2
+    assert main(["analyze", "--builtin", "bhw", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("name", ["d_string", "drift_div_zero"])
+@pytest.mark.parametrize("name", ["name_not_a_string", "d_string", "drift_div_zero"])
 def test_malformed_model_values_exit_two(tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED_MODELS[name]))
@@ -178,6 +183,13 @@ def test_reach_membership_failure_exit_three(capsys):
     ])
     assert code == 3
     assert "membership" in capsys.readouterr().out
+
+
+def test_reach_diverging_synthesis_exit_three(capsys):
+    # over t = 1e6 every synthesis start's sensitivities overflow
+    argv = ["reach", *LANGEVIN, "--t", "1e6", "--pieces", "2"]
+    assert main(argv) == 3
+    assert "inconclusive at stage synthesis" in capsys.readouterr().out
 
 
 def test_reach_overflowing_difference_warns_nothing():

@@ -96,6 +96,16 @@ def test_burgers_closure_golden():
     assert hashlib.sha256(report.encode()).hexdigest() == BURGERS_CLOSURE_SHA256
 
 
+def test_burgers_closure_stops_at_full_odd_rank():
+    # round 3 brings the odd span to rank 96; no later round can change the cone
+    golden = compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0).to_json()
+    cone = compute_C(get_builtin("burgers"), combo_budget=0)
+    assert cone.rounds == 3 and cone.exhausted
+    report = cone.to_json()
+    for key in ("odd_basis", "even_generators", "derivations"):
+        assert report[key] == golden[key]
+
+
 # sha256 of the model JSON: every drift term and coefficient of the truncation
 BURGERS_SPEC_SHA256 = "0890a0bc01005d7bbb3bc7b39b6d8eb653de1013bafa7c49d1ba30436e2cc16d"
 # N=3 (d=192), nu=1/2, forced incompressible and compressible modes (r=6)

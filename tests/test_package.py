@@ -24,8 +24,8 @@ PUBLIC = {
     "polyfield": ["NO_DEGREE", "Polynomial", "PolyVectorField", "ad_power", "lie_bracket",
                   "relative_degree"],
     "reach": ["CertifyOptions", "ControlPath", "FlowDivergenceError", "FlowResult",
-              "GramianError", "ReachabilityCertificate", "SynthesisError", "certify",
-              "gramian", "gramian_threshold", "integrate_flow", "k_rank", "synthesize_leg"],
+              "ReachabilityCertificate", "SynthesisError", "certify", "gramian",
+              "gramian_threshold", "integrate_flow", "k_rank", "synthesize_leg"],
 }
 SUBMODULES = ["brackets", "cli", *PUBLIC]
 PACKAGE_DIR = Path(conecert.__file__).resolve().parent

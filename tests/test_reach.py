@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conecert import reach
 from conecert.closure import choose_basis, compute_C, d_membership
 from conecert.models import ModelSpec, get_builtin, langevin
 from conecert.polyfield import Polynomial, PolyVectorField
@@ -126,6 +127,17 @@ def test_flow_divergence_detected():
     with pytest.raises(FlowDivergenceError) as exc_info:
         integrate_flow(m, np.array([2.0]), ControlPath.zero(1.0, 1), n_steps=4000)
     assert 0 < exc_info.value.time <= 1.0
+
+
+def test_flow_divergence_in_carried_matrix_detected():
+    # over t = 1e6 langevin's state stays finite at zero control, but its
+    # control sensitivities overflow
+    m = get_builtin("langevin")
+    control = ControlPath.uniform(1e6, np.zeros((2, 1)))
+    assert np.all(np.isfinite(integrate_flow(m, [0.0, 0.0], control, n_steps=600,
+                                             with_jacobian=False).terminal))
+    with pytest.raises(FlowDivergenceError, match="non-finite state or matrix"):
+        _terminal_and_jac(m, np.zeros(2), control, 600)
 
 
 def test_refine_halves_until_converged():
@@ -251,16 +263,26 @@ def test_k_rank_consistency_with_gramian():
 
 def test_synthesis_elliptic_shortcut_exact():
     m = elliptic_model()
-    control = synthesize_leg(m, [0.0, 0.0], [1.0, -2.0], 1.0)
+    control, _ = synthesize_leg(m, [0.0, 0.0], [1.0, -2.0], 1.0)
     flow = integrate_flow(m, np.zeros(2), control, with_jacobian=False)
     assert np.allclose(flow.terminal, [1.0, -2.0], atol=1e-12)
 
 
 def test_synthesis_langevin_leg():
     m = get_builtin("langevin")
-    control = synthesize_leg(m, [0.0, 0.0], [1.0, 0.0], 1.0, seed=0)
+    control, _ = synthesize_leg(m, [0.0, 0.0], [1.0, 0.0], 1.0, seed=0)
     flow = integrate_flow(m, np.zeros(2), control, n_steps=2000, with_jacobian=False)
     assert np.linalg.norm(flow.terminal - [1.0, 0.0]) < 1e-5 * 2.0
+
+
+@pytest.mark.parametrize("m", [get_builtin("langevin"), elliptic_model()],
+                         ids=["langevin", "elliptic"])
+def test_synthesis_terminal_is_the_n_step_flow(m):
+    # the returned terminal is where certify starts the next leg: the
+    # carry-free n_steps flow of the returned control, bit for bit
+    control, terminal = synthesize_leg(m, [0.0, 0.0], [1.0, 0.0], 1.0, n_steps=300)
+    flow = integrate_flow(m, [0.0, 0.0], control, n_steps=300, with_jacobian=False)
+    assert np.array_equal(terminal, flow.terminal)
 
 
 def test_synthesis_variational_gradient_matches_fd():
@@ -309,6 +331,24 @@ def test_certify_langevin_positive():
     assert cert.sigma_min > 0
     js = cert.to_json()
     assert js["verdict"] == "positive" and js["control"] is not None
+
+
+def test_certify_runs_one_carry_free_flow(monkeypatch):
+    # legs are accepted on the solver's sensitivity flow and the next leg
+    # starts from its terminal; only the refine's coarse pass skips the matrix
+    carries = []
+    original = reach._integrate_once
+
+    def counting(model, x, control, n_steps, carry=None):
+        carries.append(carry)
+        return original(model, x, control, n_steps, carry)
+
+    monkeypatch.setattr(reach, "_integrate_once", counting)
+    m = get_builtin("langevin")
+    cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1.0,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4))
+    assert cert.verdict == "positive"
+    assert carries.count(None) == 1 and carries[-1] == "gramian"
 
 
 def test_certify_membership_failure(bhw_model):
