@@ -26,6 +26,10 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_UNMET = 3
 
+# Largest `reach --pieces`.  Synthesis escalates a leg to 4x pieces, and
+# its least-squares Jacobian is dense in the 4 * pieces * r control values.
+MAX_PIECES = 64
+
 
 class InputError(ValueError):
     pass
@@ -49,13 +53,16 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
-def _above(kind, low):
-    """argparse type: a finite number of `kind` greater than `low`."""
+def _above(kind, low, high=math.inf):
+    """argparse type: a finite number of `kind` greater than `low` and at
+    most `high`."""
 
     def parse(text: str):
         value = kind(text)
         if not (math.isfinite(value) and value > low):
             raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
@@ -272,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
     p.add_argument("--t", type=_above(float, 0), required=True)
     p.add_argument("--via-equilibrium", action="store_true")
-    p.add_argument("--pieces", type=_above(int, 1), default=8)
+    p.add_argument("--pieces", type=_above(int, 1, MAX_PIECES), default=8,
+                   help=f"control pieces per leg, 2 to {MAX_PIECES}")
     p.add_argument("--seed", type=_above(int, -1), default=0)
     p.add_argument("--max-rounds", type=_above(int, 0), default=12)
     p.add_argument("--combo-budget", type=_above(int, -1), default=1)

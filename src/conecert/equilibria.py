@@ -9,6 +9,7 @@ noise span.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,10 @@ def find_equilibria(
         return P @ jac_fn(y)
 
     sampler = qmc.Sobol(d=model.d, seed=seed)
+    with warnings.catch_warnings():
+        # any n_starts is allowed; the balance of a power of 2 is not needed
+        warnings.filterwarnings("ignore", "The balance properties of Sobol", UserWarning)
+        unit_starts = sampler.random(n_starts)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     found: list[EquilibriumPoint] = []
@@ -113,7 +118,7 @@ def find_equilibria(
     # is skipped, and every solution is checked below, so no float fault is
     # an error here.
     with np.errstate(all="ignore"):
-        for start in lo + (hi - lo) * sampler.random(n_starts):
+        for start in lo + (hi - lo) * unit_starts:
             r0 = residual_fn(start)
             if not np.isfinite(r0 @ r0):
                 continue  # least_squares cannot start here

@@ -8,12 +8,15 @@ the rank of the noise-plus-first-bracket family along the trajectory)
 certifies strict positivity of the stopped transition density at the
 endpoint, for any stopping ball containing the whole path.
 
-One forward RK4 pass yields the state and, in the same stages, either
-the Gramian, from the Lyapunov equation dM/ds = A M + M A^T + B B^T, or
-the sensitivities of the terminal state to the control values, from
-dS/ds = A S + B E_p (E_p selects the active piece p), with
-A = DX0(Phi_s) and M_0 = S_0 = 0.  A pass whose state or matrix is
-not finite raises FlowDivergenceError.
+One forward RK4 pass yields the state and, from its stage points,
+either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
+B B^T, or the sensitivities of the terminal state to the control
+values, from dS/ds = A S + B E_p (E_p selects the active piece p), with
+A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop is plain RK4; the
+matrix advances a block of steps at a time, by each step's RK4
+propagator Phi_n, from the stage Jacobians of one kernel call per block
+(`_CarriedMatrix`), so its memory is bounded by a fixed byte budget.  A
+pass whose state or matrix is not finite raises FlowDivergenceError.
 
 `certify` takes one route whatever the query.  Membership yields the
 target of the transit from x: z itself, or the equilibrium y of a chain
@@ -138,7 +141,7 @@ def integrate_flow(
 ) -> FlowResult:
     """Fixed-step RK4 for the controlled flow; with_jacobian also
     integrates the Gramian dM/ds = A M + M A^T + B B^T from M_0 = 0,
-    A = DX0(Phi_s), in the same stages.
+    A = DX0(Phi_s), from the same stage points.
 
     With refine=True the step is halved until two successive refinements
     agree to refine_tol in relative terminal state.  Only the terminal
@@ -159,88 +162,165 @@ def integrate_flow(
     return result
 
 
+# Byte budget of one block's stage-Jacobian stack (block x 4 x d x d
+# floats): 512 steps at d = 2, 128 at d = 4, one step at d = 96.  The
+# block's other arrays take about twice as much again.  A larger budget
+# raised the peak memory of `conecert reach` and bought no speed.
+_BLOCK_BYTES = 1 << 16
+
+
+def _block_steps(d: int) -> int:
+    """RK4 steps per block of the carried matrix's pass."""
+    return max(1, _BLOCK_BYTES // (4 * d * d * 8))
+
+
 def _integrate_once(model, x, control, n_steps, carry=None):
-    """One RK4 pass over the control's grid.  carry selects a matrix Y
-    advanced in the same stages, dY/ds = A Y (+ Y A^T) + G_p from Y_0 = 0:
+    """One RK4 pass over the control's grid.  The state loop is plain
+    RK4; with carry, it also hands each step's four stage points to a
+    _CarriedMatrix, which advances a matrix Y with dY/ds = A Y (+ Y A^T)
+    + G_p, Y_0 = 0, once per block of steps:
     "gramian" gives M_t (G_p = B B^T, with the transpose term),
     "sensitivity" gives S_t = d(terminal)/d(control values), d x (pieces*r)
     (G_p = B in piece p's columns)."""
     d = model.d
     B = model.noise_matrix()
     f = compile_field(model.drift)
-    Jf = compile_jacobian(model.drift) if carry else None
-    n_pieces, r = control.values.shape
-    Y, drives = None, [None] * n_pieces
-    if carry == "gramian":
-        Y = np.zeros((d, d))
-        drives = [B @ B.T] * n_pieces
-    elif carry == "sensitivity":
-        Y = np.zeros((d, n_pieces * r))
-        drives = [np.zeros_like(Y) for _ in range(n_pieces)]
-        for p, G in enumerate(drives):
-            G[:, p * r : (p + 1) * r] = B
-    lyapunov = carry == "gramian"
+    counts = _steps_per_interval(control, n_steps)
+    times = np.empty(sum(counts) + 1)
+    states = np.empty((len(times), d))
+    times[0] = 0.0
+    states[0] = x
+    carried = _CarriedMatrix(model, control, len(times) - 1, carry) if carry else None
 
-    times = [0.0]
-    states = [x.copy()]
     state = x.copy()
     s = 0.0
+    i = 0
     # overflow in a step is diagnosed as divergence, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for (s0, s1), u, n_sub, G in zip(
+        for p, ((s0, s1), u, n_sub) in enumerate(zip(
             zip(control.breakpoints[:-1], control.breakpoints[1:]),
             control.values,
-            _steps_per_interval(control, n_steps),
-            drives,
-        ):
+            counts,
+        )):
             h = (s1 - s0) / n_sub
             forcing = B @ u if B.size else np.zeros(d)
             for _ in range(n_sub):
-                state, Y = _rk4_step(f, state, forcing, h, Jf, Y, G, lyapunov)
+                k1 = f(state) + forcing
+                x2 = state + 0.5 * h * k1
+                k2 = f(x2) + forcing
+                x3 = state + 0.5 * h * k2
+                k3 = f(x3) + forcing
+                x4 = state + h * k3
+                k4 = f(x4) + forcing
+                if carried is not None:
+                    carried.record(state, x2, x3, x4, h, p)
+                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 s += h
+                i += 1
                 if not np.all(np.isfinite(state)):
                     raise FlowDivergenceError(s)
-                times.append(s)
-                states.append(state)
-    # a non-finite entry of Y stays non-finite under the RK4 update
+                times[i] = s
+                states[i] = state
+        Y = carried.finish() if carried is not None else None
+    # a non-finite entry of Y stays non-finite under the propagators
     if Y is not None and not np.all(np.isfinite(Y)):
         raise FlowDivergenceError(s)
 
     return FlowResult(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         M=Y if carry == "gramian" else None,
         S=Y if carry == "sensitivity" else None,
     )
 
 
-def _rk4_step(f, x, forcing, h, Jf=None, Y=None, G=None, lyapunov=False):
-    """One RK4 step of the state and, when Jf is given, of the matrix Y
-    driven by A = Jf(stage state) at the same four stages."""
-    k1 = f(x) + forcing
-    x2 = x + 0.5 * h * k1
-    k2 = f(x2) + forcing
-    x3 = x + 0.5 * h * k2
-    k3 = f(x3) + forcing
-    x4 = x + h * k3
-    k4 = f(x4) + forcing
-    x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if Jf is None:
-        return x_new, None
-    A1, A2, A3, A4 = Jf(np.stack([x, x2, x3, x4]))
+class _CarriedMatrix:
+    """The Gramian or the sensitivities of one flow, advanced a block of
+    RK4 steps at a time.  Per block, one kernel call gives the stage
+    Jacobians A_n1..A_n4 of every step, and batched products give each
+    step's RK4 propagator Phi_n (the stage algebra of dY/ds = A Y from
+    Y_0 = I) and its increment from Y_0 = 0: Psi_n B for the
+    sensitivities, the Lyapunov increment C_n for the Gramian.  Then
+    S <- Phi_n S + Psi_n B E_p, or M <- Phi_n M Phi_n^T + C_n, step by
+    step."""
 
-    def rhs(A, Ys):
-        K = A @ Ys
+    def __init__(self, model, control: ControlPath, total_steps: int, carry: str):
+        d = model.d
+        self.jac = compile_jacobian(model.drift)
+        self.B = model.noise_matrix()
+        self.gramian = carry == "gramian"
+        block = min(total_steps, _block_steps(d))
+        self.stages = np.empty((block, 4, d))
+        self.h = np.empty(block)
+        self.piece = np.empty(block, dtype=np.intp)
+        self.n = 0
+        if self.gramian:
+            self.Y = np.zeros((d, d))
+            self.G = self.B @ self.B.T
+        else:
+            self.Y = np.zeros((d, control.values.size))
+            self.G = self.B
+
+    def record(self, x, x2, x3, x4, h, piece):
+        n = self.n
+        self.stages[n] = x, x2, x3, x4
+        self.h[n] = h
+        self.piece[n] = piece
+        self.n = n + 1
+        if self.n == len(self.stages):
+            self._advance()
+
+    def finish(self) -> np.ndarray:
+        if self.n:
+            self._advance()
+        return self.Y
+
+    def _advance(self):
+        n, self.n = self.n, 0
+        A = self.jac(self.stages[:n])
+        h = self.h[:n, None, None]
+        Phi = _propagators(A, h)
+        if self.gramian:
+            M = self.Y
+            for P, C in zip(Phi, _increments(A, h, self.G, lyapunov=True)):
+                M = P @ M @ P.T + C
+            self.Y = M
+        else:
+            S = self.Y
+            r = self.B.shape[1]
+            for P, F, p in zip(Phi, _increments(A, h, self.G), self.piece[:n]):
+                S = P @ S
+                S[:, p * r : (p + 1) * r] += F
+            self.Y = S
+
+
+def _propagators(A, h):
+    """RK4 propagators of dY/ds = A Y, one per step: the stage algebra
+    from Y_0 = I, with A (n, 4, d, d) the stage Jacobians and h (n, 1, 1)
+    the step sizes."""
+    eye = np.eye(A.shape[-1])
+    K1 = A[:, 0]
+    K2 = A[:, 1] @ (eye + 0.5 * h * K1)
+    K3 = A[:, 2] @ (eye + 0.5 * h * K2)
+    K4 = A[:, 3] @ (eye + h * K3)
+    return eye + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+
+
+def _increments(A, h, G, lyapunov=False):
+    """One RK4 step of dY/ds = A Y + G (A Y + Y A^T + G when lyapunov,
+    for symmetric G) from Y_0 = 0, per step: the forcing map applied to
+    G, or the Lyapunov increment."""
+
+    def rhs(Ak, Ys):
+        K = Ak @ Ys
         if lyapunov:
-            K += K.T  # A M + M A^T, as M stays exactly symmetric
-        K += G
-        return K
+            K = K + K.swapaxes(-1, -2)  # A Y + Y A^T, as Y stays exactly symmetric
+        return K + G
 
-    K1 = rhs(A1, Y)
-    K2 = rhs(A2, Y + 0.5 * h * K1)
-    K3 = rhs(A3, Y + 0.5 * h * K2)
-    K4 = rhs(A4, Y + h * K3)
-    return x_new, Y + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+    K2 = rhs(A[:, 1], 0.5 * h * G)
+    K3 = rhs(A[:, 2], 0.5 * h * K2)
+    K4 = rhs(A[:, 3], h * K3)
+    return (h / 6.0) * (G + 2 * K2 + 2 * K3 + K4)
 
 
 # --------------------------------------------------------------------
@@ -359,12 +439,16 @@ def synthesize_leg(
             u0 = np.zeros(pieces * r)
         else:
             u0 = rng.normal(scale=scale0 * start, size=pieces * r)
+        # the solver's own arithmetic can overflow (on a tiny t_leg, say);
+        # every leg is accepted on its terminal error below, so no float
+        # fault is an error here
         try:
-            sol = least_squares(
-                residual, u0, jac=jac, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
-                max_nfev=200,
-            )
-            terminal = flow_at(sol.x)[0]
+            with np.errstate(all="ignore"):
+                sol = least_squares(
+                    residual, u0, jac=jac, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
+                    max_nfev=200,
+                )
+                terminal = flow_at(sol.x)[0]
         except FlowDivergenceError:
             continue
         err = float(np.linalg.norm(terminal - to))

@@ -19,7 +19,7 @@ import conecert
 import conecert.montecarlo
 from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from test_closure import cross_model
-from conecert.cli import main
+from conecert.cli import MAX_PIECES, build_parser, main
 from conecert.closure import RationalSpan, primitive_direction
 from conecert.models import bhw, get_builtin, load_model, save_model
 
@@ -86,6 +86,14 @@ def test_equilibria_command(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "equilibrium point" in out
+
+
+def test_equilibria_warns_nothing():
+    # 3 starts is no power of 2, which scipy's Sobol sampler warns about
+    proc = _run_cli("equilibria", "--builtin", "bhw", "--box", "0,1;0,1", "--starts", "3")
+    assert proc.returncode == 0
+    assert "found 3 equilibrium point(s)" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_equilibria_overflowing_box_finds_none(capsys):
@@ -192,17 +200,38 @@ def test_reach_diverging_synthesis_exit_three(capsys):
     assert "inconclusive at stage synthesis" in capsys.readouterr().out
 
 
-def test_reach_overflowing_difference_warns_nothing():
-    # z - x overflows: never a member, and no RuntimeWarning on the way
-    proc = subprocess.run(
-        [sys.executable, "-m", "conecert.cli", "reach", "--builtin", "bhw",
-         "--from=-1e308,0", "--to=1e308,0.5", "--t", "1"],
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "conecert.cli", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
+
+
+def test_reach_overflowing_difference_warns_nothing():
+    # z - x overflows: never a member, and no RuntimeWarning on the way
+    proc = _run_cli("reach", "--builtin", "bhw", "--from=-1e308,0", "--to=1e308,0.5", "--t", "1")
     assert proc.returncode == 3
     assert "membership" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_reach_tiny_horizon_warns_nothing():
+    # at t = 1e-300 the least-squares solver's own arithmetic overflows
+    proc = _run_cli("reach", *LANGEVIN, "--t", "1e-300")
+    assert proc.returncode == 3
+    assert "inconclusive at stage synthesis" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
+def test_reach_pieces_capped_at_parsing(monkeypatch):
+    import conecert.reach
+
+    monkeypatch.setattr(conecert.reach, "certify",
+                        lambda *args, **kwargs: pytest.fail("a solve started"))
+    argv = ["reach", *LANGEVIN, "--t", "1", "--pieces"]
+    assert _exit_code([*argv, str(MAX_PIECES + 1)]) == 2
+    assert build_parser().parse_args([*argv, str(MAX_PIECES)]).pieces == MAX_PIECES
 
 
 def test_reach_dimension_mismatch(capsys):

@@ -1,6 +1,8 @@
 """Controlled flow, the Gramian and control sensitivities it carries,
 control synthesis, and the certificate pipeline."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.linalg import expm
 from conecert import reach
 from conecert.closure import choose_basis, compute_C, d_membership
 from conecert.models import ModelSpec, get_builtin, langevin
-from conecert.polyfield import Polynomial, PolyVectorField
+from conecert.polyfield import Polynomial, PolyVectorField, compile_field, compile_jacobian
 from conecert.reach import (
     CertifyOptions,
     ControlPath,
@@ -153,6 +155,165 @@ def test_refine_halves_until_converged():
         coarse.terminal - exact
     )
     assert np.allclose(fine.terminal, exact, atol=1e-9)
+
+
+# -- the blocked carried matrices against a stage-by-stage reference ---
+
+
+def stage_by_stage(model, x, control, n_steps, carry):
+    """Reference for `_integrate_once`'s carried matrix: the state and Y
+    advanced together one RK4 step at a time, the stage algebra of
+    dY/ds = A Y (+ Y A^T) + G_p applied to Y itself, with G_p = B B^T
+    for the Gramian and B in piece p's columns for the sensitivities."""
+    d, B = model.d, model.noise_matrix()
+    f, Jf = compile_field(model.drift), compile_jacobian(model.drift)
+    n_pieces, r = control.values.shape
+    lyapunov = carry == "gramian"
+    if lyapunov:
+        Y = np.zeros((d, d))
+        drives = [B @ B.T] * n_pieces
+    else:
+        Y = np.zeros((d, n_pieces * r))
+        drives = [np.zeros_like(Y) for _ in range(n_pieces)]
+        for p, G in enumerate(drives):
+            G[:, p * r : (p + 1) * r] = B
+    state = np.array(x, dtype=float)
+    states = [state]
+    for (s0, s1), u, n_sub, G in zip(
+        zip(control.breakpoints[:-1], control.breakpoints[1:]),
+        control.values, reach._steps_per_interval(control, n_steps), drives,
+    ):
+        h = (s1 - s0) / n_sub
+        forcing = B @ u
+        for _ in range(n_sub):
+            k1 = f(state) + forcing
+            x2 = state + 0.5 * h * k1
+            k2 = f(x2) + forcing
+            x3 = state + 0.5 * h * k2
+            k3 = f(x3) + forcing
+            x4 = state + h * k3
+            k4 = f(x4) + forcing
+            A1, A2, A3, A4 = Jf(np.stack([state, x2, x3, x4]))
+
+            def rhs(A, Ys):
+                K = A @ Ys
+                return (K + K.T if lyapunov else K) + G
+
+            K1 = rhs(A1, Y)
+            K2 = rhs(A2, Y + 0.5 * h * K1)
+            K3 = rhs(A3, Y + 0.5 * h * K2)
+            K4 = rhs(A4, Y + h * K3)
+            Y = Y + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(state)
+    return np.array(states), Y
+
+
+def carried(flow):
+    return flow.M if flow.M is not None else flow.S
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def random_flow(name, pieces, horizon=1.0, seed=8):
+    m = get_builtin(name)
+    rng = np.random.default_rng(seed)
+    control = ControlPath.uniform(horizon, rng.normal(scale=0.5, size=(pieces, m.r)))
+    return m, rng.normal(scale=0.4, size=m.d), control
+
+
+@pytest.mark.parametrize("carry", ["gramian", "sensitivity"])
+@pytest.mark.parametrize("name", ["langevin", "langevin2d", "bhw"])
+def test_carried_matrix_matches_stage_by_stage(name, carry):
+    # langevin2d's 600 steps span two blocks
+    m, x0, control = random_flow(name, pieces=5)
+    flow = reach._integrate_once(m, x0, control, 600, carry)
+    states, Y = stage_by_stage(m, x0, control, 600, carry)
+    assert np.array_equal(flow.states, states)
+    assert rel_diff(carried(flow), Y) <= 1e-10
+
+
+def test_burgers_carried_matrices_match_stage_by_stage():
+    # d = 96 takes one step a block
+    m, x0, control = random_flow("burgers", pieces=2, horizon=0.05)
+    flow = reach._integrate_once(m, x0, control, 8, "sensitivity")
+    states, S = stage_by_stage(m, x0, control, 8, "sensitivity")
+    assert np.array_equal(flow.states, states)
+    assert rel_diff(flow.S, S) <= 1e-10
+    # M <- Phi M Phi^T + C and RK4 of the Lyapunov equation are two fourth
+    # order schemes: at 8 steps of burgers' stiff modes they differ by
+    # 3e-8, less than either one's own error (5e-8 and 8e-8 against 1024
+    # steps), and the difference shrinks like h^4
+    diffs = [rel_diff(reach._integrate_once(m, x0, control, n, "gramian").M,
+                      stage_by_stage(m, x0, control, n, "gramian")[1]) for n in (8, 16)]
+    assert diffs[0] <= 1e-7 and diffs[1] <= diffs[0] / 12
+
+
+@pytest.mark.parametrize("carry", ["gramian", "sensitivity"])
+def test_blocks_do_not_change_the_carried_matrix(monkeypatch, carry):
+    m, x0, control = random_flow("langevin2d", pieces=5)
+    default = reach._integrate_once(m, x0, control, 600, carry)
+    assert reach._block_steps(m.d) < len(default.times) - 1
+    for steps in (7, 10_000):  # blocks that split a piece; one block for the flow
+        monkeypatch.setattr(reach, "_BLOCK_BYTES", steps * 4 * m.d * m.d * 8)
+        flow = reach._integrate_once(m, x0, control, 600, carry)
+        assert np.array_equal(flow.states, default.states)
+        assert rel_diff(carried(flow), carried(default)) <= 1e-14
+
+
+def peak_beyond_result(run):
+    """tracemalloc peak of run() less the arrays its FlowResult holds."""
+    tracemalloc.start()
+    try:
+        flow = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - flow.states.nbytes - flow.times.nbytes - carried(flow).nbytes
+
+
+def test_gramian_memory_does_not_grow_with_steps():
+    m = get_builtin("langevin2d")
+    control = ControlPath.uniform(1.0, np.full((2, m.r), 0.3))
+    reach._integrate_once(m, np.zeros(m.d), control, 8, "gramian")  # kernels built
+    short, long = (
+        peak_beyond_result(lambda: reach._integrate_once(m, np.zeros(m.d), control, n, "gramian"))
+        for n in (1000, 16000)
+    )
+    assert long <= short + 16 * 1024
+
+
+def test_sensitivity_memory_does_not_grow_as_pieces_squared():
+    m = get_builtin("langevin2d")
+    x0 = np.zeros(m.d)
+    reach._integrate_once(m, x0, ControlPath.zero(1.0, m.r), 8, "sensitivity")
+    extra = {}
+    for pieces in (4, 64):
+        control = ControlPath.uniform(1.0, np.full((pieces, m.r), 0.3))
+        extra[pieces] = peak_beyond_result(
+            lambda: reach._integrate_once(m, x0, control, 128, "sensitivity"))
+    # a few d x (pieces * r) copies of S, not one per piece
+    assert extra[64] - extra[4] <= 4 * m.d * 64 * m.r * 8
+
+
+@pytest.mark.parametrize("carry", ["gramian", "sensitivity"])
+def test_one_jacobian_call_per_block(monkeypatch, carry):
+    points = []
+    compile_table = reach.compile_jacobian
+
+    def counting(V):
+        jac = compile_table(V)
+        return lambda x: points.append(len(x)) or jac(x)
+
+    monkeypatch.setattr(reach, "compile_jacobian", counting)
+    m = get_builtin("langevin2d")
+    control = ControlPath.uniform(1.0, np.full((3, m.r), 0.3))
+    flow = reach._integrate_once(m, np.zeros(m.d), control, 2000, carry)
+    steps = len(flow.times) - 1
+    assert len(points) <= math.ceil(steps / reach._block_steps(m.d))
+    assert sum(points) == steps  # each step's four stages evaluated once
 
 
 # -- Gramian ----------------------------------------------------------
@@ -304,6 +465,15 @@ def test_synthesis_variational_gradient_matches_fd():
         fd = (terminal(u + e) - terminal(u - e)) / (2 * h)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(J[:, p] - fd) / denom < 1e-4
+
+
+def test_certify_tiny_horizon_inconclusive_at_synthesis():
+    # at t = 1e-300 the least-squares solver's own arithmetic overflows;
+    # the leg is refused on its terminal error, with no RuntimeWarning
+    m = get_builtin("langevin")
+    cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1e-300,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4))
+    assert (cert.verdict, cert.stage) == ("inconclusive", "synthesis")
 
 
 def test_synthesis_requires_control_directions():
