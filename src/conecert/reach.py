@@ -12,7 +12,9 @@ One forward RK4 pass yields the state and, from its stage points,
 either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
 B B^T, or the sensitivities of the terminal state to the control
 values, from dS/ds = A S + B E_p (E_p selects the active piece p), with
-A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop is plain RK4; the
+A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop is plain RK4, its
+stages evaluated by the kernel's single-point path (a state-only step
+takes about 25-45 us at d <= 4, a carried one about 30-60 us); the
 matrix advances a block of steps at a time, by each step's RK4
 propagator Phi_n, from the stage Jacobians of one kernel call per block
 (`_CarriedMatrix`), so its memory is bounded by a fixed byte budget.  A
@@ -21,12 +23,14 @@ pass whose state or matrix is not finite raises FlowDivergenceError.
 `certify` takes one route whatever the query.  Membership yields the
 target of the transit from x: z itself, or the equilibrium y of a chain
 x -> y -> z, after which the control dwells at y for a quarter of t and
-a final leg of half the rest steers to z.  Twist waypoints, leg
-synthesis and the Gramian then run the same way for both.  Each leg is
-accepted on the solver's own sensitivity flow, and the next leg starts
-from that flow's terminal state; the refined flow of the whole path
-alone decides the terminal error and the Gramian.  The twist stage and
-`k_rank` share one bracket-rank routine, `closure.bracket_rank`.
+a final leg of half the rest steers to z.  Every such chain puts z in
+x's own region, so a via-equilibrium target outside it is refused
+before the equilibrium search.  Twist waypoints, leg synthesis and the
+Gramian then run the same way for both.  Each leg is accepted on the
+solver's own sensitivity flow, and the next leg starts from that flow's
+terminal state; the refined flow of the whole path alone decides the
+terminal error and the Gramian.  The twist stage and `k_rank` share one
+bracket-rank routine, `closure.bracket_rank`.
 """
 
 from __future__ import annotations
@@ -217,13 +221,13 @@ def _integrate_once(model, x, control, n_steps, carry=None):
                 state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 s += h
                 i += 1
-                if not np.all(np.isfinite(state)):
+                if not np.isfinite(state).all():
                     raise FlowDivergenceError(s)
                 times[i] = s
                 states[i] = state
         Y = carried.finish() if carried is not None else None
     # a non-finite entry of Y stays non-finite under the propagators
-    if Y is not None and not np.all(np.isfinite(Y)):
+    if Y is not None and not np.isfinite(Y).all():
         raise FlowDivergenceError(s)
 
     return FlowResult(
@@ -515,6 +519,10 @@ class CertifyOptions:
 _TWIST_BUDGET = 12  # waypoint sets tried before the twist stage gives up
 _DWELL_FRAC = 0.25  # share of t spent at the equilibrium
 _SEARCH_BOX_PAD = 3.0  # the equilibrium search box is the x-z box grown by this
+_NO_CHAIN = (
+    "no equilibrium chains x to z through the positivity regions"
+    " with a nondegenerate bracket family along the way"
+)
 
 
 def _inconclusive(model, x, z, t, stage, detail, waypoints=()):
@@ -585,6 +593,16 @@ def certify(
 
     # --- membership stage: candidate transit targets and their coefficients
     if via:
+        # A chain x -> y -> z needs positive one-sided coefficients of y - x
+        # and of z - y.  They are linear in the exact differences, and
+        # Fraction(z) - Fraction(x) = (y - x) + (z - y), so z lies in x's
+        # own region: a target outside it is refused before any search.  A
+        # float z - x that overflows is never a member, yet may still chain.
+        if not d_membership(basis, x, z)[0]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(z - x).all()
+            if finite:
+                return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
         if options.equilibrium is not None:
             equilibria = [options.equilibrium]
         else:
@@ -613,11 +631,7 @@ def certify(
             break
     else:
         if via:
-            return _inconclusive(
-                model, x, z, t, "membership",
-                "no equilibrium chains x to z through the positivity regions"
-                " with a nondegenerate bracket family along the way",
-            )
+            return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
         return _inconclusive(
             model, x, z, t, "twist",
             f"bracket family rank < d after {_TWIST_BUDGET} waypoint sets",

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import conecert
 from conftest import constant_vectors
+from conecert import closure
 from conecert.closure import (
     BasisSelectionError,
     PositivityBasis,
@@ -33,7 +34,7 @@ from conecert.closure import (
     verify_derivations,
 )
 from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_double_well
-from conecert.polyfield import Polynomial, PolyVectorField
+from conecert.polyfield import Polynomial, PolyVectorField, compile_field
 
 F = Fraction
 SRC = str(Path(conecert.__file__).resolve().parents[1])
@@ -229,6 +230,35 @@ def test_combinations_add_a_direction():
     assert verify_derivations(model, cone)
 
 
+def test_burgers_closure_finishes_at_defaults():
+    # rounds without combinations reach odd rank 96 in three rounds, so
+    # the combination round, which alone took minutes, never runs
+    cone = compute_C(get_builtin("burgers"))
+    assert (cone.rounds, cone.exhausted, len(cone.odd_basis)) == (3, True, 96)
+
+
+# sha256 of the sorted-key JSON report at budgets 1 and 2, which running
+# the rounds without combinations first must leave as it was
+@pytest.mark.parametrize("name,budget,digest", [
+    ("langevin", 1, "71513d7e0605cc5d47dbe10ee4219f51c3059149e2caa339565ea4f5699997a3"),
+    ("langevin", 2, "71513d7e0605cc5d47dbe10ee4219f51c3059149e2caa339565ea4f5699997a3"),
+    ("langevin2d", 1, "0f98553f3e3e5ea5599f455cef5164c43a9b0e4ffa2a4c8f6d771316ee77ac70"),
+    ("langevin2d", 2, "0f98553f3e3e5ea5599f455cef5164c43a9b0e4ffa2a4c8f6d771316ee77ac70"),
+    ("bhw", 1, "bf1f3d042125b6b5801842135d25f890c92eff9de4ad4eb3500e18a5317b86be"),
+    ("bhw", 2, "bf1f3d042125b6b5801842135d25f890c92eff9de4ad4eb3500e18a5317b86be"),
+    ("nonexample3d", 1, "920dda7bceeb0b35b6408ae17581ed50ce3e3143cfb4866357e8b008ab6a91ce"),
+    ("nonexample3d", 2, "920dda7bceeb0b35b6408ae17581ed50ce3e3143cfb4866357e8b008ab6a91ce"),
+    ("cross", 1, "f7c46626eea80519877a151fd7bfb1425108b08a99215e9c231f9236be6a3909"),
+    ("cross", 2, "61ddfd0ff9dbf92508f2e8fc33d9f82b1cf0aee75d5ef677f3e187ded76d9b90"),
+    ("quad", 1, "91c373e4aeb90b75e37ed1d449e4762c8be8deaffb993e04024ffdf1d897d38e"),
+    ("quad", 2, "91c373e4aeb90b75e37ed1d449e4762c8be8deaffb993e04024ffdf1d897d38e"),
+])
+def test_closure_report_goldens(name, budget, digest):
+    model = {"cross": cross_model, "quad": quad_model}.get(name, lambda: get_builtin(name))()
+    report = json.dumps(compute_C(model, combo_budget=budget).to_json(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_opposite_even_generators_are_two_sided():
     # the cone holds e3 and -e3, so e3 is a two-sided basis direction
     basis = choose_basis(compute_C(cross_model(), combo_budget=1))
@@ -342,6 +372,35 @@ def test_membership_matches_rational_oracle_inside_band(query):
     assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
 
 
+@st.composite
+def membership_chains(draw):
+    """A rational basis with at least one one-sided direction and points
+    x, y = x + B c1, z = y + B c2, some one-sided coefficients at or
+    within an ulp of zero."""
+    d = draw(st.integers(2, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    vectors = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+                   .filter(lambda vs: _det(vs) != 0))
+    k = draw(st.integers(0, d - 1))
+    B = np.array([[float(e) for e in v] for v in vectors]).T
+    coeff = st.one_of(st.floats(-1, 2), st.sampled_from([0.0, 1e-17, -1e-17, 1e-16]))
+    x = np.array(draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d)))
+    y = x + B @ np.array(draw(st.lists(coeff, min_size=d, max_size=d)))
+    z = y + B @ np.array(draw(st.lists(coeff, min_size=d, max_size=d)))
+    return PositivityBasis(vectors=[tuple(v) for v in vectors], k=k), x, y, z
+
+
+@given(membership_chains())
+@settings(max_examples=300, deadline=None)
+def test_membership_is_transitive(query):
+    # the exact one-sided coefficients are linear in the difference, and
+    # Fraction(z) - Fraction(x) = (y - x) + (z - y): certify refuses a
+    # via-equilibrium target outside x's own region on this
+    basis, x, y, z = query
+    if d_membership(basis, x, y)[0] and d_membership(basis, y, z)[0]:
+        assert d_membership(basis, x, z)[0]
+
+
 def test_membership_coefficients_bit_identical_at_d96():
     basis = choose_basis(compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0))
     assert basis.dim == 96
@@ -417,6 +476,25 @@ def test_twist_rank_bhw(bhw_model):
     assert not twist_rank_check(bhw_model, [np.array([3.0, 0.0])])
     assert bracket_rank(bhw_model, [[0.5, 1.0]]) == 2
     assert bracket_rank(bhw_model, [[3.0, 0.0], [0.0, 0.0]]) == 1
+
+
+def test_first_brackets_built_once(monkeypatch):
+    model = bhw(0, 0, 1, 3, 1)  # its own drift, so no earlier test filled the cache
+    calls = []
+    real = closure.lie_bracket
+    monkeypatch.setattr(closure, "lie_bracket", lambda V, W: calls.append(1) or real(V, W))
+    ranks = [bracket_rank(model, [[0.5, 1.0]]), bracket_rank(model, [[3.0, 0.0]])]
+    assert twist_rank_check(model, [np.array([0.5, 1.0])])
+    assert len(calls) == model.r
+    # the memoised fields are the exact brackets, evaluated as before
+    P = np.array([[0.5, 1.0], [3.0, 0.0], [-2.0, 0.25]])
+    fresh = np.hstack([model.noise_matrix()]
+                      + [compile_field(real(model.drift, X))(P).T for X in model.noise_fields()])
+    kept = np.hstack([model.noise_matrix()] + [
+        compile_field(V)(P).T for V in closure._first_brackets(model.drift, model.noise)
+    ])
+    assert np.array_equal(fresh, kept)
+    assert ranks == [2, 1]
 
 
 def test_twist_rank_noiseless_model():

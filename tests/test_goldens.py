@@ -5,17 +5,23 @@ that a rewrite of the numerics reproduces the values the library gave
 before it.  Monte Carlo counts are pinned exactly (the Philox streams
 are part of the reproducibility contract); certificate figures are
 pinned to a relative tolerance, since they rest on float quadrature.
-The exact closure is pinned by the hash of its JSON report.
+The exact closure is pinned by the hash of its JSON report, and the RK4
+flows bit for bit by the hash of their states and carried matrices.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import cubic_blowup
 
+import conecert
 from conecert import (
     CertifyOptions,
     SimConfig,
@@ -26,7 +32,11 @@ from conecert import (
     get_builtin,
     simulate,
 )
+from conecert.models import BUILTINS
 from conecert.montecarlo import _simulate_endpoints
+from conecert.polyfield import compile_field, compile_jacobian
+
+SRC = str(Path(conecert.__file__).resolve().parents[1])
 
 # (model, target, seed, stopping ball) -> (hits, stopped_fraction, nonfinite_paths)
 SIMULATE_GOLDENS = [
@@ -117,3 +127,66 @@ def test_burgers_spec_goldens():
     model = burgers(3, Fraction(1, 2), forced_sigma=[(1, 0)], forced_gamma=[(0, 1), (1, 1)])
     assert (model.d, model.r) == (192, 6)
     assert model.spec_hash() == BURGERS_N3_SPEC_SHA256
+
+
+# sha256 of the states, then M or S, of one RK4 pass at 600 steps under
+# a seeded 5-piece control; the same at 1 and 2 BLAS threads
+FLOW_DIGESTS = """
+import hashlib, json
+import numpy as np
+from conecert.models import get_builtin
+from conecert.reach import ControlPath, _integrate_once
+
+out = {}
+for name in ("langevin", "bhw", "nonexample3d"):
+    model = get_builtin(name)
+    rng = np.random.default_rng(5)
+    x = 0.3 * rng.normal(size=model.d)
+    control = ControlPath.uniform(1.0, rng.normal(size=(5, model.r)))
+    for carry in (None, "gramian", "sensitivity"):
+        flow = _integrate_once(model, x, control, 600, carry)
+        h = hashlib.sha256(flow.states.tobytes())
+        for Y in (flow.M, flow.S):
+            if Y is not None:
+                h.update(Y.tobytes())
+        out[f"{name}:{carry}"] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+FLOW_GOLDENS = {
+    "langevin:None": "0ac68831c937f1d504259f947ce96a0e792e681df43363bd1af24ecee03a06c8",
+    "langevin:gramian": "4749b4ee774457603d97258a1a134853184289c4a8ecb8dbbab03550e5f392c9",
+    "langevin:sensitivity": "b616c507e1f1807d36985a9abdff77f46b1636bd8a3a5d937866418b6ae256cf",
+    "bhw:None": "5d2082a30de1643508a15e74acd13b75c45b88478b60b471eba4063d836bce45",
+    "bhw:gramian": "ba1f7d6ad3389e4952ab25926b5db41439d2807ee2316c0b2a863e0b10873b03",
+    "bhw:sensitivity": "61863a5d7836d2920d350cc96c4b4b575fe074509394ff05177e00e553d3be0f",
+    "nonexample3d:None": "c94337c96e29cdf0ab5ed7879cbbc70169b64bfb0fc372d1a1a393bad65ed7d8",
+    "nonexample3d:gramian": "f2713ee4efc4e784920ce871a9cbdb4c0eb85c9b474108b0e5b76b45404df203",
+    "nonexample3d:sensitivity": "bc2192607b8d9efc37eabbaa487d3f8d2e4d2bd034d9f1d2d62194acfa57db1b",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_flow_goldens(threads):
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", FLOW_DIGESTS], capture_output=True,
+                          text=True, check=True, timeout=120, env=env)
+    assert json.loads(proc.stdout) == FLOW_GOLDENS
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_single_point_kernel_matches_batched_row(name):
+    model = get_builtin(name)
+    rng = np.random.default_rng(2)
+    P = rng.normal(scale=0.7, size=(3, model.d))
+    for kernel in (compile_field(model.drift), compile_jacobian(model.drift)):
+        rows = kernel(P)
+        for point, row in zip(P, rows):
+            first = kernel(point)
+            assert first.shape == row.shape and first.flags.writeable
+            assert np.linalg.norm(first - row) <= 1e-15 * np.linalg.norm(row)
+            expected = first.copy()
+            first[...] = np.nan  # a fresh array: writing to it touches no cached data
+            again = kernel(point)
+            assert not np.may_share_memory(again, first)
+            assert np.array_equal(again, expected)

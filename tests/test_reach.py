@@ -587,3 +587,39 @@ def test_certify_via_equilibrium_bhw(bhw_model):
     dwell_states = flow.states[mask]
     drift = np.ptp(dwell_states, axis=0)
     assert np.all(drift < 0.05)
+
+
+@pytest.mark.parametrize("x, z, searches, verdict", [
+    # outside x's own region, so no chain through an equilibrium reaches it
+    ([0.0, 0.0], [-1.0, 0.3], 0, "inconclusive"),
+    ([0.0, 0.0], [2.0, 1.0], 1, "positive"),
+    # z - x overflows: never a member, yet a chain is still looked for
+    ([-1e308, 0.0], [1e308, 0.5], 1, "inconclusive"),
+])
+def test_via_refusal_before_the_equilibrium_search(monkeypatch, bhw_model, x, z, searches,
+                                                   verdict):
+    calls = []
+    search = reach.find_equilibria
+    monkeypatch.setattr(reach, "find_equilibria",
+                        lambda *a, **k: calls.append(1) or search(*a, **k))
+    basis = choose_basis(compute_C(bhw_model))
+    cert = certify(bhw_model, basis, x, z, 1.0,
+                   CertifyOptions(via_equilibrium=True, seed=0, n_steps=200, pieces=4))
+    assert len(calls) == searches
+    assert cert.verdict == verdict
+    if verdict == "inconclusive":
+        assert (cert.stage, cert.detail) == ("membership", NO_CHAIN)
+
+
+def test_via_refusal_with_a_given_equilibrium(monkeypatch, bhw_model):
+    # (1/2, 1/2) is an equilibrium of bhw (x^2 = y^2), but z is outside x's region
+    chains = []
+    monkeypatch.setattr(reach, "iter_chains", lambda *a: chains.append(1) or iter(()))
+    ok, u, residual = reach.is_equilibrium(bhw_model, [0.5, 0.5])
+    assert ok
+    options = CertifyOptions(via_equilibrium=True,
+                             equilibrium=reach.EquilibriumPoint(np.array([0.5, 0.5]), u, residual))
+    basis = choose_basis(compute_C(bhw_model))
+    cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.3], 1.0, options)
+    assert (cert.verdict, cert.stage, cert.detail) == ("inconclusive", "membership", NO_CHAIN)
+    assert not chains
