@@ -5,11 +5,18 @@ A state y is an equilibrium when the drift at y can be cancelled
 exactly by a constant control in the noise directions; the optimal
 control is the least-squares projection of the negated drift onto the
 noise span.
+
+The multistart search draws its starts from a scrambled Sobol sequence,
+scipy's `qmc.Sobol(d, seed=seed).random(n)` bit for bit, computed here
+from the direction numbers scipy ships (`_sobol_starts`), so that the
+search does not load `scipy.stats`.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +83,6 @@ def find_equilibria(
     Returns verified points, deduplicated within 1e-6; an empty list is
     a valid outcome and claims nothing about nonexistence.
     """
-    from scipy.stats import qmc  # deferred: loading it loads all of scipy.stats
-
     if len(box) != model.d or any(hi <= lo for lo, hi in box):
         raise ValueError(f"degenerate box {box}")
     B = model.noise_matrix()
@@ -105,11 +110,7 @@ def find_equilibria(
     def residual_jac(y):
         return P @ jac_fn(y)
 
-    sampler = qmc.Sobol(d=model.d, seed=seed)
-    with warnings.catch_warnings():
-        # any n_starts is allowed; the balance of a power of 2 is not needed
-        warnings.filterwarnings("ignore", "The balance properties of Sobol", UserWarning)
-        unit_starts = sampler.random(n_starts)
+    unit_starts = _sobol_starts(model.d, n_starts, seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     found: list[EquilibriumPoint] = []
@@ -135,6 +136,56 @@ def find_equilibria(
             found.append(EquilibriumPoint(y=y, u=u, residual=resid))
     found.sort(key=lambda ep: (ep.residual, tuple(ep.y)))
     return found
+
+
+_SOBOL_BITS = 30
+
+
+@functools.lru_cache(maxsize=1)
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Primitive polynomials and initial direction numbers, one row per
+    dimension, as scipy ships them (Joe and Kuo's table)."""
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as table:
+        return table["poly"], table["vinit"]
+
+
+def _sobol_starts(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of scipy's scrambled Sobol sequence in d
+    dimensions at this seed, `qmc.Sobol(d, seed=seed).random(n)`: 30-bit
+    direction numbers (Bratley and Fox's recurrence), a random digital
+    shift and left matrix scrambles drawn from `default_rng(seed)`, and
+    the points in Gray-code order."""
+    poly, vinit = _sobol_table()
+    bits = _SOBOL_BITS
+    v = np.zeros((d, bits), dtype=np.int64)
+    v[0] = 1
+    for k in range(1, d):
+        p = int(poly[k])
+        m = p.bit_length() - 1
+        v[k, :m] = vinit[k, :m]
+        for j in range(m, bits):
+            new = v[k, j - m]
+            for i in range(m):
+                if (p >> (m - 1 - i)) & 1:
+                    new ^= v[k, j - i - 1] << (i + 1)
+            v[k, j] = new
+    msb_first = np.arange(bits - 1, -1, -1)
+    v <<= msb_first
+    rng = np.random.default_rng(seed)
+    draw = functools.partial(rng.integers, 2, dtype=np.uint32)  # scipy's draws
+    shift = draw(size=(d, bits)).astype(np.int64) @ (1 << np.arange(bits))
+    ltm = np.tril(draw(size=(d, bits, bits))).astype(np.int64)
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # scrambled direction number j of dimension k: bit row p of ltm[k]
+    # times v[k, j]'s bits, most significant first, over GF(2)
+    scrambled = ((v[:, :, None] >> msb_first) & 1) @ ltm.transpose(0, 2, 1) & 1
+    sv = (scrambled << msb_first).sum(axis=-1)
+    gray = np.arange(n) ^ (np.arange(n) >> 1)
+    q = np.tile(shift, (n, 1))
+    for b in range(bits):
+        q ^= np.where((gray >> b)[:, None] & 1 == 1, sv[:, b], 0)
+    return q * (1.0 / (1 << bits))
 
 
 def iter_chains(

@@ -4,7 +4,9 @@ Coefficients are rationals (`fractions.Fraction`) throughout, so parity
 decisions and zero tests are never contaminated by floating point.  All
 values are immutable after construction and every operation is a pure
 function.  Floats enter only through the compiled kernels at the end of
-the module (`compile_field`, `compile_jacobian`), the one float evaluator.
+the module (`compile_field`, `compile_jacobian`), the one float evaluator,
+and the RK4 step generated for a small drift (`compile_rk4_step`), which
+rounds as the kernel does.
 """
 
 from __future__ import annotations
@@ -465,8 +467,26 @@ def field_from_json(data: list[list[dict]], dim: int) -> PolyVectorField:
 # highest power first) padded with index dim, which addresses a constant
 # 1 appended to the point; all monomials are one gather and one product
 # over the slots, and the polynomials one dense coefficient matrix.  A
-# single point (each RK4 stage of a flow) takes a short path through the
-# same three operations, 3.5-5 us a call at d <= 4 against 8-9 us.
+# single point takes a short path through the same three operations,
+# about 3 us a call at d <= 4 with the vector-matrix product and 6.6 us
+# with the term-by-term sum below, against 8-9 us on the general path.
+#
+# The RK4 step of a drift of at most _STRAIGHT_LINE_TERMS terms is one
+# generated straight-line function on Python floats
+# (`_straight_line_rk4`).  For such a drift the short path sums the
+# terms one by one in monomial order, from +0.0, each product rounded
+# first: the rounding the generated step reproduces.  The vector-matrix
+# product cannot serve, since OpenBLAS fuses multiply-adds and regroups
+# rows of four or more monomials.  Larger drifts keep the product, and
+# their flows take the array step in `reach`.
+
+# Drift terms up to which the straight-line step is used.  A state-only
+# step of a random cubic drift took as long either way at 256-384 terms
+# (d = 8 to 32; single runs, one BLAS thread, 2-core x86_64): 41 us
+# against 42 at d = 8, 256 terms, and 3.7 against 38 at d = 4, 16 terms.
+# The cut-off sits at the low end, since building the source also costs
+# 14-28 ms at 256 terms.  burgers (3464 terms) keeps the array step.
+_STRAIGHT_LINE_TERMS = 256
 
 
 class _SlotTable:
@@ -474,7 +494,7 @@ class _SlotTable:
     dicts), evaluated to an array of `shape` per point."""
 
     def __init__(self, dim: int, rows: Sequence[Mapping[Exponents, Fraction]],
-                 shape: tuple[int, ...]):
+                 shape: tuple[int, ...], sequential: bool = False):
         index: dict[Exponents, int] = {}
         for terms in rows:
             for e in terms:
@@ -493,6 +513,7 @@ class _SlotTable:
         # cached and shared by every caller of the field
         self.slots.flags.writeable = self.coeffs.flags.writeable = False
         self.shape = shape
+        self.sequential = sequential and len(index) > 0
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -502,7 +523,13 @@ class _SlotTable:
             padded = np.empty(len(x) + 1)
             padded[:-1] = x
             padded[-1] = 1.0
-            out = np.multiply.reduce(padded[self.slots], axis=-1) @ self.coeffs
+            monomials = np.multiply.reduce(padded[self.slots], axis=-1)
+            if self.sequential:
+                # term by term in index order; + 0.0 makes a zero +0.0, as
+                # a sum that starts at +0.0 leaves it
+                out = np.cumsum(monomials[:, None] * self.coeffs, axis=0)[-1] + 0.0
+            else:
+                out = monomials @ self.coeffs
             return out if len(self.shape) == 1 else out.reshape(self.shape)
         padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         padded[..., :-1] = x
@@ -512,16 +539,72 @@ class _SlotTable:
 
 
 class _Kernel:
-    """Compiled drift of a field and, built on first request, its Jacobian."""
+    """Compiled drift of a field and, built on first request, its Jacobian
+    and, for a drift of few terms, its straight-line RK4 step."""
 
     def __init__(self, V: PolyVectorField):
         self.V = V
-        self.field = _SlotTable(V.dim, [p.terms for p in V.components], (V.dim,))
+        self.small = sum(len(p.terms) for p in V.components) <= _STRAIGHT_LINE_TERMS
+        self.field = _SlotTable(V.dim, [p.terms for p in V.components], (V.dim,),
+                                sequential=self.small)
 
     @functools.cached_property
     def jac(self) -> _SlotTable:
         d = self.V.dim
         return _SlotTable(d, [p.terms for row in jacobian(self.V) for p in row], (d, d))
+
+    @functools.cached_property
+    def rk4_step(self):
+        return _straight_line_rk4(self.field) if self.small else None
+
+
+def _straight_line_rk4(table: _SlotTable):
+    """One RK4 step of dx/ds = X0(x) + F as a generated function
+    step(x, F, h) -> (x_new, x2, x3, x4) on tuples of Python floats, with
+    the array step's rounding: each monomial a left-to-right product in
+    slot order, each drift component a sum from 0.0 over the nonzero
+    terms in monomial order, then + F; x2 = x + (0.5 h) k1, x3 = x +
+    (0.5 h) k2, x4 = x + h k3 and x_new = x + (h / 6) (((k1 + 2 k2) +
+    2 k3) + k4).  The source holds only indices and repr(float) literals
+    of the table's coefficients."""
+    d = table.coeffs.shape[1]
+    pad = d  # slot index of the constant 1
+    lines = [
+        "def rk4_step(x, F, h):",
+        "    " + "".join(f"x1_{j}, " for j in range(d)) + "= x",
+        "    " + "".join(f"F{j}, " for j in range(d)) + "= F",
+        "    hh = 0.5 * h",
+    ]
+    for stage in (1, 2, 3, 4):
+        point = [f"x{stage}_{j}" for j in range(d)]
+        names = []  # per monomial: its value's name, or None for the constant 1
+        for i, row in enumerate(table.slots):
+            factors = [point[j] for j in row if j != pad]
+            if len(factors) > 1:
+                lines.append(f"    m{i} = " + " * ".join(factors))
+                names.append(f"m{i}")
+            else:
+                names.append(factors[0] if factors else None)
+        for j in range(d):
+            expr = "0.0"
+            for i in np.flatnonzero(table.coeffs[:, j]):
+                c = float(table.coeffs[i, j])
+                # acc - |c| m is acc + c m exactly, and 1.0 m is m
+                term = repr(abs(c)) if names[i] is None else (
+                    names[i] if abs(c) == 1.0 else f"{abs(c)!r} * {names[i]}")
+                expr += f" {'-' if c < 0 else '+'} {term}"
+            lines.append(f"    k{stage}_{j} = {expr} + F{j}")
+        if stage < 4:
+            scale = "h" if stage == 3 else "hh"
+            lines += [f"    x{stage + 1}_{j} = x1_{j} + {scale} * k{stage}_{j}" for j in range(d)]
+    lines.append("    h6 = h / 6.0")
+    new = "".join(
+        f"x1_{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}), " for j in range(d))
+    stages = ", ".join("(" + "".join(f"x{s}_{j}, " for j in range(d)) + ")" for s in (2, 3, 4))
+    lines.append(f"    return ({new}), {stages}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<rk4 step, d={d}>", "exec"), namespace)
+    return namespace["rk4_step"]
 
 
 _kernel = functools.lru_cache(maxsize=64)(_Kernel)  # keyed on the frozen field
@@ -535,3 +618,10 @@ def compile_field(V: PolyVectorField):
 def compile_jacobian(V: PolyVectorField):
     """Compile the Jacobian to a function J(x) -> (..., dim, dim) array."""
     return _kernel(V).jac
+
+
+def compile_rk4_step(V: PolyVectorField):
+    """The straight-line RK4 step of a drift of at most
+    _STRAIGHT_LINE_TERMS terms (see `_straight_line_rk4`); None for a
+    larger one."""
+    return _kernel(V).rk4_step

@@ -12,13 +12,18 @@ One forward RK4 pass yields the state and, from its stage points,
 either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
 B B^T, or the sensitivities of the terminal state to the control
 values, from dS/ds = A S + B E_p (E_p selects the active piece p), with
-A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop is plain RK4, its
-stages evaluated by the kernel's single-point path (a state-only step
-takes about 25-45 us at d <= 4, a carried one about 30-60 us); the
-matrix advances a block of steps at a time, by each step's RK4
-propagator Phi_n, from the stage Jacobians of one kernel call per block
-(`_CarriedMatrix`), so its memory is bounded by a fixed byte budget.  A
-pass whose state or matrix is not finite raises FlowDivergenceError.
+A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop calls one RK4 step
+function: for a drift of at most `polyfield._STRAIGHT_LINE_TERMS` terms
+the straight-line step generated for it, on Python floats (a state-only
+step takes about 2.5-3 us at d <= 4, a carried one about 8-12 us), else
+the array step on the kernel's single-point path.  The two round alike,
+so a flow's bits do not depend on which one runs.  The matrix advances a
+block of steps at a time, by each step's RK4 propagator Phi_n, from the
+stage Jacobians of one kernel call per block (`_CarriedMatrix`), so its
+memory is bounded by a fixed byte budget.  A pass whose state or matrix
+is not finite raises FlowDivergenceError; the states are checked once a
+control piece, and the error gives the time of the first non-finite
+one.
 
 `certify` takes one route whatever the query.  Membership yields the
 target of the transit from x: z itself, or the equilibrium y of a chain
@@ -46,7 +51,8 @@ from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_che
 from .equilibria import EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains
 from .models import ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
-from .polyfield import compile_field, compile_jacobian, lie_bracket  # noqa: F401
+from .polyfield import (  # noqa: F401
+    compile_field, compile_jacobian, compile_rk4_step, lie_bracket)
 
 
 class FlowDivergenceError(RuntimeError):
@@ -179,16 +185,17 @@ def _block_steps(d: int) -> int:
 
 
 def _integrate_once(model, x, control, n_steps, carry=None):
-    """One RK4 pass over the control's grid.  The state loop is plain
-    RK4; with carry, it also hands each step's four stage points to a
-    _CarriedMatrix, which advances a matrix Y with dY/ds = A Y (+ Y A^T)
-    + G_p, Y_0 = 0, once per block of steps:
+    """One RK4 pass over the control's grid.  The state loop calls one
+    step function: the drift's straight-line step (`compile_rk4_step`)
+    when it has one, else the array step; with carry, it also hands each
+    step's four stage points to a _CarriedMatrix, which advances a matrix
+    Y with dY/ds = A Y (+ Y A^T) + G_p, Y_0 = 0, once per block of steps:
     "gramian" gives M_t (G_p = B B^T, with the transpose term),
     "sensitivity" gives S_t = d(terminal)/d(control values), d x (pieces*r)
     (G_p = B in piece p's columns)."""
     d = model.d
     B = model.noise_matrix()
-    f = compile_field(model.drift)
+    step = compile_rk4_step(model.drift) or _array_rk4_step(compile_field(model.drift))
     counts = _steps_per_interval(control, n_steps)
     times = np.empty(sum(counts) + 1)
     states = np.empty((len(times), d))
@@ -196,7 +203,7 @@ def _integrate_once(model, x, control, n_steps, carry=None):
     states[0] = x
     carried = _CarriedMatrix(model, control, len(times) - 1, carry) if carry else None
 
-    state = x.copy()
+    state = states[0].tolist()
     s = 0.0
     i = 0
     # overflow in a step is diagnosed as divergence, not a warning
@@ -206,25 +213,23 @@ def _integrate_once(model, x, control, n_steps, carry=None):
             control.values,
             counts,
         )):
-            h = (s1 - s0) / n_sub
-            forcing = B @ u if B.size else np.zeros(d)
+            h = float((s1 - s0) / n_sub)
+            forcing = (B @ u if B.size else np.zeros(d)).tolist()
+            first = i + 1
             for _ in range(n_sub):
-                k1 = f(state) + forcing
-                x2 = state + 0.5 * h * k1
-                k2 = f(x2) + forcing
-                x3 = state + 0.5 * h * k2
-                k3 = f(x3) + forcing
-                x4 = state + h * k3
-                k4 = f(x4) + forcing
+                new, x2, x3, x4 = step(state, forcing, h)
                 if carried is not None:
                     carried.record(state, x2, x3, x4, h, p)
-                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                state = new
                 s += h
                 i += 1
-                if not np.isfinite(state).all():
-                    raise FlowDivergenceError(s)
                 times[i] = s
                 states[i] = state
+            # checked once a piece: the flow diverged at its first
+            # non-finite state
+            finite = np.isfinite(states[first : i + 1]).all(axis=1)
+            if not finite.all():
+                raise FlowDivergenceError(times[first + int(np.argmin(finite))])
         Y = carried.finish() if carried is not None else None
     # a non-finite entry of Y stays non-finite under the propagators
     if Y is not None and not np.isfinite(Y).all():
@@ -236,6 +241,24 @@ def _integrate_once(model, x, control, n_steps, carry=None):
         M=Y if carry == "gramian" else None,
         S=Y if carry == "sensitivity" else None,
     )
+
+
+def _array_rk4_step(f):
+    """The RK4 step of a drift with no straight-line step, on arrays, with
+    f its compiled drift: step(x, F, h) -> (x_new, x2, x3, x4)."""
+
+    def step(state, forcing, h):
+        forcing = np.asarray(forcing)
+        k1 = f(state) + forcing
+        x2 = state + 0.5 * h * k1
+        k2 = f(x2) + forcing
+        x3 = state + 0.5 * h * k2
+        k3 = f(x3) + forcing
+        x4 = state + h * k3
+        k4 = f(x4) + forcing
+        return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x2, x3, x4
+
+    return step
 
 
 class _CarriedMatrix:
@@ -459,8 +482,10 @@ def synthesize_leg(
         best_err = min(best_err, err)
         if err <= eps_reach:
             return pack(sol.x), terminal
+    # norms, not the endpoints: at d = 96 two vectors are kilobytes of digits
     raise SynthesisError(
-        f"no control found steering {frm} to {to} in t={t_leg}"
+        f"no control found steering |frm| = {np.linalg.norm(frm):.3g} to"
+        f" |to| = {np.linalg.norm(to):.3g} in t = {t_leg:.3g}"
         f" (best terminal error {best_err:.3g} > {eps_reach:.3g})"
     )
 
@@ -648,13 +673,15 @@ def certify(
     dwell = None
     current = x
     try:
-        for waypoint in waypoints:
-            leg, current = _synthesize_escalating(model, current, waypoint, t_leg, options)
+        for leg_index, waypoint in enumerate(waypoints):
+            leg, current = _synthesize_escalating(
+                model, current, waypoint, t_leg, options, leg_index)
             controls.append(leg)
         if via:
             dwell = (sum(c.horizon for c in controls), t_dwell)
             controls.append(ControlPath.constant(t_dwell, _equilibrium_control(model, current)))
-            controls.append(_synthesize_escalating(model, current, z, t_final, options)[0])
+            controls.append(_synthesize_escalating(
+                model, current, z, t_final, options, len(waypoints))[0])
     except SynthesisError as exc:
         return _inconclusive(model, x, z, t, "synthesis", str(exc), waypoints)
 
@@ -705,12 +732,14 @@ def _equilibrium_control(model: ModelSpec, y):
     ok, u, resid = is_equilibrium(model, y, tol=1e-6)
     if not ok:
         raise SynthesisError(
-            f"dwell point {y} is not an equilibrium (residual {resid:.3g})"
+            f"dwell point |y| = {np.linalg.norm(y):.3g} is not an equilibrium"
+            f" (residual {resid:.3g})"
         )
     return u
 
 
-def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions):
+def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions, leg: int):
+    """Leg number `leg` of a certificate, at 1, 2 and 4 times the pieces."""
     last_exc = None
     for factor in (1, 2, 4):
         try:
@@ -722,4 +751,4 @@ def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions):
             )
         except SynthesisError as exc:
             last_exc = exc
-    raise last_exc
+    raise SynthesisError(f"leg {leg}: {last_exc}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conecert.closure import choose_basis, compute_C
-from conecert.equilibria import find_equilibria, is_equilibrium, iter_chains
+from conecert.equilibria import _sobol_starts, find_equilibria, is_equilibrium, iter_chains
 from conecert.models import bhw, get_builtin, langevin, quartic_double_well
 
 F = Fraction
@@ -139,3 +139,17 @@ def test_iter_chains_ordered_by_detour(bhw_model):
         np.linalg.norm(c.y - x) + np.linalg.norm(z - c.y) for c in chains
     ]
     assert detours == sorted(detours)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 96])
+def test_sobol_starts_match_scipy(d):
+    from scipy.stats import qmc
+
+    for seed in (0, 1, 5, 123):
+        for n in (1, 2, 64, 100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # n = 100 is no power of 2
+                expected = qmc.Sobol(d, seed=seed).random(n)
+            starts = _sobol_starts(d, n, seed)
+            assert starts.dtype == expected.dtype and starts.shape == expected.shape
+            assert starts.tobytes() == expected.tobytes()

@@ -84,6 +84,21 @@ def test_montecarlo_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_via_equilibrium_certify_loads_no_scipy_stats():
+    # the equilibrium search draws its Sobol starts without scipy.stats
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from conecert import CertifyOptions, certify, choose_basis, compute_C, get_builtin\n"
+            "m = get_builtin('bhw')\n"
+            "cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [2.0, 1.0], 1.0,\n"
+            "               CertifyOptions(seed=0, n_steps=200, pieces=4, via_equilibrium=True))\n"
+            "print(cert.verdict, cert.dwell is not None)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.split("\n")[:2] == ["positive True", "[]"]
+
+
 def module_level_scipy_imports(source: str) -> list[str]:
     """The scipy modules a module imports when it is itself imported;
     imports inside a function body are deferred and not listed."""

@@ -623,3 +623,25 @@ def test_via_refusal_with_a_given_equilibrium(monkeypatch, bhw_model):
     cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.3], 1.0, options)
     assert (cert.verdict, cert.stage, cert.detail) == ("inconclusive", "membership", NO_CHAIN)
     assert not chains
+
+
+def test_synthesis_error_message_does_not_grow_with_d():
+    # zero drift, one noise direction: a target off the noise line is out of
+    # reach at every d, and the message gives norms, not the endpoints
+    messages = []
+    for d in (2, 16, 96):
+        m = ModelSpec(name="line", d=d, drift=PolyVectorField.zero(d),
+                      noise=(tuple(F(int(i == 0)) for i in range(d)),))
+        with pytest.raises(SynthesisError) as exc_info:
+            synthesize_leg(m, np.zeros(d), np.full(d, 0.5), 1.0, pieces=2, n_steps=4)
+        messages.append(str(exc_info.value))
+    assert messages[0].startswith("no control found steering |frm| = 0 to |to| = 0.707")
+    # each of the four figures takes at most 9 characters at .3g
+    assert all(len(msg) < 120 and "[" not in msg for msg in messages)
+
+
+def test_synthesis_refusal_names_the_leg():
+    m = get_builtin("langevin")
+    cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1e-300,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4))
+    assert cert.detail.startswith("leg 0: no control found steering |frm| = 0 to |to| = 1 ")
