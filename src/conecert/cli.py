@@ -30,6 +30,9 @@ EXIT_UNMET = 3
 # its least-squares Jacobian is dense in the 4 * pieces * r control values.
 MAX_PIECES = 64
 
+# Largest `equilibria --starts`: each start is one least-squares solve.
+MAX_STARTS = 4096
+
 
 class InputError(ValueError):
     pass
@@ -269,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibria", help="search for equilibria of the control family")
     _add_model_args(p)
     p.add_argument("--box", help="semicolon-separated lo,hi intervals per coordinate")
-    p.add_argument("--starts", type=_above(int, 0), default=64)
+    p.add_argument("--starts", type=_above(int, 0, MAX_STARTS), default=64,
+                   help=f"multistart count, 1 to {MAX_STARTS}")
     p.add_argument("--seed", type=_above(int, -1), default=0)
     p.set_defaults(func=cmd_equilibria)
 

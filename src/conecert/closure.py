@@ -24,11 +24,11 @@ import numpy as np
 
 from .brackets import parse_bracket
 from .models import ModelSpec
-from .polyfield import (
+# lie_bracket is not called here; the benchmark tracer patches the name
+from .polyfield import (  # noqa: F401
     ConstantField,
     PolyVectorField,
     ad_power,
-    compile_field,
     lie_bracket,
     relative_degree,
 )
@@ -444,24 +444,21 @@ def d_membership(
 
 def bracket_rank(model: ModelSpec, points) -> int:
     """Numerical rank (singular values above 1e-9 times the largest) of
-    the noise directions plus the first drift brackets [X0, X_j] at each
-    of the points."""
+    the noise directions X_j plus the first drift brackets [X0, X_j] at
+    each of the points.  X_j is constant, so [X0, X_j] = -DX0 X_j: the
+    brackets at all points are one call of the drift's Jacobian kernel
+    (sign and column order leave the rank unchanged).  A family with a
+    non-finite entry, as far out along an overflowing drift, has rank 0."""
+    from .polyfield import compile_jacobian  # at call time, as the tracer patches it
+
     P = np.asarray(points, dtype=float).reshape(-1, model.d)
-    A = np.hstack(
-        [model.noise_matrix()]
-        + [compile_field(V)(P).T for V in _first_brackets(model.drift, model.noise)]
-    )
-    if not A.any():  # no noise directions, or all of them zero
+    B = model.noise_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.hstack([B, *(compile_jacobian(model.drift)(P) @ B)])
+    if not A.any() or not np.isfinite(A).all():
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > 1e-9 * s[0]))
-
-
-@functools.lru_cache(maxsize=64)
-def _first_brackets(drift: PolyVectorField, noise) -> tuple[PolyVectorField, ...]:
-    """[X0, X_j] for each noise direction, built once per model: every
-    twist check and k_rank asks for the same exact brackets."""
-    return tuple(lie_bracket(drift, PolyVectorField.from_constant(v)) for v in noise)
 
 
 def twist_rank_check(model: ModelSpec, points: list[np.ndarray]) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -105,6 +106,17 @@ def _rational(x, where: str) -> Fraction:
         raise ModelError(f"{where}: {x!r} is not a rational number") from exc
 
 
+def _float_sized(c: Fraction, where: str) -> Fraction:
+    """c, when float(c) is finite: every numeric use evaluates in floats."""
+    try:
+        float(c)
+    except OverflowError as exc:
+        raise ModelError(
+            f"{where}: a coefficient is too large for a float (above {sys.float_info.max:.4g})"
+        ) from exc
+    return c
+
+
 def model_from_json(data: dict) -> ModelSpec:
     if not isinstance(data, dict):
         raise ModelError(f"model JSON must be an object, got {data!r}")
@@ -118,13 +130,17 @@ def model_from_json(data: dict) -> ModelSpec:
         drift = field_from_json(data["drift"], d)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"drift: {exc}") from exc
+    for j, p in enumerate(drift.components):
+        for c in p.terms.values():
+            _float_sized(c, f"drift component {j}")
     if not isinstance(data["noise"], list):
         raise ModelError(f"noise must be a list, got {data['noise']!r}")
     noise = []
     for i, v in enumerate(data["noise"]):
         if not isinstance(v, list) or len(v) != d:
             raise ModelError(f"noise[{i}] must be a list of length {d}, got {v!r}")
-        noise.append(tuple(_rational(c, f"noise[{i}]") for c in v))
+        where = f"noise[{i}]"
+        noise.append(tuple(_float_sized(_rational(c, where), where) for c in v))
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelError(f"params must be an object, got {params!r}")

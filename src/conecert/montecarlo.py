@@ -29,6 +29,11 @@ from .polyfield import compile_field
 
 _CHUNK = 4096  # fixed path-block size; part of the reproducibility contract
 
+# Most Euler-Maruyama steps (t / dt) a configuration may ask for.  A step
+# of one block of paths takes tens of microseconds or more, so 10^7 steps
+# already run for minutes per block; a finer dt could not finish.
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -51,6 +56,8 @@ class SimConfig:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
             raise ValueError(f"dt={self.dt} too coarse; need dt <= t/100")
+        if not self.t / self.dt <= MAX_STEPS:
+            raise ValueError(f"dt={self.dt} too fine; need t/dt <= {MAX_STEPS}")
         # the stopping ball must contain the target ball; +inf (no stopping
         # ball) passes, NaN fails
         need = np.linalg.norm(self.z) + self.delta

@@ -4,9 +4,10 @@ positivity certificates.
 The controlled flow follows the drift plus piecewise-constant inputs in
 the noise directions.  Along a synthesized path, invertibility of the
 Gramian M_t = int J_{s,t} B B^T J_{s,t}^T ds (checked directly and via
-the rank of the noise-plus-first-bracket family along the trajectory)
-certifies strict positivity of the stopped transition density at the
-endpoint, for any stopping ball containing the whole path.
+the rank of the noise-plus-first-bracket family along the trajectory,
+where [X0, X_j] = -DX0 X_j for the constant noise fields X_j) certifies
+strict positivity of the stopped transition density at the endpoint,
+for any stopping ball containing the whole path.
 
 One forward RK4 pass yields the state and, from its stage points,
 either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
@@ -35,7 +36,9 @@ Gramian then run the same way for both.  Each leg is accepted on the
 solver's own sensitivity flow, and the next leg starts from that flow's
 terminal state; the refined flow of the whole path alone decides the
 terminal error and the Gramian.  The twist stage and `k_rank` share one
-bracket-rank routine, `closure.bracket_rank`.
+bracket-rank routine, `closure.bracket_rank`, which reads the brackets
+off the drift's Jacobian kernel and gives a family with a non-finite
+entry rank 0.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def _integrate_once(model, x, control, n_steps, carry=None):
     states = np.empty((len(times), d))
     times[0] = 0.0
     states[0] = x
-    carried = _CarriedMatrix(model, control, len(times) - 1, carry) if carry else None
+    carried = _CarriedMatrix(model, control, carry) if carry else None
 
     state = states[0].tolist()
     s = 0.0
@@ -271,16 +274,14 @@ class _CarriedMatrix:
     S <- Phi_n S + Psi_n B E_p, or M <- Phi_n M Phi_n^T + C_n, step by
     step."""
 
-    def __init__(self, model, control: ControlPath, total_steps: int, carry: str):
+    def __init__(self, model, control: ControlPath, carry: str):
         d = model.d
         self.jac = compile_jacobian(model.drift)
         self.B = model.noise_matrix()
         self.gramian = carry == "gramian"
-        block = min(total_steps, _block_steps(d))
-        self.stages = np.empty((block, 4, d))
-        self.h = np.empty(block)
-        self.piece = np.empty(block, dtype=np.intp)
-        self.n = 0
+        self.block = _block_steps(d)
+        # one flat row (h, piece, *x, *x2, *x3, *x4) per recorded step
+        self.rows: list[tuple] = []
         if self.gramian:
             self.Y = np.zeros((d, d))
             self.G = self.B @ self.B.T
@@ -289,23 +290,20 @@ class _CarriedMatrix:
             self.G = self.B
 
     def record(self, x, x2, x3, x4, h, piece):
-        n = self.n
-        self.stages[n] = x, x2, x3, x4
-        self.h[n] = h
-        self.piece[n] = piece
-        self.n = n + 1
-        if self.n == len(self.stages):
+        self.rows.append((h, piece, *x, *x2, *x3, *x4))
+        if len(self.rows) == self.block:
             self._advance()
 
     def finish(self) -> np.ndarray:
-        if self.n:
+        if self.rows:
             self._advance()
         return self.Y
 
     def _advance(self):
-        n, self.n = self.n, 0
-        A = self.jac(self.stages[:n])
-        h = self.h[:n, None, None]
+        rows = np.array(self.rows)
+        self.rows = []
+        A = self.jac(rows[:, 2:].reshape(len(rows), 4, -1))
+        h = rows[:, 0, None, None]
         Phi = _propagators(A, h)
         if self.gramian:
             M = self.Y
@@ -315,7 +313,7 @@ class _CarriedMatrix:
         else:
             S = self.Y
             r = self.B.shape[1]
-            for P, F, p in zip(Phi, _increments(A, h, self.G), self.piece[:n]):
+            for P, F, p in zip(Phi, _increments(A, h, self.G), rows[:, 1].astype(np.intp)):
                 S = P @ S
                 S[:, p * r : (p + 1) * r] += F
             self.Y = S
@@ -448,6 +446,10 @@ def synthesize_leg(
     def flow_at(uflat):
         key = uflat.tobytes()
         if key not in last:
+            if not np.isfinite(uflat).all():
+                # a start or iterate beyond float range: its flow is
+                # non-finite from the first step, so the start fails
+                raise FlowDivergenceError(0.0)
             last.clear()
             last[key] = _terminal_and_jac(model, frm, pack(uflat), n_steps)
         return last[key]

@@ -74,6 +74,8 @@ MALFORMED_MODELS = {
     "noise_not_a_number": {**GOOD_MODEL_JSON, "noise": [["a"]]},
     "noise_div_zero": {**GOOD_MODEL_JSON, "noise": [["1/0"]]},
     "drift_div_zero": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "1/0", "exps": [1]}]]},
+    "noise_overflows_float": {**GOOD_MODEL_JSON, "noise": [["1e400"]]},
+    "drift_overflows_float": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "1e400", "exps": [1]}]]},
     "param_not_a_number": {**GOOD_MODEL_JSON, "params": {"a": "q"}},
     "ball_not_a_number": {**GOOD_MODEL_JSON, "default_ball_n": "x"},
 }

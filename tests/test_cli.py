@@ -19,7 +19,7 @@ import conecert
 import conecert.montecarlo
 from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from test_closure import cross_model
-from conecert.cli import MAX_PIECES, build_parser, main
+from conecert.cli import MAX_PIECES, MAX_STARTS, build_parser, main
 from conecert.closure import RationalSpan, primitive_direction
 from conecert.models import bhw, get_builtin, load_model, save_model
 
@@ -214,6 +214,40 @@ def test_reach_overflowing_difference_warns_nothing():
     assert proc.returncode == 3
     assert "membership" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_reach_target_beyond_the_drifts_float_range_is_twist_inconclusive():
+    # the bracket family overflows at every waypoint: rank 0, not an SVD failure
+    proc = _run_cli("reach", "--builtin", "bhw", "--from", "0,0", "--to", "1e308,1e308",
+                    "--t", "1")
+    assert proc.returncode == 3
+    assert "inconclusive at stage twist" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_reach_huge_finite_target_is_synthesis_inconclusive():
+    # least squares proposes controls beyond float range: failed starts
+    proc = _run_cli("reach", "--builtin", "bhw", "--from", "0,0", "--to", "1e160,1e160",
+                    "--t", "1")
+    assert proc.returncode == 3
+    assert "inconclusive at stage synthesis" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["noise_overflows_float", "drift_overflows_float"])
+def test_model_coefficient_beyond_float_range_exits_two(tmp_path, capsys, name):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]))
+    for command in ("reach", "verify"):
+        argv = [command, "--model", str(path), "--from", "0", "--to", "1", "--t", "1"]
+        assert main(argv) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
+
+def test_equilibria_starts_capped_at_parsing():
+    argv = ["equilibria", "--builtin", "bhw", "--starts"]
+    assert _exit_code([*argv, str(MAX_STARTS + 1)]) == 2
+    assert _exit_code([*argv, "100000000000"]) == 2
+    assert build_parser().parse_args([*argv, str(MAX_STARTS)]).starts == MAX_STARTS
 
 
 def test_reach_tiny_horizon_warns_nothing():

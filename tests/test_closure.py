@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conecert
-from conftest import constant_vectors
-from conecert import closure
+from conftest import constant_vectors, vector_fields
 from conecert.closure import (
     BasisSelectionError,
     PositivityBasis,
@@ -33,8 +33,10 @@ from conecert.closure import (
     twist_rank_check,
     verify_derivations,
 )
-from conecert.models import ModelSpec, bhw, get_builtin, langevin, quartic_double_well
-from conecert.polyfield import Polynomial, PolyVectorField, compile_field
+from conecert.models import (
+    BUILTINS, ModelSpec, bhw, get_builtin, langevin, quartic_double_well)
+from conecert.polyfield import (
+    Polynomial, PolyVectorField, compile_field, compile_jacobian, lie_bracket)
 
 F = Fraction
 SRC = str(Path(conecert.__file__).resolve().parents[1])
@@ -478,23 +480,54 @@ def test_twist_rank_bhw(bhw_model):
     assert bracket_rank(bhw_model, [[3.0, 0.0], [0.0, 0.0]]) == 1
 
 
-def test_first_brackets_built_once(monkeypatch):
-    model = bhw(0, 0, 1, 3, 1)  # its own drift, so no earlier test filled the cache
-    calls = []
-    real = closure.lie_bracket
-    monkeypatch.setattr(closure, "lie_bracket", lambda V, W: calls.append(1) or real(V, W))
-    ranks = [bracket_rank(model, [[0.5, 1.0]]), bracket_rank(model, [[3.0, 0.0]])]
-    assert twist_rank_check(model, [np.array([0.5, 1.0])])
-    assert len(calls) == model.r
-    # the memoised fields are the exact brackets, evaluated as before
-    P = np.array([[0.5, 1.0], [3.0, 0.0], [-2.0, 0.25]])
-    fresh = np.hstack([model.noise_matrix()]
-                      + [compile_field(real(model.drift, X))(P).T for X in model.noise_fields()])
-    kept = np.hstack([model.noise_matrix()] + [
-        compile_field(V)(P).T for V in closure._first_brackets(model.drift, model.noise)
-    ])
-    assert np.array_equal(fresh, kept)
-    assert ranks == [2, 1]
+def _magnitude(V: PolyVectorField) -> PolyVectorField:
+    """V with every coefficient replaced by its absolute value."""
+    return PolyVectorField(V.dim, tuple(
+        Polynomial(V.dim, {e: abs(c) for e, c in p.terms.items()}) for p in V.components))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    vector_fields(d), constant_vectors(d),
+    st.lists(st.floats(-2, 2), min_size=d, max_size=d))))
+def test_bracket_with_constant_is_minus_jacobian_product(case):
+    # [X0, X_j] = -DX0 X_j for constant X_j, so the rank checks read the
+    # brackets off the drift's Jacobian kernel
+    drift, v, p = case
+    X = np.array([float(c) for c in v])
+    exact = compile_field(lie_bracket(drift, PolyVectorField.from_constant(v)))(np.array(p))
+    via_jacobian = -(compile_jacobian(drift)(np.array(p)) @ X)
+    # every term of either sum is at most this large
+    size = compile_jacobian(_magnitude(drift))(np.abs(p)) @ np.abs(X)
+    assert np.all(np.abs(exact - via_jacobian) <= 1e-12 * (1 + size))
+
+
+def _exact_bracket_rank(model, P):
+    """The rank bracket_rank computes, from the exact brackets [X0, X_j]."""
+    A = np.hstack([model.noise_matrix()] + [
+        compile_field(lie_bracket(model.drift, X))(P).T for X in model.noise_fields()])
+    if not A.any():
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(s > 1e-9 * s[0]))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_bracket_rank_matches_exact_brackets(name):
+    model = get_builtin(name)
+    rng = np.random.default_rng(7)
+    for count, scale in ((1, 1.0), (3, 0.5), (5, 2.0), (2, 0.0)):
+        P = rng.normal(scale=scale, size=(count, model.d))
+        assert bracket_rank(model, P) == _exact_bracket_rank(model, P)
+
+
+def test_bracket_rank_of_non_finite_family_is_zero(bhw_model):
+    # inf * 0 in -DX0 X_j would be NaN, on which the SVD fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P in ([[np.inf, 0.0]], [[1e308, 1e308]], [[0.5, 1.0], [np.nan, 0.0]]):
+            assert bracket_rank(bhw_model, P) == 0
+        assert not twist_rank_check(bhw_model, [np.array([1e300, -1e300])])
 
 
 def test_twist_rank_noiseless_model():

@@ -11,6 +11,7 @@ from scipy.stats import beta, ncx2
 
 from conecert.models import ModelSpec, get_builtin
 from conecert.montecarlo import (
+    MAX_STEPS,
     SimConfig,
     clopper_pearson_lower,
     density_heatmap,
@@ -60,6 +61,16 @@ def test_simconfig_rejects_bad_sizes(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=rf"^{field} "):
         SimConfig(**kwargs)
+
+
+def test_simconfig_rejects_more_steps_than_can_run():
+    kwargs = dict(t=1.0, n_ball=10, n_paths=10, seed=0, z=np.zeros(2), delta=0.1)
+    for dt in (1e-300, 0.99 / MAX_STEPS):
+        with pytest.raises(ValueError, match="too fine"):
+            SimConfig(dt=dt, **kwargs)
+    with pytest.raises(ValueError, match="too fine"):  # t / dt overflows
+        SimConfig(**{**kwargs, "t": 1e300}, dt=1e-300)
+    assert SimConfig(dt=1e-6, **kwargs).dt == 1e-6
 
 
 def test_simconfig_accepts_the_largest_philox_key():

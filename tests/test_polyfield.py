@@ -385,9 +385,9 @@ def test_certify_builds_each_kernel_once():
     cert = certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
     assert cert.verdict == "positive"
     info = _kernel.cache_info()
-    # the drift plus one [X0, X_j] per noise field, shared by the twist
-    # and rank checks through bracket_rank
-    assert info.misses == info.currsize == 1 + model.r
+    # the drift's alone: the twist and rank checks read [X0, X_j] off its
+    # Jacobian
+    assert info.misses == info.currsize == 1
     assert info.hits > 0
     certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
     assert _kernel.cache_info().misses == info.misses
