@@ -4,7 +4,8 @@ x -> y -> z positivity chain.
 A state y is an equilibrium when the drift at y can be cancelled
 exactly by a constant control in the noise directions; the optimal
 control is the least-squares projection of the negated drift onto the
-noise span.
+noise span.  With no noise (r = 0) that span is empty: the control is
+empty too, and the search projects onto the whole space.
 
 The multistart search draws its starts from a scrambled Sobol sequence,
 scipy's `qmc.Sobol(d, seed=seed).random(n)` bit for bit, computed here
@@ -54,7 +55,8 @@ def is_equilibrium(
     model: ModelSpec, y, tol: float = 1e-10
 ) -> tuple[bool, np.ndarray, float]:
     """Least-squares control cancelling the drift at y; the residual is
-    the norm of what no control can reach."""
+    the norm of what no control can reach.  With no noise (r = 0) the
+    control is empty and the residual is |drift(y)|."""
     from .polyfield import compile_field
 
     if tol <= 0:
@@ -62,9 +64,6 @@ def is_equilibrium(
     y = np.asarray(y, dtype=float)
     drift = compile_field(model.drift)(y)
     B = model.noise_matrix()
-    if model.r == 0:
-        residual = float(np.linalg.norm(drift))
-        return residual <= tol, np.zeros(0), residual
     u, _, _, _ = np.linalg.lstsq(B, -drift, rcond=None)
     residual = float(np.linalg.norm(drift + B @ u))
     return residual <= tol, u, residual
@@ -86,18 +85,15 @@ def find_equilibria(
     if len(box) != model.d or any(hi <= lo for lo, hi in box):
         raise ValueError(f"degenerate box {box}")
     B = model.noise_matrix()
-    if model.r > 0 and np.linalg.matrix_rank(B) == model.d:
+    if np.linalg.matrix_rank(B) == model.d:
         # every point is an equilibrium; report the box center
         center = np.array([(lo + hi) / 2 for lo, hi in box])
         _, u, residual = is_equilibrium(model, center, tol=max(tol, 1e-9))
         return [EquilibriumPoint(y=center, u=u, residual=residual)]
 
-    # orthogonal-complement projector
-    if model.r > 0:
-        Q, _ = np.linalg.qr(B)
-        P = np.eye(model.d) - Q @ Q.T
-    else:
-        P = np.eye(model.d)
+    # orthogonal-complement projector, exactly the identity when r = 0
+    Q, _ = np.linalg.qr(B)
+    P = np.eye(model.d) - Q @ Q.T
 
     from .polyfield import compile_field, compile_jacobian
 

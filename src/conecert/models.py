@@ -54,10 +54,9 @@ class ModelSpec:
         return len(self.noise)
 
     def noise_matrix(self) -> np.ndarray:
-        """d x r matrix whose columns are the noise directions."""
-        if self.r == 0:
-            return np.zeros((self.d, 0))
-        return np.array([[float(c) for c in v] for v in self.noise]).T
+        """d x r matrix whose columns are the noise directions; d x 0 when
+        r = 0, which the numerics take as plain empty-matrix algebra."""
+        return np.array([[float(c) for c in v] for v in self.noise]).reshape(self.r, self.d).T
 
     def noise_fields(self) -> list[PolyVectorField]:
         return [PolyVectorField.from_constant(v) for v in self.noise]
@@ -204,21 +203,9 @@ def langevin(
 
 def quartic_double_well(d: int = 1) -> dict:
     """Coefficients of F(y) = |y|^4/4 - |y|^2/2."""
-    coeffs: dict[tuple, Fraction] = {}
-    # |y|^4 = (sum y_i^2)^2
-    for i in range(d):
-        for j in range(d):
-            e = [0] * d
-            e[i] += 2
-            e[j] += 2
-            key = tuple(e)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(1, 4)
-    for i in range(d):
-        e = [0] * d
-        e[i] = 2
-        key = tuple(e)
-        coeffs[key] = coeffs.get(key, Fraction(0)) - Fraction(1, 2)
-    return coeffs
+    r2 = sum((Polynomial.variable(d, i) * Polynomial.variable(d, i) for i in range(d)),
+             Polynomial.zero(d))
+    return dict(((r2 * r2).scale(Fraction(1, 4)) - r2.scale(Fraction(1, 2))).terms)
 
 
 # --------------------------------------------------------------------

@@ -308,7 +308,8 @@ def directional_derivative(W: PolyVectorField, v: Sequence[Rational]) -> PolyVec
 
 
 def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
-    """Commutator [V, W]^j = sum_k (V^k dW^j/dx_k - W^k dV^j/dx_k)."""
+    """Commutator [V, W]^j = sum_k (V^k dW^j/dx_k - W^k dV^j/dx_k).  Every
+    bracket the closure forms has a constant operand: a directional derivative."""
     if V.dim != W.dim:
         raise DimensionMismatchError(f"dim {V.dim} vs {W.dim}")
     # a constant argument has zero partials, so one of the two sums vanishes
@@ -323,24 +324,17 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
     for j in range(d):
         acc: dict = {}
         for k in v_nz:
-            dw = _diff_cached(W.components[j], k)
+            dw = W.components[j].diff(k)
             if dw.is_zero():
                 continue
             _accumulate_product(acc, V.components[k], dw, 1)
         for k in w_nz:
-            dv = _diff_cached(V.components[j], k)
+            dv = V.components[j].diff(k)
             if dv.is_zero():
                 continue
             _accumulate_product(acc, W.components[k], dv, -1)
         comps.append(Polynomial._raw(d, acc))
     return PolyVectorField(d, tuple(comps))
-
-
-@functools.lru_cache(maxsize=65536)
-def _diff_cached(p: Polynomial, i: int) -> Polynomial:
-    # the same field gets bracketed against many directions; its partials
-    # are worth remembering
-    return p.diff(i)
 
 
 def _accumulate_product(acc: dict, p: Polynomial, q: Polynomial, sign: int) -> None:

@@ -35,7 +35,9 @@ before the equilibrium search.  Twist waypoints, leg synthesis and the
 Gramian then run the same way for both.  Each leg is accepted on the
 solver's own sensitivity flow, and the next leg starts from that flow's
 terminal state; the refined flow of the whole path alone decides the
-terminal error and the Gramian.  The twist stage and `k_rank` share one
+terminal error and the Gramian, whose margin is its signed smallest
+eigenvalue.  Norms there, and in synthesis, rescale only where the plain
+norm overflows (`_norm`).  The twist stage and `k_rank` share one
 bracket-rank routine, `closure.bracket_rank`, which reads the brackets
 off the drift's Jacobian kernel and gives a family with a non-finite
 entry rank 0.
@@ -89,7 +91,7 @@ class ControlPath:
 
     @classmethod
     def zero(cls, horizon: float, r: int) -> "ControlPath":
-        return cls(horizon, np.array([0.0, horizon]), np.zeros((1, max(r, 1)))[:, :r].reshape(1, r))
+        return cls(horizon, np.array([0.0, horizon]), np.zeros((1, r)))
 
     @classmethod
     def constant(cls, horizon: float, u) -> "ControlPath":
@@ -217,7 +219,7 @@ def _integrate_once(model, x, control, n_steps, carry=None):
             counts,
         )):
             h = float((s1 - s0) / n_sub)
-            forcing = (B @ u if B.size else np.zeros(d)).tolist()
+            forcing = (B @ u).tolist()
             first = i + 1
             for _ in range(n_sub):
                 new, x2, x3, x4 = step(state, forcing, h)
@@ -354,10 +356,9 @@ def _increments(A, h, G, lyapunov=False):
 
 def gramian(flow: FlowResult, model: ModelSpec) -> tuple[np.ndarray, float]:
     """Deterministic Malliavin matrix M_t = int_0^t J_{s,t} B B^T J_{s,t}^T ds,
-    as integrated along the flow, and its smallest singular value."""
-    d = model.d
-    if model.r == 0:
-        return np.zeros((d, d)), 0.0
+    as integrated along the flow, and its smallest singular value (reported;
+    `certify` decides on the signed smallest eigenvalue).  With no noise
+    (r = 0) the carried M is exactly zero, as B B^T is."""
     if flow.M is None:
         raise ValueError("flow was integrated without its Gramian (with_jacobian=False)")
     M = 0.5 * (flow.M + flow.M.T)
@@ -389,9 +390,21 @@ class SynthesisError(RuntimeError):
 _SYNTHESIS_STARTS = 6  # least-squares starts per leg: zero, then random
 
 
+def _norm(v, axis=None):
+    """Euclidean norm of v (along axis), rescaled by max|v| only where the
+    plain norm overflows, so that every finite norm keeps its bits."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v, axis=axis)
+    if np.isinf(n).any():
+        top = np.max(np.abs(v))
+        if np.isfinite(top):
+            n = top * np.linalg.norm(v / top, axis=axis)
+    return n
+
+
 def _eps_reach(z) -> float:
     """Terminal error a synthesized leg, and a certificate, may leave at z."""
-    return 1e-5 * (1.0 + np.linalg.norm(z))
+    return 1e-5 * (1.0 + _norm(z))
 
 
 def _terminal_and_jac(model, x0, control: ControlPath, n_steps: int):
@@ -461,7 +474,7 @@ def synthesize_leg(
         return np.vstack([flow_at(uflat)[1], ridge * np.eye(len(uflat))])
 
     rng = np.random.default_rng(seed)
-    scale0 = np.linalg.norm(to - frm) / t_leg + 1.0
+    scale0 = _norm(to - frm) / t_leg + 1.0
     best_err = np.inf
     for start in range(_SYNTHESIS_STARTS):
         if start == 0:
@@ -480,14 +493,14 @@ def synthesize_leg(
                 terminal = flow_at(sol.x)[0]
         except FlowDivergenceError:
             continue
-        err = float(np.linalg.norm(terminal - to))
+        err = float(_norm(terminal - to))
         best_err = min(best_err, err)
         if err <= eps_reach:
             return pack(sol.x), terminal
     # norms, not the endpoints: at d = 96 two vectors are kilobytes of digits
     raise SynthesisError(
-        f"no control found steering |frm| = {np.linalg.norm(frm):.3g} to"
-        f" |to| = {np.linalg.norm(to):.3g} in t = {t_leg:.3g}"
+        f"no control found steering |frm| = {_norm(frm):.3g} to"
+        f" |to| = {_norm(to):.3g} in t = {t_leg:.3g}"
         f" (best terminal error {best_err:.3g} > {eps_reach:.3g})"
     )
 
@@ -619,13 +632,14 @@ def certify(
     via = options.via_equilibrium
 
     # --- membership stage: candidate transit targets and their coefficients
+    member, coeffs = d_membership(basis, x, z)
     if via:
         # A chain x -> y -> z needs positive one-sided coefficients of y - x
         # and of z - y.  They are linear in the exact differences, and
         # Fraction(z) - Fraction(x) = (y - x) + (z - y), so z lies in x's
         # own region: a target outside it is refused before any search.  A
         # float z - x that overflows is never a member, yet may still chain.
-        if not d_membership(basis, x, z)[0]:
+        if not member:
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = np.isfinite(z - x).all()
             if finite:
@@ -641,7 +655,6 @@ def certify(
             for chain in iter_chains(model, basis, x, z, equilibria)
         )
     else:
-        member, coeffs = d_membership(basis, x, z)
         if not member:
             return _inconclusive(
                 model, x, z, t, "membership",
@@ -681,7 +694,11 @@ def certify(
             controls.append(leg)
         if via:
             dwell = (sum(c.horizon for c in controls), t_dwell)
-            controls.append(ControlPath.constant(t_dwell, _equilibrium_control(model, current)))
+            held, u, resid = is_equilibrium(model, current, tol=1e-6)
+            if not held:
+                raise SynthesisError(f"dwell point |y| = {_norm(current):.3g} is not an"
+                                     f" equilibrium (residual {resid:.3g})")
+            controls.append(ControlPath.constant(t_dwell, u))
             controls.append(_synthesize_escalating(
                 model, current, z, t_final, options, len(waypoints))[0])
     except SynthesisError as exc:
@@ -700,12 +717,15 @@ def certify(
         return _inconclusive(model, x, z, t, "gramian", str(exc), waypoints)
 
     rank = k_rank(flow, model)
-    terminal_error = float(np.linalg.norm(flow.terminal - z))
+    terminal_error = float(_norm(flow.terminal - z))
     eps_reach = _eps_reach(z)
     eps_gram = gramian_threshold(M)
-    ball_n = int(math.ceil(np.linalg.norm(flow.states, axis=1).max())) + 1
+    # the margin is the signed smallest eigenvalue: sigma_min = min |lambda|
+    # would count a negative eigenvalue as margin
+    lambda_min = float(np.linalg.eigvalsh(M)[0])
+    ball_n = int(math.ceil(_norm(flow.states, axis=1).max())) + 1
 
-    ok = terminal_error <= eps_reach and sigma_min >= eps_gram and rank == model.d
+    ok = terminal_error <= eps_reach and lambda_min >= eps_gram and rank == model.d
     return ReachabilityCertificate(
         model_name=model.name,
         model_hash=model.spec_hash(),
@@ -722,22 +742,11 @@ def certify(
         stage=None if ok else "verdict",
         detail=None if ok else (
             f"terminal_error={terminal_error:.3g} (<= {eps_reach:.3g} needed), "
-            f"sigma_min={sigma_min:.3g} (>= {eps_gram:.3g} needed), "
+            f"lambda_min={lambda_min:.3g} (>= {eps_gram:.3g} needed; sigma_min={sigma_min:.3g}), "
             f"K_rank={rank} (d={model.d} needed)"
         ),
         dwell=dwell,
     )
-
-
-def _equilibrium_control(model: ModelSpec, y):
-    """Constant control that holds the state at the equilibrium y."""
-    ok, u, resid = is_equilibrium(model, y, tol=1e-6)
-    if not ok:
-        raise SynthesisError(
-            f"dwell point |y| = {np.linalg.norm(y):.3g} is not an equilibrium"
-            f" (residual {resid:.3g})"
-        )
-    return u
 
 
 def _synthesize_escalating(model, frm, to, t_leg, options: CertifyOptions, leg: int):

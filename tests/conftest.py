@@ -60,6 +60,16 @@ def cubic_blowup():
                      noise=((Fraction(1),),))
 
 
+def no_noise_model():
+    """r = 0: dx0 = (x0 - x0^3 + x1/2) dt, dx1 = (x0^2 - x1) dt, with
+    equilibria at the origin and at x1 = x0^2, x0^2 - x0/2 = 1."""
+    from conecert.models import ModelSpec
+
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    drift = PolyVectorField(2, (x0 - x0 * x0 * x0 + x1.scale(Fraction(1, 2)), x0 * x0 - x1))
+    return ModelSpec(name="silent", d=2, drift=drift, noise=())
+
+
 # dx = -x dt + dW, as model JSON, and payloads that must be rejected
 GOOD_MODEL_JSON = {"name": "m", "d": 1, "drift": [[{"coeff": "-1/1", "exps": [1]}]],
                    "noise": [["1"]]}

@@ -226,11 +226,16 @@ def test_reach_target_beyond_the_drifts_float_range_is_twist_inconclusive():
 
 
 def test_reach_huge_finite_target_is_synthesis_inconclusive():
-    # least squares proposes controls beyond float range: failed starts
+    # least squares proposes controls beyond float range: failed starts.  The
+    # norms of the message are finite: past about 1.3e154 the plain norm
+    # overflows, and the rescaled one takes over.  Leg 0 steers to the first
+    # twist waypoint, not to z.
     proc = _run_cli("reach", "--builtin", "bhw", "--from", "0,0", "--to", "1e160,1e160",
                     "--t", "1")
     assert proc.returncode == 3
     assert "inconclusive at stage synthesis" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+    assert "|to| = 3.91e+159" in proc.stdout and "> 3.91e+154)" in proc.stdout
 
 
 @pytest.mark.parametrize("name", ["noise_overflows_float", "drift_overflows_float"])

@@ -1,14 +1,18 @@
 """Equilibrium search and the x -> equilibrium -> z chain."""
 
+import hashlib
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import no_noise_model
 
 from conecert.closure import choose_basis, compute_C
 from conecert.equilibria import _sobol_starts, find_equilibria, is_equilibrium, iter_chains
 from conecert.models import bhw, get_builtin, langevin, quartic_double_well
+from conecert.polyfield import compile_field
 
 F = Fraction
 
@@ -78,6 +82,34 @@ def test_find_equilibria_full_rank_noise_shortcut():
     pts = find_equilibria(m2, [(-1, 1), (-1, 1)], n_starts=8, seed=0)
     assert len(pts) == 1
     assert np.allclose(pts[0].y, [0.0, 0.0])  # box center
+
+
+def test_no_noise_is_equilibrium_is_the_drift_norm():
+    # r = 0: the d x 0 noise matrix gives the empty control and the
+    # residual |drift(y)|, with no case of its own
+    m = no_noise_model()
+    assert m.noise_matrix().shape == (2, 0)
+    y = np.array([0.5, 0.25])
+    ok, u, resid = is_equilibrium(m, y)
+    assert not ok and u.shape == (0,)
+    assert resid == float(np.linalg.norm(compile_field(m.drift)(y))) == 0.5
+
+
+# sha256 of the y bytes of the three equilibria found in the r = 0 model
+NO_NOISE_EQUILIBRIA_SHA256 = "ea67891a5bb9ee490f7c7eaa181ba0a6e92f14a17a3605d1aeab68c94247491a"
+
+
+def test_no_noise_find_equilibria_pinned():
+    # with no noise the projector is the identity: plain zeros of the drift
+    found = find_equilibria(no_noise_model(), [(-2.0, 2.0), (-2.0, 2.0)], n_starts=64, seed=0)
+    digest = hashlib.sha256(b"".join(ep.y.tobytes() for ep in found)).hexdigest()
+    assert digest == NO_NOISE_EQUILIBRIA_SHA256
+    assert all(ep.u.shape == (0,) for ep in found)
+    roots = sorted([0.0, (0.5 - math.sqrt(4.25)) / 2, (0.5 + math.sqrt(4.25)) / 2])
+    assert [ep.y[0] for ep in sorted(found, key=lambda ep: ep.y[0])] == pytest.approx(
+        roots, abs=1e-12)
+    for ep in found:
+        assert ep.y[1] == pytest.approx(ep.y[0] ** 2, abs=1e-12)
 
 
 def test_find_equilibria_degenerate_box(bhw_model):

@@ -161,3 +161,77 @@ def test_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_nothing_unused(path):
     assert unused_imports(path.read_text()) == []
+
+
+TRACING = PACKAGE_DIR.parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The (module, name) pairs `perfbench/tracing.py` patches, read from
+    its LAYERS literal without importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            layers = ast.literal_eval(node.value)
+            return {pair for _, targets, _ in layers for pair in targets}
+    raise AssertionError("no LAYERS in perfbench/tracing.py")
+
+
+def names_nothing_uses(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """For modules given as {module name: source}: each imported name its
+    own module never loads, and each module-level private def or constant
+    that no module loads, as "module: name".  `from __future__` imports and
+    the (module, name) pairs in `exempt` are left out."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {module: {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+              for module, tree in trees.items()}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    loaded_anywhere = set().union(attributes, *loaded.values())
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded[module] and (module, name) not in exempt:
+                        found.append(f"{module}: {name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and name not in loaded_anywhere and (module, name) not in exempt):
+                    found.append(f"{module}: {name}")
+    return found
+
+
+def test_unused_name_check_sees_what_nothing_uses():
+    sources = {
+        "pkg.a": "from __future__ import annotations\nimport json, os\n"
+                 "from .b import _helper, g\n_LIMIT = 3\n_SEEN: set = set()\n"
+                 "def _orphan():\n    return os.sep\n"
+                 "def f():\n    return _helper(_SEEN)\n",
+        "pkg.b": "def _helper(x):\n    return x\ndef g():\n    pass\n",
+    }
+    assert names_nothing_uses(sources) == [
+        "pkg.a: json", "pkg.a: g", "pkg.a: _LIMIT", "pkg.a: _orphan"]
+    assert names_nothing_uses(sources, {("pkg.a", "json"), ("pkg.a", "_LIMIT")}) == [
+        "pkg.a: g", "pkg.a: _orphan"]
+    # a partials memo left behind once its last caller is gone
+    memo = ("import functools\n@functools.lru_cache(maxsize=65536)\n"
+            "def _diff_cached(p, i):\n    return p.diff(i)\n")
+    assert names_nothing_uses({"pkg.polyfield": memo}) == ["pkg.polyfield: _diff_cached"]
+
+
+def test_src_keeps_nothing_that_nothing_uses():
+    # the names the benchmark tracer patches are the only exceptions
+    sources = {("conecert" if path.stem == "__init__" else f"conecert.{path.stem}"):
+               path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert names_nothing_uses(sources, traced_names()) == []

@@ -1,12 +1,14 @@
 """Controlled flow, the Gramian and control sensitivities it carries,
 control synthesis, and the certificate pipeline."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import no_noise_model
 from scipy.linalg import expm
 
 from conecert import reach
@@ -18,6 +20,8 @@ from conecert.reach import (
     ControlPath,
     FlowDivergenceError,
     SynthesisError,
+    _eps_reach,
+    _norm,
     _terminal_and_jac,
     certify,
     gramian,
@@ -382,6 +386,31 @@ def test_gramian_no_noise_is_zero():
     assert M.shape == (1, 1) and M[0, 0] == 0.0 and sigma_min == 0.0
 
 
+# sha256 of the states, then M, of a 200-step r = 0 flow
+NO_NOISE_FLOW_SHA256 = "ccc6c0f94684efbecc619a508f3f4b01c1d12efb7ff7cdd92e622a07a1555459"
+
+
+def test_no_noise_flow_and_gramian_pinned():
+    # r = 0 is plain empty-matrix algebra: the forcing B u is +0.0 and the
+    # carried M exactly zero, as B B^T is
+    m = no_noise_model()
+    flow = integrate_flow(m, [0.3, -0.2], ControlPath.zero(1.0, 0), n_steps=200)
+    digest = hashlib.sha256(flow.states.tobytes() + flow.M.tobytes()).hexdigest()
+    assert digest == NO_NOISE_FLOW_SHA256
+    M, sigma_min = gramian(flow, m)
+    assert M.tobytes() == np.zeros((2, 2)).tobytes()  # +0.0 throughout
+    assert sigma_min == 0.0 and not np.signbit(sigma_min)
+
+
+def test_no_noise_gramian_needs_the_carried_matrix():
+    # as for r > 0: a flow integrated without M has no Gramian to give
+    m = no_noise_model()
+    flow = integrate_flow(m, [0.3, -0.2], ControlPath.zero(1.0, 0), n_steps=20,
+                          with_jacobian=False)
+    with pytest.raises(ValueError, match="without its Gramian"):
+        gramian(flow, m)
+
+
 # -- k_rank -----------------------------------------------------------
 
 
@@ -488,6 +517,21 @@ def test_synthesis_requires_control_directions():
         synthesize_leg(get_builtin("langevin"), [0.0, 0.0], [1.0, 0.0], -1.0)
 
 
+def test_norm_rescales_only_where_the_plain_norm_overflows():
+    rng = np.random.default_rng(3)
+    for v in (rng.normal(size=5), 1e150 * rng.normal(size=3), np.array([1e-300, 0.0])):
+        assert _norm(v) == np.linalg.norm(v)
+    rows = rng.normal(size=(4, 3))
+    assert _norm(rows, axis=1).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+    assert _norm(np.full(2, 1e160)) == pytest.approx(math.sqrt(2) * 1e160, rel=1e-15)
+    assert _norm(np.array([np.inf, 1.0])) == np.inf
+
+
+def test_eps_reach_of_a_huge_finite_target_is_finite():
+    eps = _eps_reach(np.full(2, 1e160))
+    assert math.isfinite(eps) and eps == pytest.approx(1e-5 * math.sqrt(2) * 1e160, rel=1e-15)
+
+
 # -- certificates -----------------------------------------------------
 
 
@@ -501,6 +545,19 @@ def test_certify_langevin_positive():
     assert cert.sigma_min > 0
     js = cert.to_json()
     assert js["verdict"] == "positive" and js["control"] is not None
+
+
+def test_certify_decides_on_the_signed_smallest_eigenvalue(monkeypatch):
+    # an indefinite M: its smallest singular value, 0.5, is far above the
+    # threshold, but its smallest eigenvalue, -0.5, is not a margin
+    M = np.diag([1.0, -0.5])
+    monkeypatch.setattr(reach, "gramian", lambda flow, model: (M, 0.5))
+    m = get_builtin("langevin")
+    cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1.0,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4))
+    assert (cert.verdict, cert.stage) == ("inconclusive", "verdict")
+    assert cert.sigma_min == 0.5 and cert.K_rank == 2
+    assert "lambda_min=-0.5 (>= 2.5e-09 needed" in cert.detail
 
 
 def test_certify_runs_one_carry_free_flow(monkeypatch):

@@ -2,8 +2,13 @@
 the same states, Gramian and sensitivities bit for bit, and divergence
 at the same time."""
 
+import json
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from conftest import vector_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conecert
 from conecert import reach
 from conecert.models import BUILTINS, ModelSpec, get_builtin
 from conecert.polyfield import (
@@ -25,6 +31,7 @@ from conecert.polyfield import (
 from conecert.reach import ControlPath, FlowDivergenceError
 
 F = Fraction
+SRC = str(Path(conecert.__file__).resolve().parents[1])
 SMALL_BUILTINS = sorted(n for n in BUILTINS if get_builtin(n).d <= 4)
 
 
@@ -70,6 +77,45 @@ def test_builtin_flows_match_bit_for_bit(name):
 
 def test_burgers_takes_the_array_step():
     assert compile_rk4_step(get_builtin("burgers").drift) is None
+
+
+# sha256 of the states, then M or S, of one 8-step RK4 pass of `burgers`
+# (d = 96, r = 16) under a seeded 2-piece control: the array step and the
+# carried matrix's per-step products at d = 96
+BURGERS_FLOW_DIGESTS = """
+import hashlib, json
+import numpy as np
+from conecert.models import get_builtin
+from conecert.reach import ControlPath, _integrate_once
+
+model = get_builtin("burgers")
+rng = np.random.default_rng(5)
+x = 0.1 * rng.normal(size=model.d)
+control = ControlPath.uniform(0.05, 0.5 * rng.normal(size=(2, model.r)))
+out = {}
+for carry in (None, "gramian", "sensitivity"):
+    flow = _integrate_once(model, x, control, 8, carry)
+    h = hashlib.sha256(flow.states.tobytes())
+    for Y in (flow.M, flow.S):
+        if Y is not None:
+            h.update(Y.tobytes())
+    out[str(carry)] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+BURGERS_FLOW_GOLDENS = {
+    "None": "6f447bfac9dc6b6602be340534f76c6a34b59b55fad7245acea3d25eb530e374",
+    "gramian": "0e3ac10683b3ea41b784cf2b307cd78e0bc5b0dce6f736bcc28a889448dd899d",
+    "sensitivity": "116275324a53cb2ebdcb0561e88edb815e600f4f9caf5f0b89592a37e2904100",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_burgers_flow_goldens(threads):
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", BURGERS_FLOW_DIGESTS], capture_output=True,
+                          text=True, check=True, timeout=120, env=env)
+    assert json.loads(proc.stdout) == BURGERS_FLOW_GOLDENS
 
 
 @st.composite
