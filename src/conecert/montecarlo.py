@@ -8,19 +8,25 @@ of the regularized incomplete beta function I_p(k, n-k+1), which is
 evaluated by its continued fraction (Numerical Recipes 6.4, modified
 Lentz method), so this module needs no scipy.
 
-Each block of _CHUNK paths has its own Philox stream, from which every
-step draws that step's normals, so memory grows with the number of
-paths but not with the number of steps.  A block steps its live paths
-as one compacted array; it re-gathers them, and writes the leavers'
-rows back, only on a step where some path stops.  The ball-exit test
-is also the finiteness test: NaN and inf never land inside the ball.
+Each block of _CHUNK paths has its own Philox stream.  Its normals are
+drawn a few steps at a time, _NOISE_BYTES of normals and increments
+per draw, on one worker thread that draws the next steps' noise while
+the block takes the current ones; the values are those of one draw
+per step, so memory grows with the number of paths but not with the
+number of steps.  A block steps its live paths as one compacted array;
+it re-gathers them, and writes the leavers' rows back, only on a step
+where some path stops.  The ball-exit test is also the finiteness
+test: NaN and inf never land inside the ball.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +34,14 @@ from .models import ModelError, ModelSpec
 from .polyfield import compile_field
 
 _CHUNK = 4096  # fixed path-block size; part of the reproducibility contract
+
+# Bytes of the normals and increments of one noise draw.  It sets how
+# many steps a draw covers, never the values drawn.  Of 256 KiB to 4 MiB,
+# 1-2 MiB ran the benchmark's four 2048-path simulations fastest: 1.7-1.8
+# s against 2.2 s at 256 KiB on two cores, 2.7-2.8 s against 3.1 s on one
+# (in-process medians, 2-core x86_64).  At most two draws are alive, so
+# memory stays within about twice this.
+_NOISE_BYTES = 1 << 20
 
 # Most Euler-Maruyama steps (t / dt) a configuration may ask for.  A step
 # of one block of paths takes tens of microseconds or more, so 10^7 steps
@@ -169,6 +183,64 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _increments(rng: np.random.Generator, m: int, sqrt_dt: float, Bt: np.ndarray,
+                k: int) -> np.ndarray:
+    """The next k steps' noise increments (normals * sqrt_dt) @ B^T of m
+    paths, shape (k, m, d): the stream, value for value, of k draws of
+    shape (m, r)."""
+    noise = rng.standard_normal((k, m, Bt.shape[0]))
+    noise *= sqrt_dt
+    return noise @ Bt
+
+
+class _DrawAhead:
+    """Iterates over the n_steps steps of the blocks draw(k) (the last one
+    shorter), each block drawn on one worker thread while the caller
+    takes the steps of the one before it, so at most two blocks are
+    alive.  A context manager: on exit, however it comes, the worker
+    stops after its current draw and is joined."""
+
+    def __init__(self, draw, n_steps: int, k: int):
+        self._draw, self._n_steps, self._k = draw, n_steps, k
+        self._free = threading.Semaphore(1)  # the worker may start a draw
+        self._ready = threading.Semaphore(0)  # a drawn block waits in _block
+        self._stop = False
+        self._thread = threading.Thread(target=self._work, name="montecarlo-noise")
+
+    def _work(self):
+        # error state is per thread, and overflow is diagnosed downstream
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, self._n_steps, self._k):
+                self._free.acquire()
+                if self._stop:
+                    return
+                try:
+                    self._block = self._draw(min(self._k, self._n_steps - start))
+                except BaseException as exc:  # raised again on the caller's thread
+                    self._block = exc
+                    return
+                finally:
+                    self._ready.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __iter__(self):
+        for _ in range(0, self._n_steps, self._k):
+            self._ready.acquire()
+            block = self._block
+            self._free.release()
+            if isinstance(block, BaseException):
+                raise block
+            yield from block
+
+    def __exit__(self, *exc_info):
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+
 def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     """Endpoint states, stopped mask and nonfinite counter, chunked so
     results are independent of scheduling."""
@@ -190,31 +262,35 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.n_paths, _CHUNK):
             m = min(_CHUNK, cfg.n_paths - start)
-            rng = _chunk_rng(cfg.seed, start // _CHUNK)
+            # steps per draw, from the byte budget of a draw
+            k = max(1, min(n_steps, _NOISE_BYTES // (8 * m * (r + d))))
+            # the draw binds this chunk's stream and row count
+            draw = partial(_increments, _chunk_rng(cfg.seed, start // _CHUNK), m, sqrt_dt, B.T)
             states = np.tile(x, (m, 1))
             # idx: the live rows of the chunk, cur: their states (a NaN
             # start is live, so its first step counts it as nonfinite)
             idx = np.flatnonzero(~(np.einsum("ij,ij->i", states, states) >= ball2))
             cur = states[idx]
-            for _ in range(n_steps):
-                if idx.size == 0:
-                    break
-                incr = f(cur) * dt
-                if r > 0:
-                    # the same stream, value for value, as one (n_steps, m, r) draw
-                    noise = rng.standard_normal((m, r))
-                    incr += ((noise if idx.size == m else noise[idx]) * sqrt_dt) @ B.T
-                nxt = cur + incr
-                # NaN and inf fail the test, so "all inside" means "all finite"
-                inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
-                if inside.all():
-                    cur = nxt
-                    continue
-                finite = np.isfinite(nxt).all(axis=1)
-                nonfinite += idx.size - int(finite.sum())
-                nxt[~finite] = np.nan
-                states[idx[~inside]] = nxt[~inside]
-                idx, cur = idx[inside], nxt[inside]
+            with _DrawAhead(draw, n_steps if r else 0, k) as noise:
+                for dw in noise if r else itertools.repeat(None, n_steps):
+                    if idx.size == 0:
+                        break
+                    incr = f(cur) * dt
+                    # take and compress copy rows as indexing does, several
+                    # times faster on a few columns
+                    if r > 0:
+                        incr += dw if idx.size == m else dw.take(idx, axis=0)
+                    nxt = cur + incr
+                    # NaN and inf fail the test, so "all inside" means "all finite"
+                    inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
+                    if inside.all():
+                        cur = nxt
+                        continue
+                    finite = np.isfinite(nxt).all(axis=1)
+                    nonfinite += idx.size - int(finite.sum())
+                    nxt[~finite] = np.nan
+                    states[idx[~inside]] = nxt.compress(~inside, axis=0)
+                    idx, cur = idx.compress(inside), nxt.compress(inside, axis=0)
             states[idx] = cur
             endpoints[start : start + m] = states
             stopped[start + idx] = False

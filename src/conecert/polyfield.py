@@ -462,17 +462,20 @@ def field_from_json(data: list[list[dict]], dim: int) -> PolyVectorField:
 # 1 appended to the point; all monomials are one gather and one product
 # over the slots, and the polynomials one dense coefficient matrix.  A
 # single point takes a short path through the same three operations,
-# about 3 us a call at d <= 4 with the vector-matrix product and 6.6 us
-# with the term-by-term sum below, against 8-9 us on the general path.
+# about 3 us a call at d <= 4, against 8-9 us on the general path.
 #
-# The RK4 step of a drift of at most _STRAIGHT_LINE_TERMS terms is one
-# generated straight-line function on Python floats
-# (`_straight_line_rk4`).  For such a drift the short path sums the
-# terms one by one in monomial order, from +0.0, each product rounded
-# first: the rounding the generated step reproduces.  The vector-matrix
-# product cannot serve, since OpenBLAS fuses multiply-adds and regroups
-# rows of four or more monomials.  Larger drifts keep the product, and
-# their flows take the array step in `reach`.
+# A drift of at most _STRAIGHT_LINE_TERMS terms is instead one generated
+# straight-line function of its coordinates (`_straight_line_field`),
+# and its RK4 step another (`_straight_line_rk4`), both emitted from one
+# source (`_drift_source`): each monomial a left-to-right product, each
+# component a sum from +0.0 of the terms in monomial order, each product
+# rounded first.  A point runs it on Python floats (about 1.5 us at
+# d <= 4), a batch on the coordinate columns (27 us for 2048 langevin
+# points, against 47 us on the general path; timeit, 2-core x86_64), so
+# every evaluation of such a drift rounds alike.  The matrix product
+# cannot serve, since OpenBLAS fuses multiply-adds and regroups rows of
+# four or more monomials.  Larger drifts, and every Jacobian, keep the
+# product, and their flows take the array step in `reach`.
 
 # Drift terms up to which the straight-line step is used.  A state-only
 # step of a random cubic drift took as long either way at 256-384 terms
@@ -507,23 +510,25 @@ class _SlotTable:
         # cached and shared by every caller of the field
         self.slots.flags.writeable = self.coeffs.flags.writeable = False
         self.shape = shape
-        self.sequential = sequential and len(index) > 0
+        self.columns = _straight_line_field(self) if sequential else None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if self.columns is not None:
+            # a point as floats, a batch as columns: the same rounding
+            if x.ndim == 1:
+                return np.array(self.columns(*x.tolist()))
+            out = np.empty(x.shape)
+            for j, column in enumerate(self.columns(*np.moveaxis(x, -1, 0))):
+                out[..., j] = column
+            return out
         if x.ndim == 1:
             # one point, as every RK4 stage asks: the same gather, product
             # and vector-matrix product, less the general path's overhead
             padded = np.empty(len(x) + 1)
             padded[:-1] = x
             padded[-1] = 1.0
-            monomials = np.multiply.reduce(padded[self.slots], axis=-1)
-            if self.sequential:
-                # term by term in index order; + 0.0 makes a zero +0.0, as
-                # a sum that starts at +0.0 leaves it
-                out = np.cumsum(monomials[:, None] * self.coeffs, axis=0)[-1] + 0.0
-            else:
-                out = monomials @ self.coeffs
+            out = np.multiply.reduce(padded[self.slots], axis=-1) @ self.coeffs
             return out if len(self.shape) == 1 else out.reshape(self.shape)
         padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         padded[..., :-1] = x
@@ -552,17 +557,60 @@ class _Kernel:
         return _straight_line_rk4(self.field) if self.small else None
 
 
+def _drift_source(table: _SlotTable, point: Sequence[str]) -> tuple[list[str], list[str]]:
+    """Source of the drift at the variables named `point`: lines binding
+    each monomial of more than one factor to m<i>, a left-to-right product
+    in slot order, and per component an expression summing the nonzero
+    terms from 0.0 in monomial order, each product rounded first.  It
+    holds only names and repr(float) literals of the table's coefficients."""
+    pad = len(point)  # slot index of the constant 1
+    lines = []
+    names = []  # per monomial: its value's name, or None for the constant 1
+    for i, row in enumerate(table.slots):
+        factors = [point[j] for j in row if j != pad]
+        if len(factors) > 1:
+            lines.append(f"m{i} = " + " * ".join(factors))
+            names.append(f"m{i}")
+        else:
+            names.append(factors[0] if factors else None)
+    exprs = []
+    for j in range(table.coeffs.shape[1]):
+        expr = "0.0"
+        for i in np.flatnonzero(table.coeffs[:, j]):
+            c = float(table.coeffs[i, j])
+            # acc - |c| m is acc + c m exactly, and 1.0 m is m
+            term = repr(abs(c)) if names[i] is None else (
+                names[i] if abs(c) == 1.0 else f"{abs(c)!r} * {names[i]}")
+            expr += f" {'-' if c < 0 else '+'} {term}"
+        exprs.append(expr)
+    return lines, exprs
+
+
+def _generated(name: str, lines: list[str]):
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _straight_line_field(table: _SlotTable):
+    """The drift as one generated function field(x0, ..., x{d-1}) ->
+    tuple of d components, on Python floats or on numpy arrays of one
+    shape alike (`_drift_source`'s rounding either way; a component with
+    no variable term is a float)."""
+    point = [f"x{j}" for j in range(table.coeffs.shape[1])]
+    lines, exprs = _drift_source(table, point)
+    return _generated("field", [f"def field({', '.join(point)}):",
+                                *(f"    {line}" for line in lines),
+                                f"    return ({''.join(f'{e}, ' for e in exprs)})"])
+
+
 def _straight_line_rk4(table: _SlotTable):
     """One RK4 step of dx/ds = X0(x) + F as a generated function
     step(x, F, h) -> (x_new, x2, x3, x4) on tuples of Python floats, with
-    the array step's rounding: each monomial a left-to-right product in
-    slot order, each drift component a sum from 0.0 over the nonzero
-    terms in monomial order, then + F; x2 = x + (0.5 h) k1, x3 = x +
-    (0.5 h) k2, x4 = x + h k3 and x_new = x + (h / 6) (((k1 + 2 k2) +
-    2 k3) + k4).  The source holds only indices and repr(float) literals
-    of the table's coefficients."""
+    the kernel's rounding (`_drift_source`), then + F; x2 = x + (0.5 h)
+    k1, x3 = x + (0.5 h) k2, x4 = x + h k3 and x_new = x + (h / 6) (((k1
+    + 2 k2) + 2 k3) + k4)."""
     d = table.coeffs.shape[1]
-    pad = d  # slot index of the constant 1
     lines = [
         "def rk4_step(x, F, h):",
         "    " + "".join(f"x1_{j}, " for j in range(d)) + "= x",
@@ -570,24 +618,9 @@ def _straight_line_rk4(table: _SlotTable):
         "    hh = 0.5 * h",
     ]
     for stage in (1, 2, 3, 4):
-        point = [f"x{stage}_{j}" for j in range(d)]
-        names = []  # per monomial: its value's name, or None for the constant 1
-        for i, row in enumerate(table.slots):
-            factors = [point[j] for j in row if j != pad]
-            if len(factors) > 1:
-                lines.append(f"    m{i} = " + " * ".join(factors))
-                names.append(f"m{i}")
-            else:
-                names.append(factors[0] if factors else None)
-        for j in range(d):
-            expr = "0.0"
-            for i in np.flatnonzero(table.coeffs[:, j]):
-                c = float(table.coeffs[i, j])
-                # acc - |c| m is acc + c m exactly, and 1.0 m is m
-                term = repr(abs(c)) if names[i] is None else (
-                    names[i] if abs(c) == 1.0 else f"{abs(c)!r} * {names[i]}")
-                expr += f" {'-' if c < 0 else '+'} {term}"
-            lines.append(f"    k{stage}_{j} = {expr} + F{j}")
+        monomials, exprs = _drift_source(table, [f"x{stage}_{j}" for j in range(d)])
+        lines += [f"    {line}" for line in monomials]
+        lines += [f"    k{stage}_{j} = {expr} + F{j}" for j, expr in enumerate(exprs)]
         if stage < 4:
             scale = "h" if stage == 3 else "hh"
             lines += [f"    x{stage + 1}_{j} = x1_{j} + {scale} * k{stage}_{j}" for j in range(d)]
@@ -596,9 +629,7 @@ def _straight_line_rk4(table: _SlotTable):
         f"x1_{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}), " for j in range(d))
     stages = ", ".join("(" + "".join(f"x{s}_{j}, " for j in range(d)) + ")" for s in (2, 3, 4))
     lines.append(f"    return ({new}), {stages}")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<rk4 step, d={d}>", "exec"), namespace)
-    return namespace["rk4_step"]
+    return _generated("rk4_step", lines)
 
 
 _kernel = functools.lru_cache(maxsize=64)(_Kernel)  # keyed on the frozen field

@@ -476,6 +476,7 @@ def synthesize_leg(
     rng = np.random.default_rng(seed)
     scale0 = _norm(to - frm) / t_leg + 1.0
     best_err = np.inf
+    diverged = 0  # starts whose flow diverged: they have no terminal error
     for start in range(_SYNTHESIS_STARTS):
         if start == 0:
             u0 = np.zeros(pieces * r)
@@ -492,16 +493,22 @@ def synthesize_leg(
                 )
                 terminal = flow_at(sol.x)[0]
         except FlowDivergenceError:
+            diverged += 1
             continue
         err = float(_norm(terminal - to))
         best_err = min(best_err, err)
         if err <= eps_reach:
             return pack(sol.x), terminal
+    if diverged == _SYNTHESIS_STARTS:
+        outcome = f"all {diverged} starts diverged"
+    else:
+        outcome = f"best terminal error {best_err:.3g} > {eps_reach:.3g}"
+        if diverged:
+            outcome += f"; {diverged} of {_SYNTHESIS_STARTS} starts diverged"
     # norms, not the endpoints: at d = 96 two vectors are kilobytes of digits
     raise SynthesisError(
         f"no control found steering |frm| = {_norm(frm):.3g} to"
-        f" |to| = {_norm(to):.3g} in t = {t_leg:.3g}"
-        f" (best terminal error {best_err:.3g} > {eps_reach:.3g})"
+        f" |to| = {_norm(to):.3g} in t = {t_leg:.3g} ({outcome})"
     )
 
 

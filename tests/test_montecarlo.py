@@ -1,18 +1,28 @@
 """Stopped Euler-Maruyama simulation and binomial evidence."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import cubic_blowup
 from scipy.stats import beta, ncx2
+from test_goldens import ENDPOINT_GOLDENS
 
+import conecert
+from conecert import montecarlo
 from conecert.models import ModelSpec, get_builtin
 from conecert.montecarlo import (
     MAX_STEPS,
     SimConfig,
+    _simulate_endpoints,
     clopper_pearson_lower,
     density_heatmap,
     simulate,
@@ -222,6 +232,17 @@ def test_diverging_paths_warn_nothing():
     assert ev.stopped_fraction == 1.0 and ev.hits == 0
 
 
+def test_overflowing_noise_warns_nothing():
+    # the increments overflow where they are drawn, on the noise thread
+    m = ModelSpec(name="loud", d=1, drift=PolyVectorField.zero(1), noise=((F(10**308),),))
+    cfg = SimConfig(t=1e4, dt=100.0, n_ball=float("inf"), n_paths=200, seed=0,
+                    z=np.zeros(1), delta=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = simulate(m, np.zeros(1), cfg)
+    assert ev.nonfinite_paths > 0
+
+
 def test_stopping_freezes_paths():
     # strong outward drift: every path leaves the unit ball and freezes;
     # no path can then count as a hit at the origin
@@ -271,3 +292,126 @@ def test_heatmap_needs_two_dims():
                     z=np.array([0.0]), delta=0.25)
     with pytest.raises(ValueError):
         density_heatmap(m, np.zeros(1), cfg, (np.linspace(-1, 1, 3),) * 2)
+
+
+# -- noise drawn ahead ------------------------------------------------
+
+
+def endpoint_bytes(model, x, kwargs):
+    endpoints, stopped, nonfinite = _simulate_endpoints(model, np.array(x), SimConfig(**kwargs))
+    return endpoints.tobytes(), stopped.tobytes(), nonfinite
+
+
+# langevin stop-heavy, and the cubic model, whose 5000 paths are two
+# chunks that each stop every path early
+@pytest.mark.parametrize("make_model,x,kwargs,expected", ENDPOINT_GOLDENS,
+                         ids=["langevin_stop_heavy", "cubic_blowup"])
+def test_endpoints_independent_of_noise_draw_size(monkeypatch, make_model, x, kwargs, expected):
+    model = make_model()
+    reference = endpoint_bytes(model, x, kwargs)
+    seen = []  # steps per draw, per chunk
+    draw_ahead = montecarlo._DrawAhead
+    monkeypatch.setattr(montecarlo, "_DrawAhead",
+                        lambda draw, n_steps, k: seen.append(k) or draw_ahead(draw, n_steps, k))
+    step_bytes = 8 * montecarlo._CHUNK * (model.r + model.d)  # one step of a full chunk
+    # one step a draw; 7 steps (31 in the 904-path chunk), which divide
+    # none of the 1000; all 1000 steps in one draw
+    for budget, ks in ((1, [1, 1]), (7 * step_bytes, [7, 31]), (10**12, [1000, 1000])):
+        seen.clear()
+        monkeypatch.setattr(montecarlo, "_NOISE_BYTES", budget)
+        assert endpoint_bytes(model, x, kwargs) == reference, budget
+        assert seen == ks
+
+
+def test_draw_ahead_under_thread_stress(monkeypatch):
+    # one step a draw and a 1 us switch interval, for the most handoffs
+    # between caller and worker, in four simulations at once: eight
+    # threads on the machine's cores
+    kwargs = dict(t=0.1, dt=1e-3, n_ball=1.3, n_paths=300, seed=3, z=[1.0, 0.0], delta=0.25)
+    model = get_builtin("langevin")
+    reference = endpoint_bytes(model, [0.0, 0.0], kwargs)
+    monkeypatch.setattr(montecarlo, "_NOISE_BYTES", 1)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = endpoint_bytes(model, [0.0, 0.0], kwargs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [reference] * 4
+
+
+ENDPOINT_DIGESTS = """
+import hashlib, json
+import numpy as np
+from test_goldens import ENDPOINT_GOLDENS
+from conecert.montecarlo import SimConfig, _simulate_endpoints
+
+out = []
+for make_model, x, kwargs, _ in ENDPOINT_GOLDENS:
+    endpoints, stopped, nonfinite = _simulate_endpoints(make_model(), np.array(x),
+                                                        SimConfig(**kwargs))
+    digest = hashlib.sha256(endpoints.tobytes() + stopped.tobytes()).hexdigest()
+    out.append([digest, int(stopped.sum()), nonfinite])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_endpoint_goldens_at_one_and_two_blas_threads(threads):
+    # the noise thread's BLAS products run beside the steps
+    paths = [str(Path(conecert.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", ENDPOINT_DIGESTS], capture_output=True,
+                          text=True, check=True, timeout=300, env=env)
+    assert json.loads(proc.stdout) == [list(expected) for *_, expected in ENDPOINT_GOLDENS]
+
+
+def test_simulate_leaves_no_thread(monkeypatch):
+    before = threading.active_count()
+    # a normal run, and one whose every path stops early in both chunks
+    simulate(get_builtin("langevin"), np.zeros(2), SimConfig.default(
+        t=1.0, z=np.array([1.0, 0.0]), n_ball=1.3, n_paths=300, seed=0))
+    assert threading.active_count() == before
+    make_model, x, kwargs, _ = ENDPOINT_GOLDENS[1]
+    ev = simulate(make_model(), np.array(x), SimConfig(**kwargs))
+    assert ev.stopped_fraction == 1.0
+    assert threading.active_count() == before
+
+    # a drift that raises mid-run, and a noise draw that raises
+    field = montecarlo.compile_field
+
+    def raising_field(V):
+        f, calls = field(V), []
+
+        def evaluate(x):
+            calls.append(1)
+            if len(calls) == 50:
+                raise ArithmeticError("drift failed")
+            return f(x)
+
+        return evaluate
+
+    cfg = SimConfig(t=1.0, dt=1e-3, n_ball=10.0, n_paths=100, seed=0, z=np.zeros(2), delta=0.25)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "compile_field", raising_field)
+        with pytest.raises(ArithmeticError, match="drift failed"):
+            simulate(get_builtin("langevin"), np.zeros(2), cfg)
+    assert threading.active_count() == before
+
+    def raising_draw(rng, m, sqrt_dt, Bt, k):
+        raise MemoryError("no room for the noise")
+
+    monkeypatch.setattr(montecarlo, "_increments", raising_draw)
+    with pytest.raises(MemoryError, match="no room"):
+        simulate(get_builtin("langevin"), np.zeros(2), cfg)
+    assert threading.active_count() == before

@@ -84,6 +84,19 @@ def test_montecarlo_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_montecarlo_loads_nothing_beyond_its_imports():
+    # the noise thread is plain `threading`, which numpy has loaded already
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import numpy, conecert.models, conecert.polyfield\n"
+            "before = set(sys.modules)\n"
+            "import conecert.montecarlo\n"
+            "print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "['conecert.montecarlo']"
+
+
 def test_via_equilibrium_certify_loads_no_scipy_stats():
     # the equilibrium search draws its Sobol starts without scipy.stats
     src = str(Path(conecert.__file__).resolve().parents[1])

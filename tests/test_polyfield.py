@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_vectors, polynomials, vector_fields
+from conftest import constant_vectors, exponents, polynomials, vector_fields
 from conecert.closure import choose_basis, compute_C
 from conecert.models import BUILTINS, get_builtin
 from conecert.polyfield import (
@@ -364,6 +364,78 @@ def test_kernel_input_shapes(bhw_model):
             assert np.array_equal(jf(xs[i, j]), jf(xs)[i, j])
     # lists and integer points are accepted
     assert np.array_equal(f([1, 2]), f(np.array([1.0, 2.0])))
+
+
+def sequential_reference(V, point):
+    """README's rounding for a small drift, on Python floats: each monomial
+    a left-to-right product in slot order, each component a sum from +0.0
+    of c * monomial over its nonzero terms, in monomial order."""
+    table = _kernel(V).field
+    values = [float(v) for v in point]
+    monomials = []
+    for row in table.slots:
+        factors = [values[j] for j in row if j < V.dim]
+        m = factors[0] if factors else 1.0
+        for v in factors[1:]:
+            m = m * v
+        monomials.append(m)
+    out = []
+    for j in range(V.dim):
+        acc = 0.0
+        for i in np.flatnonzero(table.coeffs[:, j]):
+            acc = acc + float(table.coeffs[i, j]) * monomials[i]
+        out.append(acc)
+    return np.array(out)
+
+
+def assert_batch_rounds_as_points(V, x):
+    f = compile_field(V)
+    batch = f(x)
+    assert batch.shape == x.shape
+    for point, row in zip(x.reshape(-1, V.dim), batch.reshape(-1, V.dim)):
+        single = f(point)
+        assert single.tobytes() == row.tobytes(), (point, single, row)
+        assert sequential_reference(V, point).tobytes() == row.tobytes()
+
+
+def test_small_drift_batch_rounds_as_single_points():
+    # non-dyadic coefficients: a vector-matrix product would round these
+    # rows differently from the term-by-term sum
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    V = PolyVectorField(2, (
+        x0.scale(F(3, 10)) + (x1 * x1).scale(F(7, 3)) - (x0 * x1).scale(F(1, 7)),
+        (x0 * x0 * x1).scale(F(1, 7)) - x1.scale(F(7, 3)) + Polynomial.constant(2, F(3, 10))))
+    P = np.random.default_rng(0).normal(size=(5000, 2))
+    assert_batch_rounds_as_points(V, P)
+    assert_batch_rounds_as_points(V, P.reshape(50, 100, 2))
+
+
+POINT_VALUES = st.one_of(
+    st.floats(min_value=-4, max_value=4),  # takes in +0.0 and -0.0
+    # cubes of these overflow, and inf - inf is NaN
+    st.sampled_from([0.0, -0.0, 1e110, -1e110, 3e160, -3e160, 1e308, float("inf"),
+                     float("-inf")]),
+)
+
+
+@st.composite
+def small_drifts_and_batches(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=10)
+    terms = st.lists(st.tuples(exponents(d, 3), coeffs), max_size=5)
+    V = PolyVectorField(d, tuple(Polynomial(d, dict(draw(terms))) for _ in range(d)))
+    shape = draw(st.sampled_from([(1,), (6,), (2, 3)])) + (d,)  # (n, d) and (n, m, d)
+    values = draw(st.lists(POINT_VALUES, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return V, np.array(values).reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_drifts_and_batches())
+def test_small_drift_batch_rounds_as_single_points_random(case):
+    V, x = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_batch_rounds_as_points(V, x)
 
 
 def test_kernel_zero_and_constant_fields():

@@ -697,6 +697,25 @@ def test_synthesis_error_message_does_not_grow_with_d():
     assert all(len(msg) < 120 and "[" not in msg for msg in messages)
 
 
+def test_synthesis_error_counts_diverged_starts(monkeypatch):
+    # the first start's flow diverges, the other five end off the noise line
+    m = ModelSpec(name="line", d=2, drift=PolyVectorField.zero(2), noise=((F(1), F(0)),))
+    flows = []
+    terminal_and_jac = reach._terminal_and_jac
+
+    def first_diverges(*args):
+        flows.append(1)
+        if len(flows) == 1:
+            raise FlowDivergenceError(0.5)
+        return terminal_and_jac(*args)
+
+    monkeypatch.setattr(reach, "_terminal_and_jac", first_diverges)
+    with pytest.raises(SynthesisError) as exc_info:
+        synthesize_leg(m, np.zeros(2), np.full(2, 0.5), 1.0, pieces=2, n_steps=4)
+    assert str(exc_info.value).endswith(
+        "(best terminal error 0.5 > 1.71e-05; 1 of 6 starts diverged)")
+
+
 def test_synthesis_refusal_names_the_leg():
     m = get_builtin("langevin")
     cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1e-300,
