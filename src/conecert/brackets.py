@@ -156,7 +156,10 @@ class _Parser:
 
 
 def parse_bracket(expr: str, model: ModelSpec) -> PolyVectorField:
-    return _Parser(_tokenize(expr), model).parse()
+    try:
+        return _Parser(_tokenize(expr), model).parse()
+    except RecursionError as exc:
+        raise BracketParseError("expression nested too deeply") from exc
 
 
 def pretty_field(V: PolyVectorField, model: ModelSpec) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,18 +82,17 @@ class RationalSpan:
 
 def primitive_direction(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Scale by a positive rational so entries are coprime integers."""
-    nonzero = [c for c in v if c != 0]
-    if not nonzero:
+    if not any(v):
         return v
-    from math import gcd
-
-    num_gcd = 0
-    den_lcm = 1
-    for c in nonzero:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
+    scale = Fraction(math.lcm(*(c.denominator for c in v)), math.gcd(*(c.numerator for c in v)))
     return tuple(c * scale for c in v)
+
+
+def _even_direction(span: RationalSpan, v: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
+    """v modulo the odd span, as a primitive cone direction; None when v
+    lies in the span."""
+    residual = span.reduce(v)
+    return primitive_direction(residual) if any(residual) else None
 
 
 # --------------------------------------------------------------------
@@ -203,11 +203,8 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                         state.odd_constants.append(ConstantField(value, "odd", deriv))
                         added = True
                 else:
-                    residual = span.reduce(value)
-                    if all(c == 0 for c in residual):
-                        continue
-                    key = primitive_direction(residual)
-                    if key not in state.even_seen:
+                    key = _even_direction(span, value)
+                    if key is not None and key not in state.even_seen:
                         state.even_seen.add(key)
                         state.even_constants.append(ConstantField(value, "even", deriv))
                         added = True
@@ -293,11 +290,8 @@ def compute_C(
     even_out = []
     seen = set()
     for cf in state.even_constants:
-        residual = span.reduce(cf.value)
-        if all(c == 0 for c in residual):
-            continue
-        prim = primitive_direction(residual)
-        if prim in seen:
+        prim = _even_direction(span, cf.value)
+        if prim is None or prim in seen:
             continue
         seen.add(prim)
         even_out.append(ConstantField(prim, "even", cf.derivation))
@@ -324,8 +318,7 @@ def verify_derivations(model: ModelSpec, cone: ConeSpan) -> bool:
         V = parse_bracket(cf.derivation, model)
         if not V.is_constant():
             return False
-        residual = span.reduce(V.constant_value())
-        if primitive_direction(residual) != cf.value:
+        if _even_direction(span, V.constant_value()) != cf.value:
             return False
     return True
 

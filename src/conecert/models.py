@@ -87,7 +87,10 @@ def save_model(spec: ModelSpec, path: str) -> None:
 
 def load_model(path: str) -> ModelSpec:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ModelError("model JSON is nested too deeply") from exc
     return model_from_json(data)
 
 

@@ -13,15 +13,17 @@ drawn a few steps at a time, _NOISE_BYTES of normals and increments
 per draw, on one worker thread that draws the next steps' noise while
 the block takes the current ones; the values are those of one draw
 per step, so memory grows with the number of paths but not with the
-number of steps.  A block steps its live paths as one compacted array;
-it re-gathers them, and writes the leavers' rows back, only on a step
-where some path stops.  The ball-exit test is also the finiteness
-test: NaN and inf never land inside the ball.
+number of steps.  Chunking, the worker's scheduling and the draw size
+never change a value, but a drift of more than
+polyfield._STRAIGHT_LINE_TERMS terms is a BLAS product, whose rounding,
+and so an endpoint's last bits, may follow the BLAS thread count.  A block steps its live paths
+as one compacted array; it re-gathers them, and writes the leavers'
+rows back, only on a step where some path stops.  The ball-exit test
+is also the finiteness test: NaN and inf never land inside the ball.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import threading
@@ -242,18 +244,19 @@ class _DrawAhead:
 
 
 def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
-    """Endpoint states, stopped mask and nonfinite counter, chunked so
-    results are independent of scheduling."""
-    x = np.asarray(x, dtype=float)
+    """Endpoint states, stopped mask and nonfinite counter, the same
+    whatever the chunks' scheduling and draw size; for a drift above
+    _STRAIGHT_LINE_TERMS terms the BLAS thread count may move last bits."""
     d = model.d
     r = model.r
+    x = np.asarray(x, dtype=float).reshape(d)
     B = model.noise_matrix()
     f = compile_field(model.drift)
     n_steps = int(round(cfg.t / cfg.dt))
     dt = cfg.t / n_steps
     sqrt_dt = math.sqrt(dt)
 
-    endpoints = np.zeros((cfg.n_paths, d))
+    endpoints = np.empty((cfg.n_paths, d))  # each chunk fills its rows
     stopped = np.ones(cfg.n_paths, dtype=bool)
     nonfinite = 0
     ball2 = cfg.n_ball * cfg.n_ball
@@ -266,20 +269,20 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
             k = max(1, min(n_steps, _NOISE_BYTES // (8 * m * (r + d))))
             # the draw binds this chunk's stream and row count
             draw = partial(_increments, _chunk_rng(cfg.seed, start // _CHUNK), m, sqrt_dt, B.T)
-            states = np.tile(x, (m, 1))
+            states = endpoints[start : start + m]
+            states[...] = x
             # idx: the live rows of the chunk, cur: their states (a NaN
             # start is live, so its first step counts it as nonfinite)
             idx = np.flatnonzero(~(np.einsum("ij,ij->i", states, states) >= ball2))
             cur = states[idx]
-            with _DrawAhead(draw, n_steps if r else 0, k) as noise:
-                for dw in noise if r else itertools.repeat(None, n_steps):
+            with _DrawAhead(draw, n_steps, k) as noise:
+                for dw in noise:
                     if idx.size == 0:
                         break
                     incr = f(cur) * dt
                     # take and compress copy rows as indexing does, several
                     # times faster on a few columns
-                    if r > 0:
-                        incr += dw if idx.size == m else dw.take(idx, axis=0)
+                    incr += dw if idx.size == m else dw.take(idx, axis=0)
                     nxt = cur + incr
                     # NaN and inf fail the test, so "all inside" means "all finite"
                     inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
@@ -292,7 +295,6 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
                     states[idx[~inside]] = nxt.compress(~inside, axis=0)
                     idx, cur = idx.compress(inside), nxt.compress(inside, axis=0)
             states[idx] = cur
-            endpoints[start : start + m] = states
             stopped[start + idx] = False
     return endpoints, stopped, nonfinite
 

@@ -428,9 +428,11 @@ def poly_from_json(data: list[dict], dim: int) -> Polynomial:
     for i, entry in enumerate(data):
         try:
             coeff = Fraction(entry["coeff"])
-            exps = tuple(int(e) for e in entry["exps"])
+            exps = tuple(entry["exps"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial term {i}: {entry!r}") from exc
+        if not all(type(e) is int for e in exps):  # JSON integers only; no bool, 1.5 or "2"
+            raise ValueError(f"term {i}: exponents must be integers, got {entry['exps']!r}")
         if len(exps) != dim:
             raise ValueError(
                 f"term {i}: exponent vector length {len(exps)} != dim {dim}"
@@ -460,9 +462,8 @@ def field_from_json(data: list[list[dict]], dim: int) -> PolyVectorField:
 # and cached.  A monomial is a row of variable indices (its "slots",
 # highest power first) padded with index dim, which addresses a constant
 # 1 appended to the point; all monomials are one gather and one product
-# over the slots, and the polynomials one dense coefficient matrix.  A
-# single point takes a short path through the same three operations,
-# about 3 us a call at d <= 4, against 8-9 us on the general path.
+# over the slots, and the polynomials one dense coefficient matrix, for
+# a single point and a batch alike.
 #
 # A drift of at most _STRAIGHT_LINE_TERMS terms is instead one generated
 # straight-line function of its coordinates (`_straight_line_field`),
@@ -522,14 +523,6 @@ class _SlotTable:
             for j, column in enumerate(self.columns(*np.moveaxis(x, -1, 0))):
                 out[..., j] = column
             return out
-        if x.ndim == 1:
-            # one point, as every RK4 stage asks: the same gather, product
-            # and vector-matrix product, less the general path's overhead
-            padded = np.empty(len(x) + 1)
-            padded[:-1] = x
-            padded[-1] = 1.0
-            out = np.multiply.reduce(padded[self.slots], axis=-1) @ self.coeffs
-            return out if len(self.shape) == 1 else out.reshape(self.shape)
         padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
         padded[..., :-1] = x
         padded[..., -1] = 1.0

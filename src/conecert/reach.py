@@ -17,7 +17,7 @@ A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop calls one RK4 step
 function: for a drift of at most `polyfield._STRAIGHT_LINE_TERMS` terms
 the straight-line step generated for it, on Python floats (a state-only
 step takes about 2.5-3 us at d <= 4, a carried one about 8-12 us), else
-the array step on the kernel's single-point path.  The two round alike,
+the array step, one kernel call per stage point.  The two round alike,
 so a flow's bits do not depend on which one runs.  The matrix advances a
 block of steps at a time, by each step's RK4 propagator Phi_n, from the
 stage Jacobians of one kernel call per block (`_CarriedMatrix`), so its
@@ -407,13 +407,6 @@ def _eps_reach(z) -> float:
     return 1e-5 * (1.0 + _norm(z))
 
 
-def _terminal_and_jac(model, x0, control: ControlPath, n_steps: int):
-    """Terminal state and its Jacobian with respect to the per-piece
-    control values, from the forward sensitivities dS/ds = A S + B E_p."""
-    flow = _integrate_once(model, x0, control, n_steps, "sensitivity")
-    return flow.terminal, flow.S, flow
-
-
 def synthesize_leg(
     model: ModelSpec,
     frm,
@@ -454,7 +447,7 @@ def synthesize_leg(
 
     # the solver asks for the residual and then the Jacobian at the same
     # iterate; one joint flow serves both
-    last: dict[bytes, tuple] = {}
+    last: dict[bytes, FlowResult] = {}
 
     def flow_at(uflat):
         key = uflat.tobytes()
@@ -464,14 +457,14 @@ def synthesize_leg(
                 # non-finite from the first step, so the start fails
                 raise FlowDivergenceError(0.0)
             last.clear()
-            last[key] = _terminal_and_jac(model, frm, pack(uflat), n_steps)
+            last[key] = _integrate_once(model, frm, pack(uflat), n_steps, "sensitivity")
         return last[key]
 
     def residual(uflat):
-        return np.concatenate([flow_at(uflat)[0] - to, ridge * uflat])
+        return np.concatenate([flow_at(uflat).terminal - to, ridge * uflat])
 
     def jac(uflat):
-        return np.vstack([flow_at(uflat)[1], ridge * np.eye(len(uflat))])
+        return np.vstack([flow_at(uflat).S, ridge * np.eye(len(uflat))])
 
     rng = np.random.default_rng(seed)
     scale0 = _norm(to - frm) / t_leg + 1.0
@@ -491,7 +484,7 @@ def synthesize_leg(
                     residual, u0, jac=jac, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
                     max_nfev=200,
                 )
-                terminal = flow_at(sol.x)[0]
+                terminal = flow_at(sol.x).terminal
         except FlowDivergenceError:
             diverged += 1
             continue

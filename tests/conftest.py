@@ -86,6 +86,9 @@ MALFORMED_MODELS = {
     "drift_div_zero": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "1/0", "exps": [1]}]]},
     "noise_overflows_float": {**GOOD_MODEL_JSON, "noise": [["1e400"]]},
     "drift_overflows_float": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "1e400", "exps": [1]}]]},
+    "exponent_fractional": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [1.5]}]]},
+    "exponent_bool": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [True]}]]},
+    "exponent_string": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": ["2"]}]]},
     "param_not_a_number": {**GOOD_MODEL_JSON, "params": {"a": "q"}},
     "ball_not_a_number": {**GOOD_MODEL_JSON, "default_ball_n": "x"},
 }

@@ -31,7 +31,7 @@ from conecert.polyfield import (
 from conecert.reach import (
     CertifyOptions,
     ControlPath,
-    _terminal_and_jac,
+    _integrate_once,
     certify,
     gramian,
     gramian_threshold,
@@ -359,12 +359,11 @@ def test_criterion_8_property_suites():
 
     def terminal(uflat):
         c = ControlPath.uniform(0.8, uflat.reshape(pieces, 1))
-        term, _, _ = _terminal_and_jac(m, x0, c, 600)
-        return term
+        return _integrate_once(m, x0, c, 600, "sensitivity").terminal
 
-    _, J, _ = _terminal_and_jac(
-        m, x0, ControlPath.uniform(0.8, u.reshape(pieces, 1)), 600
-    )
+    J = _integrate_once(
+        m, x0, ControlPath.uniform(0.8, u.reshape(pieces, 1)), 600, "sensitivity"
+    ).S
     h = 1e-6
     for p in range(pieces):
         e = np.zeros(pieces)

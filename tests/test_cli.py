@@ -67,11 +67,19 @@ def test_malformed_model_file_is_input_error(tmp_path):
     assert main(["analyze", "--builtin", "bhw", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("name", ["name_not_a_string", "d_string", "drift_div_zero"])
+@pytest.mark.parametrize("name", ["name_not_a_string", "d_string", "drift_div_zero",
+                                  "exponent_fractional", "exponent_bool", "exponent_string"])
 def test_malformed_model_values_exit_two(tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED_MODELS[name]))
     assert main(["analyze", "--model", str(path)]) == 2
+
+
+def test_deeply_nested_model_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["analyze", "--model", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_analyze_custom_model_file(tmp_path):
@@ -107,6 +115,12 @@ def test_bracket_command(capsys):
     ]) == 0
     assert "(2, 0)" in capsys.readouterr().out
     assert main(["bracket", "--builtin", "bhw", "--expr", "[[X1"]) == 2
+
+
+@pytest.mark.parametrize("opener", ["[", "("])
+def test_deeply_nested_bracket_expr_exits_two(capsys, opener):
+    assert main(["bracket", "--builtin", "bhw", "--expr", opener * 3000]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_bracket_work_is_bounded(capsys):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cubic_blowup
+from conftest import cubic_blowup, no_noise_model
 
 import conecert
 from conecert import (
@@ -57,7 +57,8 @@ def test_simulate_goldens(name, z, seed, ball, expected):
 
 # (model, x, SimConfig kwargs) -> (sha256 of endpoints + stopped mask,
 # stopped paths, nonfinite_paths); the same at 1 and 2 BLAS threads.
-# The cubic model overflows on 1855 of its 5000 paths.
+# The cubic model overflows on 1855 of its 5000 paths.  The noiseless
+# (r = 0) model leaves the 0.95 ball on its last steps; x1 starts at -0.0.
 ENDPOINT_GOLDENS = [
     (lambda: get_builtin("langevin"), [0.0, 0.0],
      dict(t=1.0, dt=1e-3, n_ball=1.3, n_paths=5000, seed=0, z=[1.0, 0.0], delta=0.25),
@@ -65,11 +66,14 @@ ENDPOINT_GOLDENS = [
     (cubic_blowup, [0.5],
      dict(t=1.0, dt=1e-3, n_ball=1e300, n_paths=5000, seed=1, z=[0.0], delta=0.25),
      ("cdf0b92a88c60caa0e429c2b07f5eff1ad95e96ddba9afd431d4c2693fdbf6b6", 5000, 1855)),
+    (no_noise_model, [0.5, -0.0],
+     dict(t=1.0, dt=1e-3, n_ball=0.95, n_paths=3, seed=0, z=[0.0, 0.0], delta=0.25),
+     ("e0b7b61a8d16e165cc2eb591bfc22894c7fc02618e7646a691bb2a0e0c5eb22e", 3, 0)),
 ]
 
 
 @pytest.mark.parametrize("model,x,kwargs,expected", ENDPOINT_GOLDENS,
-                         ids=["langevin_stop_heavy", "cubic_blowup"])
+                         ids=["langevin_stop_heavy", "cubic_blowup", "no_noise"])
 def test_simulate_endpoint_goldens(model, x, kwargs, expected):
     endpoints, stopped, nonfinite = _simulate_endpoints(model(), np.array(x), SimConfig(**kwargs))
     digest = hashlib.sha256(endpoints.tobytes() + stopped.tobytes()).hexdigest()

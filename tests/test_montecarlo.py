@@ -304,7 +304,7 @@ def endpoint_bytes(model, x, kwargs):
 
 # langevin stop-heavy, and the cubic model, whose 5000 paths are two
 # chunks that each stop every path early
-@pytest.mark.parametrize("make_model,x,kwargs,expected", ENDPOINT_GOLDENS,
+@pytest.mark.parametrize("make_model,x,kwargs,expected", ENDPOINT_GOLDENS[:2],
                          ids=["langevin_stop_heavy", "cubic_blowup"])
 def test_endpoints_independent_of_noise_draw_size(monkeypatch, make_model, x, kwargs, expected):
     model = make_model()
@@ -374,6 +374,34 @@ def test_endpoint_goldens_at_one_and_two_blas_threads(threads):
     proc = subprocess.run([sys.executable, "-c", ENDPOINT_DIGESTS], capture_output=True,
                           text=True, check=True, timeout=300, env=env)
     assert json.loads(proc.stdout) == [list(expected) for *_, expected in ENDPOINT_GOLDENS]
+
+
+BURGERS_EVIDENCE = """
+import json
+import numpy as np
+from conecert import SimConfig, get_builtin, simulate
+
+model = get_builtin("burgers")
+out = []
+for ball, delta in ((1.0, 0.5), (2.0, 1.0)):
+    cfg = SimConfig(t=0.05, dt=5e-4, n_ball=ball, n_paths=64, seed=0, z=np.zeros(model.d),
+                    delta=delta)
+    ev = simulate(model, np.zeros(model.d), cfg)
+    out.append([ev.hits, ev.stopped_fraction, ev.nonfinite_paths])
+print(json.dumps(out))
+"""
+
+
+def test_burgers_evidence_same_at_one_and_two_blas_threads():
+    # burgers' drift is a BLAS product, so its endpoints' last bits may
+    # follow the thread count; the counts drawn from them must not
+    env = {**os.environ, "PYTHONPATH": str(Path(conecert.__file__).resolve().parents[1])}
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", BURGERS_EVIDENCE], capture_output=True, text=True, check=True,
+        timeout=300, env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout)
+        for threads in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0][0][1] > 0 and runs[0][1][0] > 0  # some paths stop, some hit
 
 
 def test_simulate_leaves_no_thread(monkeypatch):

@@ -22,7 +22,6 @@ from conecert.reach import (
     SynthesisError,
     _eps_reach,
     _norm,
-    _terminal_and_jac,
     certify,
     gramian,
     gramian_threshold,
@@ -88,7 +87,7 @@ def test_flow_jacobian_shear_oracle():
     # the value on piece [a, b] is (b - a, (b - a)(t - (a + b)/2)) exactly
     m = shear_model()
     control = ControlPath(1.0, np.array([0.0, 0.25, 0.6, 1.0]), [[1.0], [-2.0], [0.5]])
-    _, S, _ = _terminal_and_jac(m, np.array([0.3, -0.1]), control, 40)
+    S = reach._integrate_once(m, np.array([0.3, -0.1]), control, 40, "sensitivity").S
     a, b = control.breakpoints[:-1], control.breakpoints[1:]
     assert np.allclose(S, [b - a, (b - a) * (1.0 - 0.5 * (a + b))], atol=1e-12)
 
@@ -143,7 +142,7 @@ def test_flow_divergence_in_carried_matrix_detected():
     assert np.all(np.isfinite(integrate_flow(m, [0.0, 0.0], control, n_steps=600,
                                              with_jacobian=False).terminal))
     with pytest.raises(FlowDivergenceError, match="non-finite state or matrix"):
-        _terminal_and_jac(m, np.zeros(2), control, 600)
+        reach._integrate_once(m, np.zeros(2), control, 600, "sensitivity")
 
 
 def test_refine_halves_until_converged():
@@ -483,10 +482,10 @@ def test_synthesis_variational_gradient_matches_fd():
 
     def terminal(uflat):
         c = ControlPath.uniform(0.8, uflat.reshape(pieces, r))
-        t, _, _ = _terminal_and_jac(m, x0, c, 600)
-        return t
+        return reach._integrate_once(m, x0, c, 600, "sensitivity").terminal
 
-    _, J, _ = _terminal_and_jac(m, x0, ControlPath.uniform(0.8, u.reshape(pieces, r)), 600)
+    J = reach._integrate_once(m, x0, ControlPath.uniform(0.8, u.reshape(pieces, r)), 600,
+                              "sensitivity").S
     h = 1e-6
     for p in range(pieces):
         e = np.zeros(pieces * r)
@@ -701,15 +700,15 @@ def test_synthesis_error_counts_diverged_starts(monkeypatch):
     # the first start's flow diverges, the other five end off the noise line
     m = ModelSpec(name="line", d=2, drift=PolyVectorField.zero(2), noise=((F(1), F(0)),))
     flows = []
-    terminal_and_jac = reach._terminal_and_jac
+    integrate_once = reach._integrate_once
 
     def first_diverges(*args):
         flows.append(1)
         if len(flows) == 1:
             raise FlowDivergenceError(0.5)
-        return terminal_and_jac(*args)
+        return integrate_once(*args)
 
-    monkeypatch.setattr(reach, "_terminal_and_jac", first_diverges)
+    monkeypatch.setattr(reach, "_integrate_once", first_diverges)
     with pytest.raises(SynthesisError) as exc_info:
         synthesize_leg(m, np.zeros(2), np.full(2, 0.5), 1.0, pieces=2, n_steps=4)
     assert str(exc_info.value).endswith(
