@@ -63,7 +63,8 @@ def _above(kind, low, high=math.inf):
     def parse(text: str):
         value = kind(text)
         if not (math.isfinite(value) and value > low):
-            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number greater than {low}, got {text}")
         if value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value

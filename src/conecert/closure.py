@@ -118,8 +118,6 @@ def closure_init(model: ModelSpec) -> GenerationState:
     span = RationalSpan(model.d)
     odd = []
     for j, v in enumerate(model.noise, start=1):
-        if all(c == 0 for c in v):
-            continue
         if span.add(v):
             odd.append(ConstantField(v, "seed", f"X{j}"))
     return GenerationState(
@@ -193,8 +191,6 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                 # W already constant along the line; bracket adds nothing
                 continue
             B = ad_power(V, W, m)
-            if B.is_zero():
-                continue
             deriv = f"[{v_deriv}, {w_deriv}]" if m == 1 else f"ad^{m}({v_deriv})({w_deriv})"
             if B.is_constant():
                 value = B.constant_value()

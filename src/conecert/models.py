@@ -24,6 +24,9 @@ from .polyfield import (
     field_to_json,
 )
 
+# Highest total degree of a drift monomial; the kernel's product x0 * x0 * ... fails at 3,000.
+MAX_DEGREE = 1000
+
 
 class ModelError(ValueError):
     pass
@@ -133,7 +136,9 @@ def model_from_json(data: dict) -> ModelSpec:
     except (TypeError, ValueError) as exc:
         raise ModelError(f"drift: {exc}") from exc
     for j, p in enumerate(drift.components):
-        for c in p.terms.values():
+        for e, c in p.terms.items():
+            if sum(e) > MAX_DEGREE:
+                raise ModelError(f"drift component {j}: degree {sum(e)} is above {MAX_DEGREE}")
             _float_sized(c, f"drift component {j}")
     if not isinstance(data["noise"], list):
         raise ModelError(f"noise must be a list, got {data['noise']!r}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -97,13 +97,7 @@ class PositivityEvidence:
     nonfinite_paths: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "hits": self.hits,
-            "n_paths": self.n_paths,
-            "lower_cb": self.lower_cb,
-            "stopped_fraction": self.stopped_fraction,
-            "nonfinite_paths": self.nonfinite_paths,
-        }
+        return asdict(self)
 
 
 def clopper_pearson_lower(hits: int, n: int, confidence: float = 0.99) -> float:

@@ -324,15 +324,9 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
     for j in range(d):
         acc: dict = {}
         for k in v_nz:
-            dw = W.components[j].diff(k)
-            if dw.is_zero():
-                continue
-            _accumulate_product(acc, V.components[k], dw, 1)
+            _accumulate_product(acc, V.components[k], W.components[j].diff(k), 1)
         for k in w_nz:
-            dv = V.components[j].diff(k)
-            if dv.is_zero():
-                continue
-            _accumulate_product(acc, W.components[k], dv, -1)
+            _accumulate_product(acc, W.components[k], V.components[j].diff(k), -1)
         comps.append(Polynomial._raw(d, acc))
     return PolyVectorField(d, tuple(comps))
 
@@ -424,7 +418,7 @@ def poly_to_json(p: Polynomial) -> list[dict]:
 
 
 def poly_from_json(data: list[dict], dim: int) -> Polynomial:
-    terms = {}
+    terms = []
     for i, entry in enumerate(data):
         try:
             coeff = Fraction(entry["coeff"])
@@ -433,11 +427,7 @@ def poly_from_json(data: list[dict], dim: int) -> Polynomial:
             raise ValueError(f"malformed polynomial term {i}: {entry!r}") from exc
         if not all(type(e) is int for e in exps):  # JSON integers only; no bool, 1.5 or "2"
             raise ValueError(f"term {i}: exponents must be integers, got {entry['exps']!r}")
-        if len(exps) != dim:
-            raise ValueError(
-                f"term {i}: exponent vector length {len(exps)} != dim {dim}"
-            )
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        terms.append((exps, coeff))
     return Polynomial(dim, terms)
 
 

@@ -163,7 +163,6 @@ def integrate_flow(
     state decides, and it does not depend on whether M is carried, so
     the coarsest pass skips M.
     """
-    x = np.asarray(x, dtype=float)
     carry = "gramian" if with_jacobian else None
     result = _integrate_once(model, x, control, n_steps, None if refine else carry)
     if refine:

@@ -89,6 +89,9 @@ MALFORMED_MODELS = {
     "exponent_fractional": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [1.5]}]]},
     "exponent_bool": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [True]}]]},
     "exponent_string": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": ["2"]}]]},
+    "exponent_wrong_length": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [1, 0]}]]},
+    "exponent_negative": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [-1]}]]},
+    "degree_above_bound": {**GOOD_MODEL_JSON, "drift": [[{"coeff": "-1", "exps": [1001]}]]},
     "param_not_a_number": {**GOOD_MODEL_JSON, "params": {"a": "q"}},
     "ball_not_a_number": {**GOOD_MODEL_JSON, "default_ball_n": "x"},
 }

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -21,7 +22,7 @@ from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from test_closure import cross_model
 from conecert.cli import MAX_PIECES, MAX_STARTS, build_parser, main
 from conecert.closure import RationalSpan, primitive_direction
-from conecert.models import bhw, get_builtin, load_model, save_model
+from conecert.models import MAX_DEGREE, bhw, get_builtin, load_model, save_model
 
 
 def test_models_lists_builtins(capsys):
@@ -68,7 +69,9 @@ def test_malformed_model_file_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["name_not_a_string", "d_string", "drift_div_zero",
-                                  "exponent_fractional", "exponent_bool", "exponent_string"])
+                                  "exponent_fractional", "exponent_bool", "exponent_string",
+                                  "exponent_wrong_length", "exponent_negative",
+                                  "degree_above_bound"])
 def test_malformed_model_values_exit_two(tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED_MODELS[name]))
@@ -264,6 +267,35 @@ def test_model_coefficient_beyond_float_range_exits_two(tmp_path, capsys, name):
         assert "too large for a float" in capsys.readouterr().err
 
 
+def _degree_model(path, degree):
+    path.write_text(json.dumps({**GOOD_MODEL_JSON,
+                                "drift": [[{"coeff": "-1", "exps": [degree]}]]}))
+    return str(path)
+
+
+def test_huge_degree_refused_under_a_memory_limit(tmp_path):
+    # at degree 3 * 10^7 the kernel's slot arrays outgrow 1.5 GB of address
+    # space, a limit set in the child alone; the file is refused at load
+    path = _degree_model(tmp_path / "deg.json", 30_000_000)
+    limit = 1_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "verify", "--model", path, "--from", "0",
+         "--to", "0.5", "--t", "1", "--paths", "100", "--ball", "10"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2
+    assert f"above {MAX_DEGREE}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_drift_at_the_degree_bound_runs(tmp_path):
+    path = _degree_model(tmp_path / "deg.json", MAX_DEGREE)
+    common = ["--model", path, "--from", "0", "--to", "0.5", "--t", "1"]
+    assert main(["verify", *common, "--paths", "10", "--ball", "10"]) in (0, 3)
+    assert main(["reach", *common, "--pieces", "2"]) in (0, 3)
+
+
 def test_equilibria_starts_capped_at_parsing():
     argv = ["equilibria", "--builtin", "bhw", "--starts"]
     assert _exit_code([*argv, str(MAX_STARTS + 1)]) == 2
@@ -361,9 +393,15 @@ LANGEVIN = ["--builtin", "langevin", "--from", "0,0", "--to", "1,0"]
     ["equilibria", "--builtin", "bhw", "--box=2,-2;-2,2"],
     ["reach", "--builtin", "langevin", "--from", "nan,0", "--to", "1,0", "--t", "1"],
     ["verify", "--builtin", "langevin", "--from", "0,0", "--to", "inf,0", "--t", "1"],
+    ["verify", *LANGEVIN, "--t", "1", "--ball", "inf"],
+    ["verify", *LANGEVIN, "--t", "nan"],
+    ["verify", *LANGEVIN, "--t", "1", "--delta", "inf"],
+    ["verify", *LANGEVIN, "--t", "1", "--dt", "nan"],
 ])
-def test_malformed_inputs_exit_two(argv):
+def test_malformed_inputs_exit_two(argv, capsys):
     assert _exit_code(argv) == 2
+    # a bounded flag states the whole condition, finiteness included
+    assert "must be greater than" not in capsys.readouterr().err
 
 
 def test_verify_seed_past_philox_key_exits_two(capsys):

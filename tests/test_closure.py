@@ -165,6 +165,14 @@ def cross_model():
                      ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
 
 
+def cross_gap_model():
+    """cross_model with an all-zero noise vector between its two: seeds
+    X1 and X3, and X2 adds nothing."""
+    model = cross_model()
+    return ModelSpec("cross_gap", 3, model.drift,
+                     (model.noise[0], (F(0),) * 3, model.noise[1]))
+
+
 def quad_model():
     """d=2, noise e1, drift (y, x^2 y + x^2)."""
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -252,11 +260,14 @@ def test_burgers_closure_finishes_at_defaults():
     ("nonexample3d", 2, "920dda7bceeb0b35b6408ae17581ed50ce3e3143cfb4866357e8b008ab6a91ce"),
     ("cross", 1, "f7c46626eea80519877a151fd7bfb1425108b08a99215e9c231f9236be6a3909"),
     ("cross", 2, "61ddfd0ff9dbf92508f2e8fc33d9f82b1cf0aee75d5ef677f3e187ded76d9b90"),
+    ("cross_gap", 1, "99afde07366cbee2058b62d2b8dcb266b09f48afb6f334c1ac8161eab625d0fc"),
+    ("cross_gap", 2, "f1611c7bfd6637028052110864c5aeb163008bdb8abec2d9ca780f5b2378ca89"),
     ("quad", 1, "91c373e4aeb90b75e37ed1d449e4762c8be8deaffb993e04024ffdf1d897d38e"),
     ("quad", 2, "91c373e4aeb90b75e37ed1d449e4762c8be8deaffb993e04024ffdf1d897d38e"),
 ])
 def test_closure_report_goldens(name, budget, digest):
-    model = {"cross": cross_model, "quad": quad_model}.get(name, lambda: get_builtin(name))()
+    model = {"cross": cross_model, "cross_gap": cross_gap_model,
+             "quad": quad_model}.get(name, lambda: get_builtin(name))()
     report = json.dumps(compute_C(model, combo_budget=budget).to_json(), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 

@@ -324,6 +324,18 @@ def test_model_from_json_rejects_malformed(data):
         model_from_json(data)
 
 
+def test_repeated_exponents_sum_to_the_merged_model():
+    # x0 split over two terms, and a y term with its negation: the same
+    # drift as the merged file, down to the spec hash
+    merged = {"name": "m", "d": 2, "noise": [["1", "0"]],
+              "drift": [[{"coeff": "-1", "exps": [1, 0]}], [{"coeff": "2/3", "exps": [2, 1]}]]}
+    split = {**merged, "drift": [
+        [{"coeff": "-1/4", "exps": [1, 0]}, {"coeff": "5", "exps": [0, 1]},
+         {"coeff": "-3/4", "exps": [1, 0]}, {"coeff": "-5", "exps": [0, 1]}],
+        [{"coeff": "1/3", "exps": [2, 1]}, {"coeff": "1/3", "exps": [2, 1]}]]}
+    assert model_from_json(split).spec_hash() == model_from_json(merged).spec_hash()
+
+
 def test_spec_hash_distinguishes_params():
     assert bhw(0, 0, 1, 2, 1).spec_hash() != bhw(0, 0, 1, 3, 1).spec_hash()
 
