@@ -33,6 +33,9 @@ MAX_PIECES = 64
 # Largest `equilibria --starts`: each start is one least-squares solve.
 MAX_STARTS = 4096
 
+# Largest `verify --paths` times the model dimension: every endpoint is kept (800 MB).
+MAX_ENDPOINT_VALUES = 10**8
+
 
 class InputError(ValueError):
     pass
@@ -155,21 +158,22 @@ def cmd_reach(args) -> int:
     z = _parse_vector(args.to)
     if len(x) != model.d or len(z) != model.d:
         raise InputError(f"endpoints must have dimension {model.d}")
+    inputs = {"from": x.tolist(), "to": z.tolist(), "t": args.t,
+              "via_equilibrium": args.via_equilibrium, "seed": args.seed,
+              "pieces": args.pieces, "max_rounds": args.max_rounds,
+              "combo_budget": args.combo_budget}
     cone = compute_C(model, max_rounds=args.max_rounds, combo_budget=args.combo_budget)
     try:
         basis = choose_basis(cone)
     except BasisSelectionError as exc:
-        report = _report("reach", model, {}, {"error": str(exc)}, t0)
+        report = _report("reach", model, inputs, {"error": str(exc)}, t0)
         _emit(report, args, f"cone not full-dimensional: {exc}")
         return EXIT_UNMET
     options = CertifyOptions(
         via_equilibrium=args.via_equilibrium, pieces=args.pieces, seed=args.seed,
     )
     cert = certify(model, basis, x, z, args.t, options)
-    report = _report("reach", model,
-                     {"from": x.tolist(), "to": z.tolist(), "t": args.t,
-                      "via_equilibrium": args.via_equilibrium, "seed": args.seed},
-                     cert.to_json(), t0)
+    report = _report("reach", model, inputs, cert.to_json(), t0)
     if cert.verdict == "positive":
         summary = (
             f"verdict positive: terminal error {cert.terminal_error:.3g},"
@@ -197,6 +201,9 @@ def cmd_verify(args) -> int:
     z = _parse_vector(args.to)
     if len(x) != model.d or len(z) != model.d:
         raise InputError(f"endpoints must have dimension {model.d}")
+    if args.paths * model.d > MAX_ENDPOINT_VALUES:
+        raise InputError(f"--paths x dimension must be at most {MAX_ENDPOINT_VALUES}, got"
+                         f" {args.paths} x {model.d}")
     try:
         cfg = SimConfig.default(
             t=args.t, z=z, n_ball=args.ball, n_paths=args.paths, seed=args.seed,
@@ -214,7 +221,7 @@ def cmd_verify(args) -> int:
     report = _report("verify", model,
                      {"from": x.tolist(), "to": z.tolist(), "t": args.t,
                       "paths": args.paths, "seed": args.seed, "delta": args.delta,
-                      "ball": args.ball},
+                      "ball": args.ball, "dt": cfg.dt},
                      evidence.to_json(), t0)
     _emit(report, args, (
         f"{evidence.hits}/{evidence.n_paths} hits"

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brackets import parse_bracket
-from .models import ModelSpec
+from .models import ModelError, ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
 from .polyfield import (  # noqa: F401
     ConstantField,
@@ -35,8 +35,8 @@ from .polyfield import (  # noqa: F401
 )
 
 
-class SingularBasisError(ValueError):
-    pass
+class SingularBasisError(ModelError):
+    """The positivity basis is not invertible, over Q or in floating point."""
 
 
 # --------------------------------------------------------------------
@@ -140,12 +140,12 @@ def _candidates(items, pool, combo_budget: int):
     for X, _, deriv in items:
         yield X, deriv
     positive = range(1, combo_budget + 1)
-    both = [*range(-combo_budget, 0), *positive]
+    both = range(-combo_budget, combo_budget + 1)
     combos = (
         (ca, A, da, cb, B, db)
         for (A, pa, da), (B, pb, db) in itertools.combinations(pool, 2)
-        for ca in (positive if pa == "even" else both)
-        for cb in (positive if pb == "even" else both)
+        for ca in (positive if pa == "even" else both) if ca
+        for cb in (positive if pb == "even" else both) if cb
     )
     for ca, A, da, cb, B, db in itertools.islice(combos, _COMBO_CAP):
         yield A.scale(ca) + B.scale(cb), f"({_term(ca, da)} + {_term(cb, db)})"
@@ -345,34 +345,21 @@ class PositivityBasis:
         return B
 
     @functools.cached_property
-    def _singular(self) -> bool:
-        # a rank test, unlike |det|, does not depend on the vectors' scale
-        return np.linalg.matrix_rank(self._matrix) < self.dim
-
-    @functools.cached_property
     def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
-        """One-sided rows of B^-1 over Q, as sparse (column, value) lists,
-        by Gauss-Jordan elimination of [B | I]; none when every direction
-        is two-sided."""
+        """One-sided rows of B^-1 over Q, as sparse (column, value) lists;
+        none when every direction is two-sided.  The span of the rows
+        (b_i | e_i) has a pivot at index n or beyond exactly when B is
+        singular; otherwise (e_j | 0) reduces to (0 | -column j of B^-1)."""
         n = self.dim
-        if self.k == n:
-            return []
-        rows = [
-            [v[i] for v in self.vectors] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if pivot is None:
-                raise SingularBasisError("positivity basis is singular over Q")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv = 1 / rows[col][col]
-            rows[col] = [c * inv for c in rows[col]]
-            for r in range(n):
-                f = rows[r][col]
-                if r != col and f != 0:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        return [[(j, c) for j, c in enumerate(row[n:]) if c != 0] for row in rows[self.k :]]
+        span = RationalSpan(2 * n)
+        for i, v in enumerate(self.vectors):
+            span.add((*v, *(Fraction(int(i == j)) for j in range(n))))
+        if any(pivot >= n for pivot, _ in span.rows):
+            raise SingularBasisError("positivity basis is singular over Q")
+        columns = [span.reduce([Fraction(int(i == j)) for i in range(2 * n)])[n:]
+                   for j in range(n if self.k < n else 0)]
+        return [[(j, -col[i]) for j, col in enumerate(columns) if col[i] != 0]
+                for i in range(self.k, n)]
 
     def to_json(self) -> dict:
         return {
@@ -417,14 +404,15 @@ def d_membership(
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if basis._singular:
-        raise SingularBasisError("positivity basis matrix is singular")
+    rows = basis._exact_rows  # raises SingularBasisError when B is singular over Q
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = z - x
-        coeffs = np.linalg.solve(basis._matrix, rhs)
+        try:
+            coeffs = np.linalg.solve(basis._matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasisError("positivity basis is singular in floating point") from exc
     if not np.all(np.isfinite(rhs)):
         return False, coeffs
-    rows = basis._exact_rows
     if not rows:
         return True, coeffs
     exact_rhs = [Fraction(b) - Fraction(a) for a, b in zip(x.tolist(), z.tolist())]

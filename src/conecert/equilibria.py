@@ -43,12 +43,9 @@ class EquilibriumPoint:
 
 @dataclass(frozen=True)
 class PositivityChain:
-    x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     coeffs_xy: np.ndarray
     coeffs_yz: np.ndarray
-    equilibrium: EquilibriumPoint
 
 
 def is_equilibrium(
@@ -207,7 +204,5 @@ def iter_chains(
         member_yz, coeffs_yz = d_membership(basis, ep.y, z)
         if not member_yz:
             continue
-        yield PositivityChain(
-            x=x, y=ep.y, z=z, coeffs_xy=coeffs_xy, coeffs_yz=coeffs_yz, equilibrium=ep
-        )
+        yield PositivityChain(y=ep.y, coeffs_xy=coeffs_xy, coeffs_yz=coeffs_yz)
 

@@ -20,7 +20,7 @@ import conecert
 import conecert.montecarlo
 from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from test_closure import cross_model
-from conecert.cli import MAX_PIECES, MAX_STARTS, build_parser, main
+from conecert.cli import MAX_ENDPOINT_VALUES, MAX_PIECES, MAX_STARTS, build_parser, main
 from conecert.closure import RationalSpan, primitive_direction
 from conecert.models import MAX_DEGREE, bhw, get_builtin, load_model, save_model
 
@@ -289,6 +289,39 @@ def test_huge_degree_refused_under_a_memory_limit(tmp_path):
     assert f"above {MAX_DEGREE}" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_huge_combo_budget_under_a_memory_limit():
+    # the coefficient ranges are iterated, never listed: at 10^9 a list of
+    # them outgrows 2 GB of address space, a limit set in the child alone
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "analyze", "--builtin", "nonexample3d",
+         "--combo-budget", "1000000000"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3
+    assert "cone rank 2 of 3" in proc.stdout and "Traceback" not in proc.stderr
+
+
+_DECAY = [[{"coeff": "-1", "exps": [1, 0]}], [{"coeff": "-1", "exps": [0, 1]}]]
+
+
+@pytest.mark.parametrize("noise,code,message", [
+    # invertible in floating point too, if badly conditioned
+    ([["1", "0"], ["1", "1/100000000000000000000"]], 3, "inconclusive at stage twist"),
+    # 1 + 2^-60 rounds to 1: invertible over Q, exactly singular in floats
+    ([["1", "1"], ["1", f"{2**60 + 1}/{2**60}"]], 2, "singular in floating point"),
+])
+def test_nearly_dependent_noise_is_never_internal_error(tmp_path, noise, code, message):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"name": "near", "d": 2, "drift": _DECAY, "noise": noise}))
+    proc = _run_cli("reach", "--model", str(path), "--from", "0,0", "--to", "1,0", "--t", "1",
+                    "--pieces", "2")
+    assert proc.returncode == code
+    assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_drift_at_the_degree_bound_runs(tmp_path):
     path = _degree_model(tmp_path / "deg.json", MAX_DEGREE)
     common = ["--model", path, "--from", "0", "--to", "0.5", "--t", "1"]
@@ -358,6 +391,37 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     assert hashlib.sha256(heat.read_bytes()).hexdigest() == (
         "fbd30d86f6e658807d4dfe46f5b65c23d32580cc7fd05038717a6c1b4b455259")
+
+
+@pytest.mark.parametrize("name", ["langevin", "burgers"])
+def test_verify_endpoint_array_capped(monkeypatch, name):
+    d = get_builtin(name).d
+    zeros = ",".join(["0"] * d)
+    argv = ["verify", "--builtin", name, "--from", zeros, "--to", zeros, "--t", "1", "--paths"]
+    calls = []
+    monkeypatch.setattr(conecert.montecarlo, "simulate", lambda model, x, cfg: calls.append(
+        cfg.n_paths) or conecert.montecarlo.PositivityEvidence(0, cfg.n_paths, 0.0, 0.0))
+    assert _exit_code([*argv, str(MAX_ENDPOINT_VALUES // d + 1)]) == 2
+    assert _exit_code([*argv, "100000000000"]) == 2
+    assert not calls
+    # at the bound the run goes ahead, here into a stub that simulates nothing
+    assert _exit_code([*argv, str(MAX_ENDPOINT_VALUES // d)]) == 3
+    assert calls == [MAX_ENDPOINT_VALUES // d]
+
+
+def test_reports_record_every_result_changing_flag(tmp_path):
+    out = tmp_path / "report.json"
+    flags = ["--pieces", "3", "--max-rounds", "5", "--combo-budget", "2", "--out", str(out)]
+    for argv in (["reach", *LANGEVIN, "--t", "1", *flags],
+                 ["reach", "--builtin", "nonexample3d", "--from", "0,0,0", "--to", "1,0,0",
+                  "--t", "1", *flags]):
+        main(argv)
+        inputs = json.loads(out.read_text())["inputs"]
+        assert (inputs["pieces"], inputs["max_rounds"], inputs["combo_budget"]) == (3, 5, 2)
+    verify = ["verify", *LANGEVIN, "--paths", "8", "--out", str(out)]
+    for extra, dt in ((["--t", "2"], 2 / 4000), (["--t", "1", "--dt", "0.001"], 0.001)):
+        main([*verify, *extra])
+        assert json.loads(out.read_text())["inputs"]["dt"] == dt
 
 
 def test_verify_heatmap_needs_two_coordinates(tmp_path, monkeypatch):

@@ -457,6 +457,41 @@ def test_membership_singular_basis_refused():
         d_membership(basis, [0.0, 0.0], [1.0, 0.0])
 
 
+@st.composite
+def rational_bases(draw):
+    """d <= 6 rational vectors; in half the draws one vector is a rational
+    multiple of another, so singular bases come up often."""
+    d = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vectors = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    if d > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(d)))[:2]
+        c = draw(entry)
+        vectors[a] = [c * e for e in vectors[b]]
+    return vectors
+
+
+@given(rational_bases())
+@settings(max_examples=200, deadline=None)
+def test_exact_rows_are_the_one_sided_rows_of_the_inverse(vectors):
+    d = len(vectors)
+    singular = _det(vectors) == 0
+    for k in range(d + 1):
+        basis = PositivityBasis(vectors=[tuple(v) for v in vectors], k=k)
+        if singular:
+            with pytest.raises(SingularBasisError):
+                basis._exact_rows
+            with pytest.raises(SingularBasisError):
+                d_membership(basis, np.zeros(d), np.ones(d))
+            continue
+        rows = basis._exact_rows
+        assert len(rows) == d - k
+        for i, row in enumerate(rows, start=k):
+            assert all(c != 0 for _, c in row)
+            for m, b in enumerate(vectors):
+                assert sum(c * b[j] for j, c in row) == (i == m)
+
+
 def test_membership_short_orthogonal_basis_accepted():
     # 0.1 I at d = 13 is perfectly conditioned although det = 1e-13
     d = 13
