@@ -5,7 +5,9 @@ Exit codes: 0 success / positive verdict, 2 input error, 3 hypothesis
 unmet or inconclusive verdict, 1 internal error.
 
 Each command imports the modules it runs, so `--help`, an argparse
-error, an exact-algebra command or `verify` never loads scipy.
+error, an exact-algebra command, `verify` or a direct `reach` never
+loads scipy; only the equilibrium search (`equilibria`,
+`reach --via-equilibrium`) does.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .closure import PositivityBasis, d_membership
 from .models import ModelSpec
@@ -91,6 +90,8 @@ def find_equilibria(
     # orthogonal-complement projector, exactly the identity when r = 0
     Q, _ = np.linalg.qr(B)
     P = np.eye(model.d) - Q @ Q.T
+
+    from scipy.optimize import least_squares
 
     from .polyfield import compile_field, compile_jacobian
 

@@ -32,15 +32,18 @@ x -> y -> z, after which the control dwells at y for a quarter of t and
 a final leg of half the rest steers to z.  Every such chain puts z in
 x's own region, so a via-equilibrium target outside it is refused
 before the equilibrium search.  Twist waypoints, leg synthesis and the
-Gramian then run the same way for both.  Each leg is accepted on the
-solver's own sensitivity flow, and the next leg starts from that flow's
-terminal state; the refined flow of the whole path alone decides the
-terminal error and the Gramian, whose margin is its signed smallest
-eigenvalue.  Norms there, and in synthesis, rescale only where the plain
-norm overflows (`_norm`).  The twist stage and `k_rank` share one
-bracket-rank routine, `closure.bracket_rank`, which reads the brackets
-off the drift's Jacobian kernel and gives a family with a non-finite
-entry rank 0.
+Gramian then run the same way for both.  A leg's control minimises
+|terminal - target|^2 + ridge^2 |u|^2 by trust-region Gauss-Newton on
+the sensitivities (`_gauss_newton`, numpy only, with scipy trf's rules),
+which stops at a vanishing gradient, step or cost decrease, or after 200
+flows.  Each leg is accepted on the solver's own sensitivity flow, and
+the next leg starts from that flow's terminal state; the refined flow
+of the whole path alone decides the terminal error and the Gramian,
+whose margin is its signed smallest eigenvalue.  Norms there, and in
+synthesis, rescale only where the plain norm overflows (`_norm`).  The
+twist stage and `k_rank` share one bracket-rank routine,
+`closure.bracket_rank`, which reads the brackets off the drift's
+Jacobian kernel and gives a family with a non-finite entry rank 0.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_check
 from .equilibria import EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains
@@ -387,6 +389,7 @@ class SynthesisError(RuntimeError):
 
 
 _SYNTHESIS_STARTS = 6  # least-squares starts per leg: zero, then random
+_SYNTHESIS_FLOWS = 200  # sensitivity flows per start
 
 
 def _norm(v, axis=None):
@@ -416,10 +419,12 @@ def synthesize_leg(
     n_steps: int = 600,
 ) -> tuple[ControlPath, np.ndarray]:
     """Piecewise-constant control steering frm to within _eps_reach(to)
-    of to over t_leg, found by damped least squares on the terminal error
-    with the variational flow supplying gradients, and the n_steps
-    terminal state it reaches.  The leg is accepted on the solver's own
-    flow.  Raises SynthesisError after _SYNTHESIS_STARTS starts."""
+    of to over t_leg, and the n_steps terminal state it reaches.  Each
+    start runs `_gauss_newton` on the terminal error, the sensitivity
+    flow supplying the Jacobian, until the gradient, the step or the
+    cost decrease vanishes or _SYNTHESIS_FLOWS flows have run.  The leg
+    is accepted on the solver's own flow.  Raises SynthesisError after
+    _SYNTHESIS_STARTS starts."""
     if t_leg <= 0:
         raise ValueError("t_leg must be positive")
     if pieces < 2:
@@ -444,26 +449,14 @@ def synthesize_leg(
     def pack(control_values):
         return ControlPath.uniform(t_leg, control_values.reshape(pieces, r))
 
-    # the solver asks for the residual and then the Jacobian at the same
-    # iterate; one joint flow serves both
-    last: dict[bytes, FlowResult] = {}
-
-    def flow_at(uflat):
-        key = uflat.tobytes()
-        if key not in last:
-            if not np.isfinite(uflat).all():
-                # a start or iterate beyond float range: its flow is
-                # non-finite from the first step, so the start fails
-                raise FlowDivergenceError(0.0)
-            last.clear()
-            last[key] = _integrate_once(model, frm, pack(uflat), n_steps, "sensitivity")
-        return last[key]
-
-    def residual(uflat):
-        return np.concatenate([flow_at(uflat).terminal - to, ridge * uflat])
-
-    def jac(uflat):
-        return np.vstack([flow_at(uflat).S, ridge * np.eye(len(uflat))])
+    def evaluate(uflat):
+        if not np.isfinite(uflat).all():
+            # an iterate beyond float range: its flow is non-finite from
+            # the first step, so the start fails
+            raise FlowDivergenceError(0.0)
+        flow = _integrate_once(model, frm, pack(uflat), n_steps, "sensitivity")
+        F = np.concatenate([flow.terminal - to, ridge * uflat])
+        return F, np.vstack([flow.S, ridge * np.eye(len(uflat))]), flow
 
     rng = np.random.default_rng(seed)
     scale0 = _norm(to - frm) / t_leg + 1.0
@@ -479,18 +472,15 @@ def synthesize_leg(
         # fault is an error here
         try:
             with np.errstate(all="ignore"):
-                sol = least_squares(
-                    residual, u0, jac=jac, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
-                    max_nfev=200,
-                )
-                terminal = flow_at(sol.x).terminal
+                u, flow = _gauss_newton(evaluate, u0)
         except FlowDivergenceError:
             diverged += 1
             continue
+        terminal = flow.terminal
         err = float(_norm(terminal - to))
         best_err = min(best_err, err)
         if err <= eps_reach:
-            return pack(sol.x), terminal
+            return pack(u), terminal
     if diverged == _SYNTHESIS_STARTS:
         outcome = f"all {diverged} starts diverged"
     else:
@@ -502,6 +492,72 @@ def synthesize_leg(
         f"no control found steering |frm| = {_norm(frm):.3g} to"
         f" |to| = {_norm(to):.3g} in t = {t_leg:.3g} ({outcome})"
     )
+
+
+def _gauss_newton(evaluate, u):
+    """Minimise |F(u)|^2 by trust-region Gauss-Newton, with scipy trf's
+    rules and tolerances, for evaluate(u) -> (F, J, flow) from one flow;
+    returns the last accepted u and its flow.  With J = U diag(s) V^T and
+    g = U^T F, the step is V c (`_trust_region_step`).  The ratio rho of
+    the actual to the predicted reduction, |g|^2 - |g + s c|^2, accepts
+    the step when positive; below 1/4 (or not finite) it sets the radius,
+    first |u| or 1, to |step| / 4, and above 3/4 at the boundary doubles
+    it.  It stops at |J^T F|_inf < 1e-12, at |step| <= 1e-14 (1e-14 + |u|),
+    at a step of rho > 1/4 that lowers |F|^2 by less than 1e-14 of it, or
+    after _SYNTHESIS_FLOWS flows.  A start with |F|^2 not finite diverges:
+    it has no descent to measure."""
+    F, J, flow = evaluate(u)
+    cost = F @ F
+    if not np.isfinite(cost):
+        raise FlowDivergenceError(0.0)
+    radius = float(np.linalg.norm(u)) or 1.0
+    flows = 1
+    while np.max(np.abs(J.T @ F)) >= 1e-12 and flows < _SYNTHESIS_FLOWS:
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        g = U.T @ F
+        ratio = 0.0
+        while not ratio > 0 and flows < _SYNTHESIS_FLOWS:
+            c = _trust_region_step(s, g, radius)
+            step = Vt.T @ c
+            predicted = -(s * c) @ (2 * g + s * c)
+            F_new, J_new, flow_new = evaluate(u + step)
+            flows += 1
+            cost_new = F_new @ F_new
+            ratio = (cost - cost_new) / predicted if predicted > 0 else 0.0
+            step_norm = np.linalg.norm(step)
+            done = (step_norm <= 1e-14 * (1e-14 + np.linalg.norm(u))
+                    or ratio > 0.25 and cost - cost_new < 1e-14 * cost)
+            if ratio > 0:
+                u, F, J, flow, cost = u + step, F_new, J_new, flow_new, cost_new
+            if done:
+                return u, flow
+            if not ratio >= 0.25:
+                radius = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * radius:
+                radius *= 2.0
+    return u, flow
+
+
+def _trust_region_step(s, g, radius):
+    """The step c, in the right singular basis, that minimises |g + s c|
+    with |c| <= radius: the Gauss-Newton step -g/s when it fits, else
+    c(mu) = -s g / (s^2 + mu) scaled onto the boundary, after at most 10
+    Newton steps from mu = 0 on 1/|c(mu)| - 1/radius (More and Sorensen).
+    That function is concave and increasing in mu, as s > 0, so the steps
+    climb to its root without overshooting it."""
+    c = -g / s
+    norm = np.linalg.norm(c)
+    if norm <= radius:
+        return c
+    mu = 0.0
+    for _ in range(10):
+        if abs(norm - radius) < 0.01 * radius:
+            break
+        # |c| d|c|/dmu = -sum(c^2 / (s^2 + mu))
+        mu += norm**2 * (norm - radius) / (radius * np.sum(c**2 / (s**2 + mu)))
+        c = -s * g / (s**2 + mu)
+        norm = np.linalg.norm(c)
+    return c * (radius / norm)
 
 
 # --------------------------------------------------------------------

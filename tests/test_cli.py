@@ -523,9 +523,10 @@ def test_bracket_spectral_atom_never_internal_error(before, atom, after):
     assert _exit_code(["bracket", "--builtin", "burgers", f"--expr={expr}"]) in {0, 2}
 
 
-# Each command imports what it runs: the exact-algebra commands, --help and
-# argparse errors load no scipy, a direct reach no scipy.stats, and verify
-# no scipy module at all.
+# Each command imports what it runs: the exact-algebra commands, --help,
+# argparse errors, a direct reach and verify load no scipy module at all;
+# only the equilibrium search (`equilibria`, `reach --via-equilibrium`)
+# imports scipy.optimize.
 SCIPY_HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.stats")
 SRC = str(Path(conecert.__file__).resolve().parents[1])
 
@@ -565,10 +566,25 @@ def test_light_commands_load_no_scipy(argv):
     assert _under(_loaded_after(argv), SCIPY_HEAVY) == []
 
 
-def test_direct_reach_loads_no_scipy_stats():
+def test_direct_reach_loads_no_scipy():
     modules = _loaded_after(["reach", *LANGEVIN, "--t", "1", "--pieces", "4"])
     assert "conecert.reach" in modules
-    assert _under(modules, ["scipy.stats"]) == []
+    assert _under(modules, ["scipy"]) == []
+
+
+def test_direct_reach_runs_without_scipy():
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        sys.modules["scipy"] = None
+        from conecert.cli import main
+        sys.exit(main({["reach", *LANGEVIN, "--t", "1", "--pieces", "4"]!r}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verdict positive")
 
 
 def test_verify_loads_no_scipy():

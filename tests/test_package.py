@@ -84,6 +84,17 @@ def test_montecarlo_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_reach_loads_no_scipy():
+    # leg synthesis solves its least squares with numpy; only the
+    # equilibrium search imports scipy.optimize, when it runs
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import conecert.reach; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_montecarlo_loads_nothing_beyond_its_imports():
     # the noise thread is plain `threading`, which numpy has loaded already
     src = str(Path(conecert.__file__).resolve().parents[1])
@@ -136,11 +147,10 @@ def test_scipy_import_check_skips_deferred_imports():
         "from .models import ModelSpec\n") == ["scipy.linalg", "scipy.stats"]
 
 
-def test_only_equilibria_and_reach_import_scipy_on_load():
+def test_no_module_imports_scipy_on_load():
     found = {path.stem: module_level_scipy_imports(path.read_text())
              for path in PACKAGE_DIR.glob("*.py")}
-    assert {stem: names for stem, names in found.items() if names} == {
-        "equilibria": ["scipy.optimize"], "reach": ["scipy.optimize"]}
+    assert {stem: names for stem, names in found.items() if names} == {}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -495,6 +495,68 @@ def test_synthesis_variational_gradient_matches_fd():
         assert np.linalg.norm(J[:, p] - fd) / denom < 1e-4
 
 
+def record_carries(monkeypatch):
+    """The carry of every RK4 pass `reach` runs from here on, in order."""
+    carries = []
+    original = reach._integrate_once
+
+    def counting(model, x, control, n_steps, carry=None):
+        carries.append(carry)
+        return original(model, x, control, n_steps, carry)
+
+    monkeypatch.setattr(reach, "_integrate_once", counting)
+    return carries
+
+
+def random_linear_model(d, r, rng):
+    """drift A x and constant noise B, small rational entries: the
+    terminal map of a leg is affine in its control values."""
+    A = [[F(int(a), 4) for a in row] for row in rng.integers(-4, 5, size=(d, d))]
+    drift = PolyVectorField(d, tuple(
+        Polynomial(d, {tuple(int(i == j) for i in range(d)): A[k][j] for j in range(d)})
+        for k in range(d)))
+    noise = tuple(tuple(F(int(b), 2) for b in col) for col in rng.integers(-2, 3, size=(r, d)))
+    return ModelSpec(name="linear", d=d, drift=drift, noise=noise)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_synthesis_matches_the_ridge_minimiser_of_a_linear_model(seed):
+    # Phi(u) = Phi(0) + S u exactly, so the minimiser of
+    # |Phi(u) - to|^2 + ridge^2 |u|^2 is one linear least-squares solve
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    m = random_linear_model(d, int(rng.integers(1, d + 1)), rng)
+    frm, to = rng.normal(size=d), rng.normal(size=d)
+    pieces, n_steps, ridge = 4, 200, 1e-6
+    control, _ = synthesize_leg(m, frm, to, 1.0, pieces=pieces, n_steps=n_steps)
+    flow = reach._integrate_once(m, frm, ControlPath.uniform(1.0, np.zeros((pieces, m.r))),
+                                 n_steps, "sensitivity")
+    n = pieces * m.r
+    expected = np.linalg.lstsq(np.vstack([flow.S, ridge * np.eye(n)]),
+                               np.concatenate([to - flow.terminal, np.zeros(n)]),
+                               rcond=None)[0]
+    assert rel_diff(control.values.ravel(), expected) < 1e-9
+
+
+# (model, x, z, via) -> sensitivity flows of a certificate at pieces 4,
+# 200 steps, as least_squares(method="trf") took them
+CERTIFY_FLOWS = [
+    ("langevin", [0.0, 0.0], [1.0, 0.0], False, 6),
+    ("bhw", [0.0, 0.0], [1.0, 0.5], False, 20),
+    ("bhw", [0.0, 0.0], [2.0, 1.0], True, 16),
+]
+
+
+@pytest.mark.parametrize("name,x,z,via,flows", CERTIFY_FLOWS)
+def test_synthesis_takes_no_more_flows_than_trf(monkeypatch, name, x, z, via, flows):
+    carries = record_carries(monkeypatch)
+    m = get_builtin(name)
+    cert = certify(m, choose_basis(compute_C(m)), x, z, 1.0,
+                   CertifyOptions(seed=0, n_steps=200, pieces=4, via_equilibrium=via))
+    assert cert.verdict == "positive"
+    assert 0 < carries.count("sensitivity") <= flows
+
+
 def test_certify_tiny_horizon_inconclusive_at_synthesis():
     # at t = 1e-300 the least-squares solver's own arithmetic overflows;
     # the leg is refused on its terminal error, with no RuntimeWarning
@@ -562,14 +624,7 @@ def test_certify_decides_on_the_signed_smallest_eigenvalue(monkeypatch):
 def test_certify_runs_one_carry_free_flow(monkeypatch):
     # legs are accepted on the solver's sensitivity flow and the next leg
     # starts from its terminal; only the refine's coarse pass skips the matrix
-    carries = []
-    original = reach._integrate_once
-
-    def counting(model, x, control, n_steps, carry=None):
-        carries.append(carry)
-        return original(model, x, control, n_steps, carry)
-
-    monkeypatch.setattr(reach, "_integrate_once", counting)
+    carries = record_carries(monkeypatch)
     m = get_builtin("langevin")
     cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [1.0, 0.0], 1.0,
                    CertifyOptions(seed=0, n_steps=200, pieces=4))
