@@ -4,10 +4,9 @@ with machine-readable reports.
 Exit codes: 0 success / positive verdict, 2 input error, 3 hypothesis
 unmet or inconclusive verdict, 1 internal error.
 
-Each command imports the modules it runs, so `--help`, an argparse
-error, an exact-algebra command, `verify` or a direct `reach` never
-loads scipy; only the equilibrium search (`equilibria`,
-`reach --via-equilibrium`) does.
+Each command imports the modules it runs, and none loads scipy: the
+equilibrium search (`equilibria`, `reach --via-equilibrium`) only reads
+its Sobol direction numbers from a data file scipy installs.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ control is the least-squares projection of the negated drift onto the
 noise span.  With no noise (r = 0) that span is empty: the control is
 empty too, and the search projects onto the whole space.
 
-The multistart search draws its starts from a scrambled Sobol sequence,
-scipy's `qmc.Sobol(d, seed=seed).random(n)` bit for bit, computed here
-from the direction numbers scipy ships (`_sobol_starts`), so that the
-search does not load `scipy.stats`.
+The multistart search draws scipy's scrambled Sobol starts,
+`qmc.Sobol(d, seed=seed).random(n)` bit for bit, from the direction
+numbers scipy ships (`_sobol_starts`), and solves each with the numpy
+`trust_region_least_squares` that leg synthesis shares: no scipy import.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 from .closure import PositivityBasis, d_membership
 from .models import ModelSpec
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -91,35 +93,25 @@ def find_equilibria(
     Q, _ = np.linalg.qr(B)
     P = np.eye(model.d) - Q @ Q.T
 
-    from scipy.optimize import least_squares
-
     from .polyfield import compile_field, compile_jacobian
 
-    drift_fn = compile_field(model.drift)
-    jac_fn = compile_jacobian(model.drift)
+    drift_fn, jac_fn = compile_field(model.drift), compile_jacobian(model.drift)
 
-    def residual_fn(y):
-        return P @ drift_fn(y)
-
-    def residual_jac(y):
-        return P @ jac_fn(y)
+    def evaluate(y):
+        return P @ drift_fn(y), P @ jac_fn(y), None
 
     unit_starts = _sobol_starts(model.d, n_starts, seed)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo, hi = np.array(box, dtype=float).T
     found: list[EquilibriumPoint] = []
     # On a box with huge bounds the starts, the drift and the solver's own
-    # arithmetic can overflow.  A start whose squared residual is not finite
-    # is skipped, and every solution is checked below, so no float fault is
-    # an error here.
+    # arithmetic can overflow.  A start whose cost is not finite is skipped,
+    # and every solution is checked below, so no float fault is an error.
     with np.errstate(all="ignore"):
         for start in lo + (hi - lo) * unit_starts:
-            r0 = residual_fn(start)
-            if not np.isfinite(r0 @ r0):
-                continue  # least_squares cannot start here
-            y = least_squares(
-                residual_fn, start, jac=residual_jac, xtol=1e-14, ftol=1e-14, gtol=1e-14
-            ).x
+            try:
+                y, _ = trust_region_least_squares(evaluate, start, 1e-14, 100 * model.d)
+            except FloatingPointError:
+                continue
             if not np.all((lo - 1e-9 <= y) & (y <= hi + 1e-9)):
                 continue  # outside the box, or not finite
             ok, u, resid = is_equilibrium(model, y, tol=tol)
@@ -130,6 +122,88 @@ def find_equilibria(
             found.append(EquilibriumPoint(y=y, u=u, residual=resid))
     found.sort(key=lambda ep: (ep.residual, tuple(ep.y)))
     return found
+
+
+def trust_region_least_squares(evaluate, x, gtol: float, max_evals: int):
+    """Minimise |f(x)|^2 / 2 as scipy's `least_squares(method="trf")` does
+    without bounds, with x_scale 1, the exact SVD trust-region solver and
+    ftol = xtol = 1e-14.  evaluate(x) -> (f, J, extra) runs once per trial
+    point, at most max_evals times; returns the last accepted x and its
+    extra.  Raises FloatingPointError if the starting cost is not finite."""
+    x = np.array(x, dtype=float)
+    f, J, extra = evaluate(x)
+    cost = 0.5 * np.dot(f, f)
+    if not np.isfinite(cost):
+        raise FloatingPointError("least-squares cost is not finite at the start")
+    m, n = J.shape
+    g = J.T.dot(f)
+    radius = np.linalg.norm(x) or 1.0
+    alpha = 0.0  # Levenberg-Marquardt parameter, carried between steps
+    evals = 1
+    done = False
+    while not (np.max(np.abs(g)) < gtol or done or evals >= max_evals):
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        reduction = -1
+        while not done and reduction <= 0 and evals < max_evals:
+            step, alpha = _trust_region_step(n, m, uf, s, Vt.T, radius, alpha)
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            f_new, J_new, extra_new = evaluate(x + step)
+            evals += 1
+            step_norm = np.linalg.norm(step)
+            if not np.all(np.isfinite(f_new)):
+                radius = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            done = (reduction < 1e-14 * cost and ratio > 0.25
+                    or step_norm < 1e-14 * (1e-14 + np.linalg.norm(x)))
+            grow = 2.0 if ratio > 0.75 and step_norm > 0.95 * radius else 1.0
+            new_radius = 0.25 * step_norm if ratio < 0.25 else grow * radius
+            alpha, radius = alpha * (radius / new_radius), new_radius
+        if reduction > 0:
+            x, f, J, extra, cost = x + step, f_new, J_new, extra_new, cost_new
+            g = J.T.dot(f)
+    return x, extra
+
+
+def _trust_region_step(n, m, uf, s, V, radius, alpha):
+    """scipy's `solve_lsq_trust_region`: with J = U diag(s) V^T and uf =
+    U^T f, the step p minimising |J p + f| within radius, and alpha with
+    (J^T J + alpha) p = -J^T f.  At full rank the Gauss-Newton step if it
+    fits; else at most 10 Newton steps on |p(alpha)| - radius (More)."""
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    alpha_lower, alpha_upper = 0.0, np.linalg.norm(suf) / radius
+    if m >= n and s[-1] > _EPS * m * s[0]:  # full rank
+        p = -V.dot(uf / s)
+        if np.linalg.norm(p) <= radius:
+            return p, 0.0
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + radius) * ratio / radius
+        if np.abs(phi) < 0.01 * radius:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= radius / np.linalg.norm(p)
+    return p, alpha
 
 
 _SOBOL_BITS = 30

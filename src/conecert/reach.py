@@ -34,16 +34,17 @@ x's own region, so a via-equilibrium target outside it is refused
 before the equilibrium search.  Twist waypoints, leg synthesis and the
 Gramian then run the same way for both.  A leg's control minimises
 |terminal - target|^2 + ridge^2 |u|^2 by trust-region Gauss-Newton on
-the sensitivities (`_gauss_newton`, numpy only, with scipy trf's rules),
-which stops at a vanishing gradient, step or cost decrease, or after 200
-flows.  Each leg is accepted on the solver's own sensitivity flow, and
-the next leg starts from that flow's terminal state; the refined flow
-of the whole path alone decides the terminal error and the Gramian,
-whose margin is its signed smallest eigenvalue.  Norms there, and in
-synthesis, rescale only where the plain norm overflows (`_norm`).  The
-twist stage and `k_rank` share one bracket-rank routine,
-`closure.bracket_rank`, which reads the brackets off the drift's
-Jacobian kernel and gives a family with a non-finite entry rank 0.
+the sensitivities (`equilibria.trust_region_least_squares`, which the
+equilibrium search shares), stopping at a vanishing gradient, step or
+cost decrease, or after 200 flows.  Each leg is accepted on the
+solver's own sensitivity flow, and the next leg starts from that flow's
+terminal state; the refined flow of the whole path alone decides the
+terminal error and the Gramian, whose margin is its signed smallest
+eigenvalue.  Norms there, and in synthesis, rescale only where the
+plain norm overflows (`_norm`).  The twist stage and `k_rank` share one
+bracket-rank routine, `closure.bracket_rank`, which reads the brackets
+off the drift's Jacobian kernel and gives a family with a non-finite
+entry rank 0.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_check
-from .equilibria import EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains
+from .equilibria import (EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains,
+                         trust_region_least_squares)
 from .models import ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
 from .polyfield import (  # noqa: F401
@@ -420,11 +422,10 @@ def synthesize_leg(
 ) -> tuple[ControlPath, np.ndarray]:
     """Piecewise-constant control steering frm to within _eps_reach(to)
     of to over t_leg, and the n_steps terminal state it reaches.  Each
-    start runs `_gauss_newton` on the terminal error, the sensitivity
-    flow supplying the Jacobian, until the gradient, the step or the
-    cost decrease vanishes or _SYNTHESIS_FLOWS flows have run.  The leg
-    is accepted on the solver's own flow.  Raises SynthesisError after
-    _SYNTHESIS_STARTS starts."""
+    start runs `trust_region_least_squares` on the terminal error, with
+    the sensitivities as Jacobian, to a gradient of 1e-12 or
+    _SYNTHESIS_FLOWS flows; the leg is accepted on the solver's own
+    flow.  Raises SynthesisError after _SYNTHESIS_STARTS starts."""
     if t_leg <= 0:
         raise ValueError("t_leg must be positive")
     if pieces < 2:
@@ -472,8 +473,8 @@ def synthesize_leg(
         # fault is an error here
         try:
             with np.errstate(all="ignore"):
-                u, flow = _gauss_newton(evaluate, u0)
-        except FlowDivergenceError:
+                u, flow = trust_region_least_squares(evaluate, u0, 1e-12, _SYNTHESIS_FLOWS)
+        except (FlowDivergenceError, FloatingPointError):
             diverged += 1
             continue
         terminal = flow.terminal
@@ -492,72 +493,6 @@ def synthesize_leg(
         f"no control found steering |frm| = {_norm(frm):.3g} to"
         f" |to| = {_norm(to):.3g} in t = {t_leg:.3g} ({outcome})"
     )
-
-
-def _gauss_newton(evaluate, u):
-    """Minimise |F(u)|^2 by trust-region Gauss-Newton, with scipy trf's
-    rules and tolerances, for evaluate(u) -> (F, J, flow) from one flow;
-    returns the last accepted u and its flow.  With J = U diag(s) V^T and
-    g = U^T F, the step is V c (`_trust_region_step`).  The ratio rho of
-    the actual to the predicted reduction, |g|^2 - |g + s c|^2, accepts
-    the step when positive; below 1/4 (or not finite) it sets the radius,
-    first |u| or 1, to |step| / 4, and above 3/4 at the boundary doubles
-    it.  It stops at |J^T F|_inf < 1e-12, at |step| <= 1e-14 (1e-14 + |u|),
-    at a step of rho > 1/4 that lowers |F|^2 by less than 1e-14 of it, or
-    after _SYNTHESIS_FLOWS flows.  A start with |F|^2 not finite diverges:
-    it has no descent to measure."""
-    F, J, flow = evaluate(u)
-    cost = F @ F
-    if not np.isfinite(cost):
-        raise FlowDivergenceError(0.0)
-    radius = float(np.linalg.norm(u)) or 1.0
-    flows = 1
-    while np.max(np.abs(J.T @ F)) >= 1e-12 and flows < _SYNTHESIS_FLOWS:
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        g = U.T @ F
-        ratio = 0.0
-        while not ratio > 0 and flows < _SYNTHESIS_FLOWS:
-            c = _trust_region_step(s, g, radius)
-            step = Vt.T @ c
-            predicted = -(s * c) @ (2 * g + s * c)
-            F_new, J_new, flow_new = evaluate(u + step)
-            flows += 1
-            cost_new = F_new @ F_new
-            ratio = (cost - cost_new) / predicted if predicted > 0 else 0.0
-            step_norm = np.linalg.norm(step)
-            done = (step_norm <= 1e-14 * (1e-14 + np.linalg.norm(u))
-                    or ratio > 0.25 and cost - cost_new < 1e-14 * cost)
-            if ratio > 0:
-                u, F, J, flow, cost = u + step, F_new, J_new, flow_new, cost_new
-            if done:
-                return u, flow
-            if not ratio >= 0.25:
-                radius = 0.25 * step_norm
-            elif ratio > 0.75 and step_norm > 0.95 * radius:
-                radius *= 2.0
-    return u, flow
-
-
-def _trust_region_step(s, g, radius):
-    """The step c, in the right singular basis, that minimises |g + s c|
-    with |c| <= radius: the Gauss-Newton step -g/s when it fits, else
-    c(mu) = -s g / (s^2 + mu) scaled onto the boundary, after at most 10
-    Newton steps from mu = 0 on 1/|c(mu)| - 1/radius (More and Sorensen).
-    That function is concave and increasing in mu, as s > 0, so the steps
-    climb to its root without overshooting it."""
-    c = -g / s
-    norm = np.linalg.norm(c)
-    if norm <= radius:
-        return c
-    mu = 0.0
-    for _ in range(10):
-        if abs(norm - radius) < 0.01 * radius:
-            break
-        # |c| d|c|/dmu = -sum(c^2 / (s^2 + mu))
-        mu += norm**2 * (norm - radius) / (radius * np.sum(c**2 / (s**2 + mu)))
-        c = -s * g / (s**2 + mu)
-        norm = np.linalg.norm(c)
-    return c * (radius / norm)
 
 
 # --------------------------------------------------------------------
@@ -658,15 +593,15 @@ def _slab_waypoints(basis: PositivityBasis, x, coeffs, count, rng):
 
 def _select_twist_points(model, basis, x, coeffs, rng):
     """Waypoints, accumulated until the noise-plus-bracket family at the
-    collected points spans the state space; None when the budget runs
-    out first."""
+    collected points spans the state space, and whether it does: when
+    the budget runs out first, the last set tried and False."""
     if twist_rank_check(model, [x]):
-        return []
+        return [], True
     for count in range(1, _TWIST_BUDGET + 1):
         points = _slab_waypoints(basis, x, coeffs, count, rng)
         if twist_rank_check(model, points):
-            return points
-    return None
+            return points, True
+    return points, False
 
 
 def certify(
@@ -721,15 +656,16 @@ def certify(
     # them), and a candidate too close to x gives waypoints where the
     # bracket family degenerates; keep trying until one passes.
     for target, coeffs in candidates:
-        twist_points = _select_twist_points(model, basis, x, coeffs, rng)
-        if twist_points is not None:
+        twist_points, spans = _select_twist_points(model, basis, x, coeffs, rng)
+        if spans:
             break
     else:
         if via:
             return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
         return _inconclusive(
             model, x, z, t, "twist",
-            f"bracket family rank < d after {_TWIST_BUDGET} waypoint sets",
+            f"bracket family rank {bracket_rank(model, twist_points)} < d = {model.d}"
+            f" after {_TWIST_BUDGET} waypoint sets",
         )
 
     # --- time budget: for the direct route t - 0.0 - 0.0 == t exactly

@@ -322,6 +322,18 @@ def test_nearly_dependent_noise_is_never_internal_error(tmp_path, noise, code, m
     assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_twist_refusal_reports_the_rank_reached(tmp_path):
+    # the noise spans R^2 over Q, but its float rank, and the family's, is 1
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"name": "near", "d": 2, "drift": _DECAY,
+                                "noise": [["1", "0"], ["1", "1/100000000000000000000"]]}))
+    proc = _run_cli("reach", "--model", str(path), "--from", "0,0", "--to", "1,0", "--t", "1",
+                    "--pieces", "2")
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("verdict inconclusive at stage twist: bracket family rank 1"
+                                  " < d = 2 after 12 waypoint sets")
+
+
 def test_drift_at_the_degree_bound_runs(tmp_path):
     path = _degree_model(tmp_path / "deg.json", MAX_DEGREE)
     common = ["--model", path, "--from", "0", "--to", "0.5", "--t", "1"]
@@ -523,11 +535,9 @@ def test_bracket_spectral_atom_never_internal_error(before, atom, after):
     assert _exit_code(["bracket", "--builtin", "burgers", f"--expr={expr}"]) in {0, 2}
 
 
-# Each command imports what it runs: the exact-algebra commands, --help,
-# argparse errors, a direct reach and verify load no scipy module at all;
-# only the equilibrium search (`equilibria`, `reach --via-equilibrium`)
-# imports scipy.optimize.
-SCIPY_HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.stats")
+# Each command imports what it runs, and no command loads a scipy module:
+# the equilibrium search (`equilibria`, `reach --via-equilibrium`) only
+# locates scipy's Sobol direction-number file.
 SRC = str(Path(conecert.__file__).resolve().parents[1])
 
 
@@ -563,7 +573,7 @@ def _under(modules, packages):
     ["analyze", "--builtin", "bhw", "--max-rounds", "0"],
 ])
 def test_light_commands_load_no_scipy(argv):
-    assert _under(_loaded_after(argv), SCIPY_HEAVY) == []
+    assert _under(_loaded_after(argv), ["scipy"]) == []
 
 
 def test_direct_reach_loads_no_scipy():
@@ -580,6 +590,35 @@ def test_direct_reach_runs_without_scipy():
         sys.modules["scipy"] = None
         from conecert.cli import main
         sys.exit(main({["reach", *LANGEVIN, "--t", "1", "--pieces", "4"]!r}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verdict positive")
+
+
+VIA = ["reach", "--builtin", "bhw", "--from", "0,0", "--to", "2,1", "--t", "1", "--pieces", "4",
+       "--via-equilibrium"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibria", "--builtin", "bhw", "--box=-2,2;-2,2", "--starts", "16"],
+    VIA,
+])
+def test_equilibrium_search_loads_no_scipy(argv):
+    modules = _loaded_after(argv)
+    assert "conecert.equilibria" in modules
+    assert _under(modules, ["scipy"]) == []
+
+
+def test_via_reach_runs_without_scipy_optimize():
+    # scipy itself stays importable: the Sobol starts locate its data file
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        sys.modules["scipy.optimize"] = None
+        from conecert.cli import main
+        sys.exit(main({VIA!r}))
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)

@@ -10,7 +10,8 @@ import pytest
 from conftest import no_noise_model
 
 from conecert.closure import choose_basis, compute_C
-from conecert.equilibria import _sobol_starts, find_equilibria, is_equilibrium, iter_chains
+from conecert.equilibria import (_sobol_starts, find_equilibria, is_equilibrium, iter_chains,
+                                 trust_region_least_squares)
 from conecert.models import bhw, get_builtin, langevin, quartic_double_well
 from conecert.polyfield import compile_field
 
@@ -185,3 +186,58 @@ def test_sobol_starts_match_scipy(d):
             starts = _sobol_starts(d, n, seed)
             assert starts.dtype == expected.dtype and starts.shape == expected.shape
             assert starts.tobytes() == expected.tobytes()
+
+
+LSQ_KINDS = ["over", "projected", "under", "zero_jacobian"]
+
+
+def least_squares_problem(kind, rng):
+    """A smooth residual f, its Jacobian and a start, of one of four
+    kinds: overdetermined and full rank; square and rank-deficient, P f
+    with P a projector off r >= 1 random directions, as in the search;
+    underdetermined; and a zero Jacobian at the start."""
+    n = int(rng.integers(2, 6))
+    m = {"over": n + int(rng.integers(1, 4)), "projected": n, "under": n - 1,
+         "zero_jacobian": n}[kind]
+    A, C = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+    c = rng.normal(size=m)
+    P = np.eye(m)
+    if kind == "projected":
+        Q, _ = np.linalg.qr(rng.normal(size=(m, int(rng.integers(1, n)))))
+        P -= Q @ Q.T
+    x0 = 2.0 * rng.normal(size=n)
+    if kind == "zero_jacobian":
+        # f = (x_i^2 - 1)_i mixed by A, stationary at the start x0 = 0
+        x0 = np.zeros(n)
+        return (lambda x: A @ (x**2 - 1.0)), (lambda x: A * (2.0 * x)), x0
+    return ((lambda x: P @ (A @ x + c + 0.5 * np.sin(C @ x))),
+            (lambda x: P @ (A + 0.5 * np.cos(C @ x)[:, None] * C)), x0)
+
+
+# the two callers' settings: leg synthesis, and the search at d = n
+@pytest.mark.parametrize("kind", LSQ_KINDS)
+@pytest.mark.parametrize("caller", ["synthesis", "search"])
+def test_least_squares_matches_scipy_trf(monkeypatch, kind, caller):
+    from scipy.linalg import svd
+    from scipy.optimize import least_squares
+
+    # scipy's SVD: numpy's may round last bits differently
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng(LSQ_KINDS.index(kind))
+    for _ in range(8):
+        fun, jac, x0 = least_squares_problem(kind, rng)
+        gtol, max_evals = (1e-12, 200) if caller == "synthesis" else (1e-14, 100 * len(x0))
+        with np.errstate(all="ignore"):
+            x, extra = trust_region_least_squares(
+                lambda x: (fun(x), jac(x), "flow"), x0, gtol, max_evals)
+            expected = least_squares(fun, x0, jac=jac, method="trf", x_scale=1.0, ftol=1e-14,
+                                     xtol=1e-14, gtol=gtol, max_nfev=max_evals).x
+        assert x.tobytes() == expected.tobytes()
+        assert extra == "flow"
+
+
+@pytest.mark.parametrize("f0", [[np.inf, 0.0], [np.nan, 1.0], [1e200, 0.0]])
+def test_least_squares_refuses_a_start_of_non_finite_cost(f0):
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        trust_region_least_squares(lambda x: (np.array(f0), np.eye(2), None),
+                                   np.zeros(2), 1e-12, 200)

@@ -3,6 +3,7 @@ its home module on first access, and the modules' imports."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,8 +86,6 @@ def test_montecarlo_loads_no_scipy():
 
 
 def test_reach_loads_no_scipy():
-    # leg synthesis solves its least squares with numpy; only the
-    # equilibrium search imports scipy.optimize, when it runs
     src = str(Path(conecert.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import conecert.reach; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -108,8 +107,9 @@ def test_montecarlo_loads_nothing_beyond_its_imports():
     assert proc.stdout.strip() == "['conecert.montecarlo']"
 
 
-def test_via_equilibrium_certify_loads_no_scipy_stats():
-    # the equilibrium search draws its Sobol starts without scipy.stats
+def test_via_equilibrium_certify_loads_no_scipy():
+    # the equilibrium search draws its Sobol starts and solves each start
+    # with numpy; it only locates scipy's direction-number file
     src = str(Path(conecert.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
             "from conecert import CertifyOptions, certify, choose_basis, compute_C, get_builtin\n"
@@ -117,19 +117,21 @@ def test_via_equilibrium_certify_loads_no_scipy_stats():
             "cert = certify(m, choose_basis(compute_C(m)), [0.0, 0.0], [2.0, 1.0], 1.0,\n"
             "               CertifyOptions(seed=0, n_steps=200, pieces=4, via_equilibrium=True))\n"
             "print(cert.verdict, cert.dwell is not None)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.split("\n")[:2] == ["positive True", "[]"]
 
 
-def module_level_scipy_imports(source: str) -> list[str]:
+def scipy_imports(source: str, deferred: bool = False) -> list[str]:
     """The scipy modules a module imports when it is itself imported;
-    imports inside a function body are deferred and not listed."""
+    imports inside a function body are deferred, and listed only when
+    `deferred` is set."""
     found, todo = [], [ast.parse(source)]
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not deferred and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
@@ -139,18 +141,43 @@ def module_level_scipy_imports(source: str) -> list[str]:
     return sorted(name for name in found if name.split(".")[0] == "scipy")
 
 
+SCIPY_IMPORTS = ("import scipy.linalg, json\n"
+                 "if True:\n    from scipy.stats import beta\n"
+                 "def f():\n    from scipy.optimize import least_squares\n"
+                 "from .models import ModelSpec\n")
+
+
 def test_scipy_import_check_skips_deferred_imports():
-    assert module_level_scipy_imports(
-        "import scipy.linalg, json\n"
-        "if True:\n    from scipy.stats import beta\n"
-        "def f():\n    from scipy.stats import qmc\n"
-        "from .models import ModelSpec\n") == ["scipy.linalg", "scipy.stats"]
+    assert scipy_imports(SCIPY_IMPORTS) == ["scipy.linalg", "scipy.stats"]
+
+
+def test_scipy_import_check_sees_deferred_imports_when_asked():
+    assert scipy_imports(SCIPY_IMPORTS, deferred=True) == [
+        "scipy.linalg", "scipy.optimize", "scipy.stats"]
 
 
 def test_no_module_imports_scipy_on_load():
-    found = {path.stem: module_level_scipy_imports(path.read_text())
+    found = {path.stem: scipy_imports(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
+    assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def test_no_module_imports_scipy_even_when_it_runs():
+    # the Sobol starts locate scipy's direction-number file; nothing imports scipy
+    found = {path.stem: scipy_imports(path.read_text(), deferred=True)
              for path in PACKAGE_DIR.glob("*.py")}
     assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def test_src_has_one_least_squares_routine():
+    # leg synthesis and the equilibrium search share one solver
+    from conecert import equilibria, reach
+
+    solvers = sorted(f"{path.stem}.{node.name}" for path in PACKAGE_DIR.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef)
+                     and re.search("least_squares|gauss_newton|trust_region|lsq", node.name))
+    assert solvers == ["equilibria._trust_region_step", "equilibria.trust_region_least_squares"]
+    assert reach.trust_region_least_squares is equilibria.trust_region_least_squares
 
 
 def unused_imports(source: str) -> list[str]:

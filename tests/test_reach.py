@@ -666,7 +666,8 @@ NO_CHAIN = (
 @pytest.mark.parametrize("z, via, stage, detail", [
     # z - x lies along the one-sided direction (1, 0), so every waypoint
     # is on y = 0, where [X0, X1] is parallel to X1
-    ([1.0, 0.0], False, "twist", "bracket family rank < d after 12 waypoint sets"),
+    pytest.param([1.0, 0.0], False, "twist",
+                 "bracket family rank 1 < d = 2 after 12 waypoint sets", id="z0-False-twist-rank"),
     ([-1.0, 0.3], True, "membership", NO_CHAIN),
     # the drift overflows at the equilibrium search's starts
     ([1e160, 1.0], True, "membership", NO_CHAIN),
