@@ -136,9 +136,10 @@ def model_from_json(data: dict) -> ModelSpec:
     except (TypeError, ValueError) as exc:
         raise ModelError(f"drift: {exc}") from exc
     for j, p in enumerate(drift.components):
-        for e, c in p.terms.items():
-            if sum(e) > MAX_DEGREE:
-                raise ModelError(f"drift component {j}: degree {sum(e)} is above {MAX_DEGREE}")
+        for key, c in p.terms.items():
+            degree = sum(k for _, k in key)
+            if degree > MAX_DEGREE:
+                raise ModelError(f"drift component {j}: degree {degree} is above {MAX_DEGREE}")
             _float_sized(c, f"drift component {j}")
     if not isinstance(data["noise"], list):
         raise ModelError(f"noise must be a list, got {data['noise']!r}")
@@ -182,11 +183,9 @@ def langevin(
     n = 2 * d
     F = Polynomial(d, F_coeffs or {})  # the potential, over the y variables
 
-    def lift(p: Polynomial) -> Polynomial:
-        # embed a polynomial in y-variables into the (x, y) space
-        return Polynomial(
-            n, {(0,) * d + e: c for e, c in p.terms.items()}
-        )
+    def lift(p: Polynomial) -> Polynomial:  # a polynomial in the y variables, on (x, y)
+        return Polynomial._raw(n, {tuple((i + d, k) for i, k in key): c
+                                   for key, c in p.terms.items()})
 
     comps = []
     for i in range(d):
@@ -210,10 +209,15 @@ def langevin(
 
 
 def quartic_double_well(d: int = 1) -> dict:
-    """Coefficients of F(y) = |y|^4/4 - |y|^2/2."""
-    r2 = sum((Polynomial.variable(d, i) * Polynomial.variable(d, i) for i in range(d)),
-             Polynomial.zero(d))
-    return dict(((r2 * r2).scale(Fraction(1, 4)) - r2.scale(Fraction(1, 2))).terms)
+    """Coefficients of F(y) = |y|^4/4 - |y|^2/2 = sum_i (y_i^4/4 - y_i^2/2)
+    + sum_{i<j} y_i^2 y_j^2/2, keyed by exponent tuples."""
+    F = {}
+    for i in range(d):
+        F[tuple(2 * (k == i) for k in range(d))] = Fraction(-1, 2)
+        for j in range(i, d):
+            exps = tuple(2 * (k == i) + 2 * (k == j) for k in range(d))
+            F[exps] = Fraction(1, 4 if i == j else 2)
+    return F
 
 
 # --------------------------------------------------------------------
@@ -352,16 +356,10 @@ def _add_i_product(acc: tuple[dict, dict], c: Fraction, u, v) -> None:
 
 
 def _from_index_terms(dim: int, terms: dict) -> Polynomial:
-    """Polynomial from {tuple of variable indices: coefficient}; an
-    index's multiplicity in its tuple is its exponent."""
-    out = {}
-    for key, c in terms.items():
-        if c:
-            e = [0] * dim
-            for i in key:
-                e[i] += 1
-            out[tuple(e)] = c
-    return Polynomial._raw(dim, out)
+    """Polynomial from {sorted tuple of variable indices: coefficient}; an
+    index's multiplicity in its tuple is its power."""
+    return Polynomial._raw(dim, {tuple((i, key.count(i)) for i in dict.fromkeys(key)): c
+                                 for key, c in terms.items() if c})
 
 
 def burgers(

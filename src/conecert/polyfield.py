@@ -1,12 +1,15 @@
 """Exact multivariate polynomials and polynomial vector-field calculus.
 
 Coefficients are rationals (`fractions.Fraction`) throughout, so parity
-decisions and zero tests are never contaminated by floating point.  All
-values are immutable after construction and every operation is a pure
-function.  Floats enter only through the compiled kernels at the end of
-the module (`compile_field`, `compile_jacobian`), the one float evaluator,
-and the RK4 step generated for a small drift (`compile_rk4_step`), which
-rounds as the kernel does.
+decisions and zero tests are never contaminated by floating point.  A
+monomial is keyed by its sorted (variable, power) pairs, so a term costs
+O(its variables), not O(dim); exponent tuples of length dim appear only
+in the `Polynomial(dim, mapping)` constructor, the JSON form and error
+messages.  All values are immutable after construction and every
+operation is a pure function.  Floats enter only through the compiled
+kernels at the end of the module (`compile_field`, `compile_jacobian`),
+the one float evaluator, and the RK4 step generated for a small drift
+(`compile_rk4_step`), which rounds as the kernel does.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-Exponents = tuple[int, ...]
+# a monomial: its (variable, power) pairs, variables ascending, powers >= 1
+Monomial = tuple[tuple[int, int], ...]
 Rational = Fraction | int
 
 
@@ -36,9 +41,20 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    # graded lexicographic: total degree first, then lexicographic
-    return (sum(exps), exps)
+def _degree(key: Monomial) -> int:
+    return sum(map(itemgetter(1), key))
+
+
+def _grlex(item: tuple[Monomial, Fraction]) -> tuple:
+    # graded lex on the exponent tuples: a key that skips a variable (a 0
+    # exponent) sorts before one that has it, so the variables are negated
+    return (_degree(item[0]), tuple((-i, p) for i, p in item[0]))
+
+
+def _lowered(key: Monomial, i: int, p: int) -> Monomial:
+    """key with the power p of its variable i lowered by one."""
+    n = key.index((i, p))
+    return key[:n] + key[n + 1 :] if p == 1 else key[:n] + ((i, p - 1),) + key[n + 1 :]
 
 
 _ZERO = Fraction(0)
@@ -47,17 +63,18 @@ _ZERO = Fraction(0)
 class Polynomial:
     """Sparse exact-rational polynomial in `dim` variables.
 
-    Terms map exponent tuples of length `dim` to nonzero Fractions.
-    Term order is canonical (graded lex), so equal polynomials compare
-    equal structurally.
+    `terms` maps monomials, as sorted (variable, power) pairs, to nonzero
+    Fractions.  Term order is canonical (graded lex on the exponent
+    tuples), so equal polynomials compare equal structurally.  The
+    constructor takes exponent tuples of length `dim`.
     """
 
     __slots__ = ("dim", "terms", "_hash")
 
-    def __init__(self, dim: int, terms: Mapping[Exponents, Rational] = ()):
+    def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Rational] = ()):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
@@ -67,17 +84,16 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = Fraction(coeff)
-            if c != 0:
-                c += clean.get(exps, Fraction(0))
-                if c == 0:
-                    del clean[exps]
-                else:
-                    clean[exps] = c
+            key = tuple((i, e) for i, e in enumerate(exps) if e)
+            clean[key] = clean.get(key, _ZERO) + Fraction(coeff)
+        self._fill(dim, clean)
+
+    def _fill(self, dim: int, terms: dict) -> None:
+        terms = {e: c for e, c in terms.items() if c}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "terms", dict(sorted(clean.items(), key=lambda kv: _grlex_key(kv[0])))
-        )
+        if len(terms) > 1:
+            terms = dict(sorted(terms.items(), key=_grlex))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -88,13 +104,9 @@ class Polynomial:
     @classmethod
     def _raw(cls, dim: int, terms: dict) -> "Polynomial":
         """Trusted constructor for internal arithmetic: `terms` must
-        already map valid exponent tuples to nonzero Fractions."""
+        already map valid monomial keys to Fractions; zeros are dropped."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", dim)
-        object.__setattr__(
-            obj, "terms", dict(sorted(terms.items(), key=lambda kv: _grlex_key(kv[0])))
-        )
-        object.__setattr__(obj, "_hash", None)
+        obj._fill(dim, terms)
         return obj
 
     @classmethod
@@ -105,14 +117,11 @@ class Polynomial:
     def constant(cls, dim: int, c: Rational) -> "Polynomial":
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        c = Fraction(c)
-        return cls._raw(dim, {(0,) * dim: c} if c else {})
+        return cls._raw(dim, {(): Fraction(c)})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Polynomial":
-        exps = [0] * dim
-        exps[i] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls._raw(dim, {((range(dim)[i], 1),): Fraction(1)})  # i checked as an index
 
     # -- queries ------------------------------------------------------
 
@@ -120,15 +129,15 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self.terms.keys() <= {()}
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, _ZERO)
+        return self.terms.get((), _ZERO)
 
     def degree(self) -> int | DegreeSentinel:
         if not self.terms:
             return NO_DEGREE
-        return max(sum(e) for e in self.terms)
+        return _degree(next(reversed(self.terms)))  # the last term in graded order
 
     # -- arithmetic ---------------------------------------------------
 
@@ -140,11 +149,7 @@ class Polynomial:
         self._check_dim(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = terms.get(e, _ZERO) + c
         return Polynomial._raw(self.dim, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -157,7 +162,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Monomial, Fraction] = {}
         _accumulate_product(terms, self, other, 1)
         return Polynomial._raw(self.dim, terms)
 
@@ -165,19 +170,16 @@ class Polynomial:
 
     def scale(self, c: Rational) -> "Polynomial":
         c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.dim)
         return Polynomial._raw(self.dim, {e: c * co for e, co in self.terms.items()})
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i, exact."""
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            terms[tuple(d)] = c * e[i]
+        terms: dict[Monomial, Fraction] = {}
+        for key, c in self.terms.items():
+            for j, p in key:
+                if j == i:
+                    terms[_lowered(key, i, p)] = c * p
+                    break
         return Polynomial._raw(self.dim, terms)
 
     def eval_exact(self, x: Sequence[Rational]) -> Fraction:
@@ -185,11 +187,10 @@ class Polynomial:
             raise DimensionMismatchError(f"point length {len(x)} != dim {self.dim}")
         x = [Fraction(c) for c in x]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for key, c in self.terms.items():
             term = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    term *= xi**ei
+            for i, p in key:
+                term *= x[i] ** p
             total += term
         return total
 
@@ -213,10 +214,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.terms.items():
-            mon = "*".join(
-                f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p
-            )
+        for key, c in self.terms.items():
+            mon = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in key)
             parts.append(f"{c}" if not mon else f"{c}*{mon}")
         return " + ".join(parts)
 
@@ -282,28 +281,29 @@ class PolyVectorField:
 
 def jacobian(V: PolyVectorField) -> list[list[Polynomial]]:
     """Exact Jacobian matrix: entry (j, k) = dV^j/dx_k."""
-    return [[V.components[j].diff(k) for k in range(V.dim)] for j in range(V.dim)]
+    rows: list[list[dict]] = [[{} for _ in range(V.dim)] for _ in range(V.dim)]
+    for row, p in zip(rows, V.components):  # one pass over each component's terms
+        for key, c in p.terms.items():
+            for k, e in key:
+                row[k][_lowered(key, k, e)] = c * e
+    return [[Polynomial._raw(V.dim, terms) for terms in row] for row in rows]
 
 
 def directional_derivative(W: PolyVectorField, v: Sequence[Rational]) -> PolyVectorField:
     """Derivative of W along the constant direction v, component-wise."""
     if len(v) != W.dim:
         raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
-    nz = [(k, Fraction(vk)) for k, vk in enumerate(v) if vk]
+    nz = {k: Fraction(vk) for k, vk in enumerate(v) if vk}
+    zero = Polynomial.zero(W.dim)  # shared by the components that vanish
     comps = []
     for p in W.components:
-        acc: dict[Exponents, Fraction] = {}
-        for e, c in p.terms.items():
-            for k, vk in nz:
-                ek = e[k]
-                if ek:
-                    de = e[:k] + (ek - 1,) + e[k + 1 :]
-                    s = acc.get(de, _ZERO) + c * ek * vk
-                    if s == 0:
-                        acc.pop(de, None)
-                    else:
-                        acc[de] = s
-        comps.append(Polynomial._raw(W.dim, acc))
+        acc: dict[Monomial, Fraction] = {}
+        for key, c in p.terms.items():
+            for k, ek in key:
+                if k in nz:
+                    de = _lowered(key, k, ek)
+                    acc[de] = acc.get(de, _ZERO) + c * ek * nz[k]
+        comps.append(Polynomial._raw(W.dim, acc) if acc else zero)
     return PolyVectorField(W.dim, tuple(comps))
 
 
@@ -318,29 +318,26 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
     if W.is_constant():
         return directional_derivative(V, [-c for c in W.constant_value()])
     d = V.dim
-    v_nz = [k for k in range(d) if not V.components[k].is_zero()]
-    w_nz = [k for k in range(d) if not W.components[k].is_zero()]
+    JV, JW = jacobian(V), jacobian(W)
     comps = []
     for j in range(d):
         acc: dict = {}
-        for k in v_nz:
-            _accumulate_product(acc, V.components[k], W.components[j].diff(k), 1)
-        for k in w_nz:
-            _accumulate_product(acc, W.components[k], V.components[j].diff(k), -1)
+        for k in range(d):
+            _accumulate_product(acc, V.components[k], JW[j][k], 1)
+            _accumulate_product(acc, W.components[k], JV[j][k], -1)
         comps.append(Polynomial._raw(d, acc))
     return PolyVectorField(d, tuple(comps))
 
 
 def _accumulate_product(acc: dict, p: Polynomial, q: Polynomial, sign: int) -> None:
     """acc += sign * p * q, in place on a raw term dict."""
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = acc.get(e, _ZERO) + sign * c1 * c2
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            powers = dict(k1)
+            for i, n in k2:
+                powers[i] = powers.get(i, 0) + n
+            e = tuple(sorted(powers.items()))
+            acc[e] = acc.get(e, _ZERO) + sign * c1 * c2
 
 
 def ad_power(V: PolyVectorField, W: PolyVectorField, m: int) -> PolyVectorField:
@@ -367,20 +364,23 @@ def relative_degree(
         raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
     # on the line a term c x^e is c prod(v_i^e_i) lambda^|e|; it vanishes
     # unless every variable it uses is in the support of v
-    support = [i for i, c in enumerate(v) if c]
-    scales = [(i, Fraction(v[i])) for i in support if v[i] != 1]
+    support = {i: Fraction(c) for i, c in enumerate(v) if c}
     best = -1
     for p in W.components:
         sums: dict[int, Fraction] = {}
-        for e, c in p.terms.items():
-            deg = sum(map(e.__getitem__, support))
-            if deg <= best or sum(e) != deg:
-                continue
-            for i, vi in scales:
-                if e[i]:
-                    c *= vi ** e[i]
-            sums[deg] = sums.get(deg, _ZERO) + c
-        best = max([best, *(deg for deg, s in sums.items() if s)])
+        for key, c in reversed(p.terms.items()):  # by descending degree
+            for i, _ in key:
+                if i not in support:
+                    break
+            else:
+                deg = _degree(key)
+                if deg <= best:
+                    break  # so is every later term's
+                for i, k in key:
+                    c *= support[i] ** k
+                sums[deg] = sums.get(deg, _ZERO) + c
+        if any(sums.values()):  # each degree in sums is above best
+            best = max(deg for deg, s in sums.items() if s)
     if best < 0:
         return None
     return best, ("odd" if best % 2 else "even")
@@ -411,10 +411,13 @@ class ConstantField:
 
 
 def poly_to_json(p: Polynomial) -> list[dict]:
-    return [
-        {"coeff": f"{c.numerator}/{c.denominator}", "exps": list(e)}
-        for e, c in p.terms.items()
-    ]
+    out = []
+    for key, c in p.terms.items():
+        exps = [0] * p.dim
+        for i, k in key:
+            exps[i] = k
+        out.append({"coeff": f"{c.numerator}/{c.denominator}", "exps": exps})
+    return out
 
 
 def poly_from_json(data: list[dict], dim: int) -> Polynomial:
@@ -481,18 +484,17 @@ class _SlotTable:
     """Polynomials over one monomial basis, one per row of `rows` (term
     dicts), evaluated to an array of `shape` per point."""
 
-    def __init__(self, dim: int, rows: Sequence[Mapping[Exponents, Fraction]],
+    def __init__(self, dim: int, rows: Sequence[Mapping[Monomial, Fraction]],
                  shape: tuple[int, ...], sequential: bool = False):
-        index: dict[Exponents, int] = {}
+        index: dict[Monomial, int] = {}
         for terms in rows:
-            for e in terms:
-                index.setdefault(e, len(index))
-        self.slots = np.full((len(index), max(map(sum, index), default=0)), dim, np.intp)
-        for e, col in index.items():
-            # highest power first: x_i^2 x_j is (x_i x_i) x_j, the rounding
-            # the pinned Monte Carlo outputs were made with
-            order = sorted((i for i, k in enumerate(e) if k), key=lambda i: -e[i])
-            idx = [i for i in order for _ in range(e[i])]
+            for key in terms:
+                index.setdefault(key, len(index))
+        self.slots = np.full((len(index), max(map(_degree, index), default=0)), dim, np.intp)
+        for key, col in index.items():
+            # highest power first, ties by variable: x_i^2 x_j is (x_i x_i)
+            # x_j, the rounding the pinned Monte Carlo outputs were made with
+            idx = [i for i, p in sorted(key, key=lambda ip: -ip[1]) for _ in range(p)]
             self.slots[col, : len(idx)] = idx
         self.coeffs = np.zeros((len(index), len(rows)))
         for j, terms in enumerate(rows):

@@ -36,7 +36,8 @@ from conecert.closure import (
 from conecert.models import (
     BUILTINS, ModelSpec, bhw, get_builtin, langevin, quartic_double_well)
 from conecert.polyfield import (
-    Polynomial, PolyVectorField, compile_field, compile_jacobian, lie_bracket)
+    Polynomial, PolyVectorField, compile_field, compile_jacobian, lie_bracket, poly_from_json,
+    poly_to_json)
 
 F = Fraction
 SRC = str(Path(conecert.__file__).resolve().parents[1])
@@ -529,7 +530,8 @@ def test_twist_rank_bhw(bhw_model):
 def _magnitude(V: PolyVectorField) -> PolyVectorField:
     """V with every coefficient replaced by its absolute value."""
     return PolyVectorField(V.dim, tuple(
-        Polynomial(V.dim, {e: abs(c) for e, c in p.terms.items()}) for p in V.components))
+        poly_from_json([{**term, "coeff": str(abs(Fraction(term["coeff"])))}
+                        for term in poly_to_json(p)], V.dim) for p in V.components))
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,6 +120,28 @@ def test_burgers_closure_stops_at_full_odd_rank():
         assert report[key] == golden[key]
 
 
+# model -> (sha256 of its model JSON, sha256 of its default compute_C report):
+# the term order that the closure and the small models' generated kernels follow
+SMALL_MODEL_GOLDENS = {
+    "langevin": ("fc7e7d40c30bb657395b16a5eb76fc7c35d05312698fb69adb39f7964f6387eb",
+                 "71513d7e0605cc5d47dbe10ee4219f51c3059149e2caa339565ea4f5699997a3"),
+    "langevin2d": ("db873cc1f4e5a6c72bf45de9b05ebb36df7f63020dffbf2d26c0bf16e70164e7",
+                   "0f98553f3e3e5ea5599f455cef5164c43a9b0e4ffa2a4c8f6d771316ee77ac70"),
+    "bhw": ("a0d509167903f253f6cafa77357deca5ef022badf6c894a201f421ab4b7e49c2",
+            "bf1f3d042125b6b5801842135d25f890c92eff9de4ad4eb3500e18a5317b86be"),
+    "nonexample3d": ("af8be72e4cfe41bb3737ed0422a5d372a5cc66f8111032eec9e0a2b777077ed7",
+                     "920dda7bceeb0b35b6408ae17581ed50ce3e3143cfb4866357e8b008ab6a91ce"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_MODEL_GOLDENS))
+def test_small_model_spec_and_closure_goldens(name):
+    model = get_builtin(name)
+    report = json.dumps(compute_C(model).to_json(), sort_keys=True)
+    assert (model.spec_hash(), hashlib.sha256(report.encode()).hexdigest()) == \
+        SMALL_MODEL_GOLDENS[name]
+
+
 # sha256 of the model JSON: every drift term and coefficient of the truncation
 BURGERS_SPEC_SHA256 = "0890a0bc01005d7bbb3bc7b39b6d8eb653de1013bafa7c49d1ba30436e2cc16d"
 # N=3 (d=192), nu=1/2, forced incompressible and compressible modes (r=6)

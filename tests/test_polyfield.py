@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Lie brackets, and relative degrees."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_zero_polynomial_has_no_degree():
 
 def test_grlex_canonical_order():
     p = p_of(2, {(0, 2): 1, (1, 0): 1, (0, 0): 1, (1, 1): 1})
-    degrees = [sum(e) for e in p.terms]
+    degrees = [sum(k for _, k in key) for key in p.terms]
     assert degrees == sorted(degrees)
 
 
@@ -289,6 +290,129 @@ def test_poly_json_roundtrip(p):
 @settings(max_examples=30, deadline=None)
 def test_field_json_roundtrip(V):
     assert field_from_json(field_to_json(V), 2) == V
+
+
+# -- dense-exponent oracle --------------------------------------------
+# Terms are keyed by (variable, power) pairs; these references compute on
+# exponent tuples of length dim and read the keyed results through
+# poly_to_json, term order included.
+
+
+def dense(p):
+    """{exponent tuple: coefficient} in poly_to_json's order."""
+    return {tuple(t["exps"]): F(t["coeff"]) for t in poly_to_json(p)}
+
+
+def graded(terms):
+    """terms without zeros, in graded lex order."""
+    return dict(sorted(((e, c) for e, c in terms.items() if c),
+                       key=lambda ec: (sum(ec[0]), ec[0])))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return graded(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return graded(out)
+
+
+def ref_diff(a, i):
+    return graded({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]})
+
+
+def ref_directional(W, v):
+    out = []
+    for a in W:
+        acc = {}
+        for k, vk in enumerate(v):
+            acc = ref_add(acc, {e: c * vk for e, c in ref_diff(a, k).items()})
+        out.append(acc)
+    return out
+
+
+def ref_bracket(V, W):
+    # [V, W]^j = sum_k (V^k dW^j/dx_k - W^k dV^j/dx_k)
+    out = []
+    for j in range(len(V)):
+        acc = {}
+        for k in range(len(V)):
+            acc = ref_add(acc, ref_mul(V[k], ref_diff(W[j], k)))
+            acc = ref_add(acc, {e: -c for e, c in ref_mul(W[k], ref_diff(V[j], k)).items()})
+        out.append(acc)
+    return out
+
+
+def ref_relative_degree(v, W):
+    # on the line a term c x^e is c prod(v_i^e_i) lambda^|e|
+    best = -1
+    for a in W:
+        sums = {}
+        for e, c in a.items():
+            for ek, vk in zip(e, v):
+                c *= F(vk) ** ek
+            sums[sum(e)] = sums.get(sum(e), 0) + c
+        best = max([best, *(deg for deg, s in sums.items() if s)])
+    return None if best < 0 else (best, "odd" if best % 2 else "even")
+
+
+def items(p):
+    return list(dense(p).items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    polynomials(d), polynomials(d), vector_fields(d), vector_fields(d), constant_vectors(d),
+    st.integers(0, d - 1))))
+def test_pair_keys_match_dense_exponent_oracle(case):
+    p, q, V, W, v, i = case
+    assert [t["exps"] for t in poly_to_json(p)] == sorted(
+        (t["exps"] for t in poly_to_json(p)), key=lambda e: (sum(e), e))
+    assert items(p + q) == list(ref_add(dense(p), dense(q)).items())
+    assert items(p * q) == list(ref_mul(dense(p), dense(q)).items())
+    assert items(p.diff(i)) == list(ref_diff(dense(p), i).items())
+    Vd, Wd = [dense(a) for a in V.components], [dense(a) for a in W.components]
+    assert [items(a) for a in directional_derivative(W, v).components] == [
+        list(a.items()) for a in ref_directional(Wd, v)]
+    assert relative_degree(v, W) == ref_relative_degree(v, Wd)
+    C = PolyVectorField.from_constant(v)
+    Cd = [dense(a) for a in C.components]
+    for X, Y, Xd, Yd in ((V, W, Vd, Wd), (C, W, Cd, Wd), (V, C, Vd, Cd)):
+        assert [items(a) for a in lie_bracket(X, Y).components] == [
+            list(a.items()) for a in ref_bracket(Xd, Yd)]
+
+
+def test_sparse_direction_cost_does_not_grow_with_dim():
+    # 1,000 quadratic terms over 10^4 variables, along a direction of two
+    # of them: dense exponent keys would hold about 80 MB of tuples
+    d = 10_000
+    pairs = np.random.default_rng(0).choice(d, size=(100, 10, 2)).tolist()
+    x = {i: Polynomial.variable(d, i) for rows in pairs for pair in rows for i in pair}
+    zero = Polynomial.zero(d)
+    comps = [sum((x[a] * x[b] for a, b in rows), zero) for rows in pairs]
+    assert sum(len(p.terms) for p in comps) > 990
+    W = PolyVectorField(d, (*comps, *[zero] * (d - len(comps))))
+    v = [0] * d
+    for i in pairs[0][0]:
+        v[i] = 1
+    tracemalloc.start()
+    try:
+        dW = directional_derivative(W, v)
+        rd = relative_degree(v, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rd == (2, "even")
+    assert {p.degree() for p in dW.components if not p.is_zero()} == {1}
+    assert peak < 4 * 2**20, peak
 
 
 # -- compiled evaluation ----------------------------------------------
