@@ -27,8 +27,10 @@ from .brackets import parse_bracket
 from .models import ModelError, ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
 from .polyfield import (  # noqa: F401
+    _ZERO,
     ConstantField,
     PolyVectorField,
+    _support,
     ad_power,
     lie_bracket,
     relative_degree,
@@ -44,36 +46,41 @@ class SingularBasisError(ModelError):
 
 
 class RationalSpan:
-    """Row space over Q, kept in echelon form for membership tests."""
+    """Row space over Q, kept in echelon form for membership tests.  A row
+    is zero before its pivot, so reducing a vector's nonzero entries by
+    the rows in pivot order leaves every pivot clear."""
 
     def __init__(self, dim: int):
         self.dim = dim
         # (pivot, the row's nonzero (index, value) pairs)
         self.rows: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = []
 
-    def reduce(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        v = list(v)
+    def _residual(self, v) -> dict[int, Fraction]:
+        red = _support(v)
         for pivot, row in self.rows:
-            c = v[pivot]
-            if c != 0:
+            c = red.get(pivot)
+            if c:
                 for i, r in row:
-                    v[i] -= c * r
-        return tuple(v)
+                    red[i] = red.get(i, _ZERO) - c * r
+        return {i: c for i, c in red.items() if c}
+
+    def reduce(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        red = self._residual(v)
+        return tuple(red.get(i, _ZERO) for i in range(self.dim))
 
     def contains(self, v: tuple[Fraction, ...]) -> bool:
-        return all(c == 0 for c in self.reduce(v))
+        return not self._residual(v)
 
     def add(self, v: tuple[Fraction, ...]) -> bool:
         """Insert the direction; True if it enlarged the span."""
-        red = self.reduce(v)
-        for pivot in range(self.dim):
-            if red[pivot] != 0:
-                inv = 1 / red[pivot]
-                row = tuple((i, c * inv) for i, c in enumerate(red) if c != 0)
-                self.rows.append((pivot, row))
-                self.rows.sort(key=lambda pr: pr[0])
-                return True
-        return False
+        red = self._residual(v)
+        if not red:
+            return False
+        pivot = min(red)
+        inv = 1 / red[pivot]
+        self.rows.append((pivot, tuple((i, red[i] * inv) for i in sorted(red))))
+        self.rows.sort(key=lambda pr: pr[0])
+        return True
 
     @property
     def rank(self) -> int:
@@ -108,6 +115,8 @@ class GenerationState:
     nonconstant_generators: list[tuple[PolyVectorField, str, str]]
     round: int = 0
     odd_span: RationalSpan = None
+    # odd_constants as (field, parity, derivation), built once each
+    odd_fields: list[tuple[PolyVectorField, str, str]] = field(default_factory=list)
     even_seen: set = field(default_factory=set)
     pairs_done: set = field(default_factory=set)
     last_round_added: bool = True
@@ -169,8 +178,9 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
 
     # V: the odd constants, plus combinations of the seeds; the seeds are
     # linearly independent, so no such combination is zero
-    odd = [(PolyVectorField.from_constant(cf.value), cf.parity, cf.derivation)
-           for cf in state.odd_constants]
+    odd = state.odd_fields
+    odd += [(PolyVectorField.from_constant(cf.value), cf.parity, cf.derivation)
+            for cf in state.odd_constants[len(odd):]]
     v_list = list(_candidates(odd, [v for v in odd if v[1] == "seed"], combo_budget))
     w_list = list(_candidates(gens, gens, combo_budget))
 
@@ -347,16 +357,18 @@ class PositivityBasis:
     @functools.cached_property
     def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
         """One-sided rows of B^-1 over Q, as sparse (column, value) lists;
-        none when every direction is two-sided.  The span of the rows
-        (b_i | e_i) has a pivot at index n or beyond exactly when B is
-        singular; otherwise (e_j | 0) reduces to (0 | -column j of B^-1)."""
+        none when every direction is two-sided.  B is singular exactly
+        when fewer than n pivots fall below index n in the span of the
+        b_i (k = n), or else of the (b_i | e_i), where (e_j | 0) reduces
+        to (0 | -column j of B^-1)."""
         n = self.dim
-        span = RationalSpan(2 * n)
+        width = 2 * n if self.k < n else n
+        span = RationalSpan(width)
         for i, v in enumerate(self.vectors):
-            span.add((*v, *(Fraction(int(i == j)) for j in range(n))))
-        if any(pivot >= n for pivot, _ in span.rows):
+            span.add((*v, *(int(i == j) for j in range(width - n))))
+        if sum(pivot < n for pivot, _ in span.rows) < n:
             raise SingularBasisError("positivity basis is singular over Q")
-        columns = [span.reduce([Fraction(int(i == j)) for i in range(2 * n)])[n:]
+        columns = [span.reduce([int(i == j) for i in range(width)])[n:]
                    for j in range(n if self.k < n else 0)]
         return [[(j, -col[i]) for j, col in enumerate(columns) if col[i] != 0]
                 for i in range(self.k, n)]

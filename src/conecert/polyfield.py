@@ -5,10 +5,13 @@ decisions and zero tests are never contaminated by floating point.  A
 monomial is keyed by its sorted (variable, power) pairs, so a term costs
 O(its variables), not O(dim); exponent tuples of length dim appear only
 in the `Polynomial(dim, mapping)` constructor, the JSON form and error
-messages.  All values are immutable after construction and every
-operation is a pure function.  Floats enter only through the compiled
-kernels at the end of the module (`compile_field`, `compile_jacobian`),
-the one float evaluator, and the RK4 step generated for a small drift
+messages.  A vector field indexes its terms by variable, so a derivative
+or relative degree along a sparse direction visits only the terms that
+use its support, and its constancy is read off the same index.  All
+values are immutable after construction and every operation is a pure
+function.  Floats enter only through the compiled kernels at the end of
+the module (`compile_field`, `compile_jacobian`), the one float
+evaluator, and the RK4 step generated for a small drift
 (`compile_rk4_step`), which rounds as the kernel does.
 """
 
@@ -259,13 +262,29 @@ class PolyVectorField:
         )
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components)
+        return not self._by_variable and not self._constant_terms
 
     def is_constant(self) -> bool:
-        return all(p.is_constant() for p in self.components)
+        return not self._by_variable
 
     def constant_value(self) -> tuple[Fraction, ...]:
-        return tuple(p.constant_value() for p in self.components)
+        return tuple(self._constant_terms.get(j, _ZERO) for j in range(self.dim))
+
+    # A field indexes its terms once, on first use: its constant terms by
+    # component, and each other term under every variable it uses
+    @functools.cached_property
+    def _constant_terms(self) -> dict[int, Fraction]:
+        return {j: p.terms[()] for j, p in enumerate(self.components) if () in p.terms}
+
+    @functools.cached_property
+    def _by_variable(self) -> dict[int, list[tuple[int, Monomial, Fraction, int]]]:
+        # variable -> the (component, key, coeff, power) of each term using it
+        index: dict[int, list] = {}
+        for j, p in enumerate(self.components):
+            for key, c in p.terms.items():
+                for i, e in key:
+                    index.setdefault(i, []).append((j, key, c, e))
+        return index
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(
@@ -293,18 +312,26 @@ def directional_derivative(W: PolyVectorField, v: Sequence[Rational]) -> PolyVec
     """Derivative of W along the constant direction v, component-wise."""
     if len(v) != W.dim:
         raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
-    nz = {k: Fraction(vk) for k, vk in enumerate(v) if vk}
-    zero = Polynomial.zero(W.dim)  # shared by the components that vanish
-    comps = []
-    for p in W.components:
-        acc: dict[Monomial, Fraction] = {}
-        for key, c in p.terms.items():
-            for k, ek in key:
-                if k in nz:
-                    de = _lowered(key, k, ek)
-                    acc[de] = acc.get(de, _ZERO) + c * ek * nz[k]
-        comps.append(Polynomial._raw(W.dim, acc) if acc else zero)
+    return _along(W, _support(v))
+
+
+def _along(W: PolyVectorField, support: Mapping[int, Fraction]) -> PolyVectorField:
+    # W's derivative along the direction with these nonzero coordinates
+    accs: dict[int, dict[Monomial, Fraction]] = {}
+    for k, vk in support.items():
+        for j, key, c, e in W._by_variable.get(k, ()):
+            acc = accs.setdefault(j, {})
+            de = _lowered(key, k, e)
+            acc[de] = acc.get(de, _ZERO) + c * e * vk
+    comps = [Polynomial.zero(W.dim)] * W.dim  # one zero, shared by the untouched components
+    for j, acc in accs.items():
+        comps[j] = Polynomial._raw(W.dim, acc)
     return PolyVectorField(W.dim, tuple(comps))
+
+
+def _support(v: Sequence[Rational]) -> dict[int, Fraction]:
+    # the shared zero of a constant field's value needs no Fraction test
+    return {i: Fraction(c) for i, c in enumerate(v) if c is not _ZERO and c}
 
 
 def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
@@ -314,9 +341,9 @@ def lie_bracket(V: PolyVectorField, W: PolyVectorField) -> PolyVectorField:
         raise DimensionMismatchError(f"dim {V.dim} vs {W.dim}")
     # a constant argument has zero partials, so one of the two sums vanishes
     if V.is_constant():
-        return directional_derivative(W, V.constant_value())
+        return _along(W, V._constant_terms)
     if W.is_constant():
-        return directional_derivative(V, [-c for c in W.constant_value()])
+        return _along(V, {k: -c for k, c in W._constant_terms.items()})
     d = V.dim
     JV, JW = jacobian(V), jacobian(W)
     comps = []
@@ -363,26 +390,24 @@ def relative_degree(
     if len(v) != W.dim:
         raise DimensionMismatchError(f"vector length {len(v)} != dim {W.dim}")
     # on the line a term c x^e is c prod(v_i^e_i) lambda^|e|; it vanishes
-    # unless every variable it uses is in the support of v
-    support = {i: Fraction(c) for i, c in enumerate(v) if c}
-    best = -1
-    for p in W.components:
-        sums: dict[int, Fraction] = {}
-        for key, c in reversed(p.terms.items()):  # by descending degree
-            for i, _ in key:
-                if i not in support:
+    # unless every variable it uses is in the support of v, so each such
+    # term is found once, under its first variable
+    support = _support(v)
+    sums: dict[tuple[int, int], Fraction] = {}  # (component, degree) -> sum
+    for i in support:
+        for j, key, c, _ in W._by_variable.get(i, ()):
+            if key[0][0] != i:
+                continue
+            for k, e in key:
+                if k not in support:
                     break
+                c *= support[k] ** e
             else:
                 deg = _degree(key)
-                if deg <= best:
-                    break  # so is every later term's
-                for i, k in key:
-                    c *= support[i] ** k
-                sums[deg] = sums.get(deg, _ZERO) + c
-        if any(sums.values()):  # each degree in sums is above best
-            best = max(deg for deg, s in sums.items() if s)
-    if best < 0:
-        return None
+                sums[j, deg] = sums.get((j, deg), _ZERO) + c
+    best = max((deg for (_, deg), s in sums.items() if s), default=-1)
+    if best < 0:  # only constant terms can remain on the line
+        return (0, "even") if W._constant_terms else None
     return best, ("odd" if best % 2 else "even")
 
 

@@ -32,7 +32,7 @@ from conecert import (
     get_builtin,
     simulate,
 )
-from conecert.models import BUILTINS
+from conecert.models import BUILTINS, shell1_forcing
 from conecert.montecarlo import _simulate_endpoints
 from conecert.polyfield import compile_field, compile_jacobian
 
@@ -118,6 +118,16 @@ def test_burgers_closure_stops_at_full_odd_rank():
     report = cone.to_json()
     for key in ("odd_basis", "even_generators", "derivations"):
         assert report[key] == golden[key]
+
+
+# sha256 of the sorted-key JSON report of the default closure at N = 3 (d = 192)
+BURGERS_N3_CLOSURE_SHA256 = "adb640abc0c04510e231376ac0d282ba43f9855bec599737f50dc85029f53be9"
+
+
+def test_burgers_n3_closure_golden():
+    cone = compute_C(burgers(3, 1, forced_sigma=shell1_forcing(3)))
+    report = json.dumps(cone.to_json(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == BURGERS_N3_CLOSURE_SHA256
 
 
 # model -> (sha256 of its model JSON, sha256 of its default compute_C report):

@@ -390,6 +390,72 @@ def test_pair_keys_match_dense_exponent_oracle(case):
             list(a.items()) for a in ref_bracket(Xd, Yd)]
 
 
+def assert_line_queries_match_oracle(W, v):
+    Wd = [dense(a) for a in W.components]
+    assert relative_degree(v, W) == ref_relative_degree(v, Wd)
+    assert [items(a) for a in directional_derivative(W, v).components] == [
+        list(a.items()) for a in ref_directional(Wd, v)]
+
+
+def test_direction_missing_every_variable_sees_only_constant_terms():
+    # W uses x0 and x1 alone; along e2 only its constant terms remain
+    W = PolyVectorField(3, (p_of(3, {(1, 0, 0): 1, (0, 2, 0): 2}), p_of(3, {(1, 1, 0): -1}),
+                            Polynomial.zero(3)))
+    v = (F(0), F(0), F(5))
+    assert relative_degree(v, W) is None
+    assert_line_queries_match_oracle(W, v)
+    with_constant = W + PolyVectorField.from_constant((F(0), F(-3), F(0)))
+    assert relative_degree(v, with_constant) == (0, "even")
+    assert_line_queries_match_oracle(with_constant, v)
+
+
+def test_top_degree_cancels_on_the_line_below_another_component():
+    # along (1, -1): x0^3 + x0^2 x1 vanishes to degree 3 in component 0,
+    # x0 x1 keeps degree 2 in component 1, and x0 cancels x1 in component 2
+    W = PolyVectorField(3, (p_of(3, {(3, 0, 0): 1, (2, 1, 0): 1, (1, 0, 0): 4}),
+                            p_of(3, {(1, 1, 0): 1}), p_of(3, {(1, 0, 0): 1, (0, 1, 0): 1})))
+    v = (F(1), F(-1), F(0))
+    assert relative_degree(v, W) == (2, "even")
+    assert_line_queries_match_oracle(W, v)
+
+
+def test_field_mixing_constant_and_nonconstant_components():
+    W = PolyVectorField(3, (Polynomial.constant(3, F(2, 3)), p_of(3, {(0, 0, 1): 1, (0, 0, 0): 1}),
+                            Polynomial.zero(3)))
+    assert not W.is_constant() and not W.is_zero()
+    assert W.constant_value() == (F(2, 3), F(1), F(0))
+    for v in ((F(1), F(0), F(0)), (F(0), F(0), F(-2)), (F(0),) * 3):
+        assert_line_queries_match_oracle(W, v)
+    assert relative_degree((F(0), F(0), F(-2)), W) == (1, "odd")
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_fields(4), st.lists(constant_vectors(4), min_size=2, max_size=5))
+def test_one_field_along_several_directions_reuses_its_index(W, directions):
+    for v in directions:  # the first query builds W's term index, the rest reuse it
+        assert_line_queries_match_oracle(W, v)
+    for v in directions:  # and a sparse direction: one coordinate of each
+        k = next((i for i, c in enumerate(v) if c), 0)
+        assert_line_queries_match_oracle(W, tuple(c if i == k else F(0) for i, c in enumerate(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    vector_fields(d), constant_vectors(d), st.integers(0, 3))))
+def test_cached_constancy_matches_components(case):
+    W, v, m = case
+    d = W.dim
+    C = PolyVectorField.from_constant(v)
+    fields = [W, C, PolyVectorField.zero(d), ad_power(C, W, m), W.scale(0) + C]
+    for X in fields:
+        for _ in range(2):  # the second answer comes from the cached index
+            assert X.is_constant() == all(p.is_constant() for p in X.components)
+            assert X.constant_value() == tuple(p.constant_value() for p in X.components)
+            assert X.is_zero() == all(p.is_zero() for p in X.components)
+    assert C.is_constant() and C.constant_value() == v
+    assert PolyVectorField.zero(d).is_zero()
+
+
 def test_sparse_direction_cost_does_not_grow_with_dim():
     # 1,000 quadratic terms over 10^4 variables, along a direction of two
     # of them: dense exponent keys would hold about 80 MB of tuples
