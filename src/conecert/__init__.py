@@ -11,7 +11,9 @@ and corroborates verdicts with stopped Monte Carlo simulation.
 The package root imports none of its modules.  Each public name, and
 each submodule, is imported from its home module on first access
 (PEP 562), so a process loads only what it uses: `conecert --help`
-loads neither scipy nor the numerics.
+and the exact-algebra commands (`models`, `analyze`, `bracket`) load
+neither scipy nor numpy.  Numpy enters with the numeric kernel
+(`kernel`) and the modules that compute floats.
 """
 
 import importlib

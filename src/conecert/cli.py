@@ -6,7 +6,10 @@ unmet or inconclusive verdict, 1 internal error.
 
 Each command imports the modules it runs, and none loads scipy: the
 equilibrium search (`equilibria`, `reach --via-equilibrium`) only reads
-its Sobol direction numbers from a data file scipy installs.
+its Sobol direction numbers from a data file scipy installs.  Only the
+commands that compute floats (`equilibria`, `reach`, `verify`) load
+numpy; `--help`, argparse errors and the exact-algebra commands
+(`models`, `analyze`, `bracket`) run on Fractions alone.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .models import BUILTINS, ModelError, get_builtin, load_model
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -51,6 +56,8 @@ def _load_spec(args):
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    import numpy as np
+
     try:
         v = np.array([float(c) for c in text.split(",")])
     except ValueError as exc:
@@ -144,7 +151,7 @@ def cmd_equilibria(args) -> int:
                      result, t0)
     _emit(report, args, f"found {len(points)} equilibrium point(s)")
     for p in points:
-        print(f"  y={np.round(p.y, 6).tolist()} u={np.round(p.u, 6).tolist()}"
+        print(f"  y={p.y.round(6).tolist()} u={p.u.round(6).tolist()}"
               f" residual={p.residual:.2e}")
     return EXIT_OK
 
@@ -194,6 +201,8 @@ def cmd_reach(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     from .montecarlo import SimConfig, density_heatmap, simulate
 
     t0 = time.monotonic()

@@ -20,8 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .brackets import parse_bracket
 from .models import ModelError, ModelSpec
@@ -35,6 +34,9 @@ from .polyfield import (  # noqa: F401
     lie_bracket,
     relative_degree,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularBasisError(ModelError):
@@ -173,8 +175,11 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
     gens = state.nonconstant_generators
     added = False
 
-    # fields cache their hashes, so keying on them hashes each field once
-    gen_keys = {W for W, _, _ in gens}
+    # generators under a key W and -W share, so that a new bracket's sign
+    # duplicates are found without building its negation
+    twins: dict[tuple, list[PolyVectorField]] = {}
+    for W, _, _ in gens:
+        twins.setdefault(_sign_free_key(W), []).append(W)
 
     # V: the odd constants, plus combinations of the seeds; the seeds are
     # linearly independent, so no such combination is zero
@@ -215,15 +220,32 @@ def closure_step(state: GenerationState, combo_budget: int = 1) -> GenerationSta
                         state.even_constants.append(ConstantField(value, "even", deriv))
                         added = True
             else:
-                if B in gen_keys or (parity == "odd" and B.scale(-1) in gen_keys):
+                known = twins.setdefault(_sign_free_key(B), [])
+                if any(B == G or (parity == "odd" and _negates(B, G)) for G in known):
                     continue
-                gen_keys.add(B)
+                known.append(B)
                 gens.append((B, parity, deriv))
                 added = True
 
     state.round += 1
     state.last_round_added = added
     return state
+
+
+def _sign_free_key(W: PolyVectorField) -> tuple:
+    """The first term of W's first nonzero component, with the absolute
+    value of its coefficient: the same for W and -W."""
+    for j, p in enumerate(W.components):
+        for key, c in p.terms.items():
+            return j, key, abs(c)
+    return ()
+
+
+def _negates(B: PolyVectorField, G: PolyVectorField) -> bool:
+    """B == -G, read off the term dicts."""
+    return all(len(p.terms) == len(q.terms) and all(q.terms.get(key) == -c
+                                                    for key, c in p.terms.items())
+               for p, q in zip(B.components, G.components))
 
 
 # --------------------------------------------------------------------
@@ -343,13 +365,15 @@ class PositivityBasis:
         return len(self.vectors)
 
     def matrix(self) -> np.ndarray:
-        # np.array keeps the column-major layout of the cached matrix, so
-        # products with the copy round as they always have
-        return np.array(self._matrix)
+        # the copy keeps the column-major layout of the cached matrix, so
+        # products with it round as they always have
+        return self._matrix.copy(order="K")
 
     @functools.cached_property
     def _matrix(self) -> np.ndarray:
         # columns are basis vectors; read-only, as every query shares it
+        import numpy as np
+
         B = np.array([[float(c) for c in v] for v in self.vectors]).T
         B.flags.writeable = False
         return B
@@ -414,6 +438,8 @@ def d_membership(
     that is not finite (a non-finite endpoint, or an overflow) is never a
     member: no caller could use its coefficients.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     rows = basis._exact_rows  # raises SingularBasisError when B is singular over Q
@@ -438,6 +464,8 @@ def bracket_rank(model: ModelSpec, points) -> int:
     brackets at all points are one call of the drift's Jacobian kernel
     (sign and column order leave the rank unchanged).  A family with a
     non-finite entry, as far out along an overflowing drift, has rank 0."""
+    import numpy as np
+
     from .polyfield import compile_jacobian  # at call time, as the tracer patches it
 
     P = np.asarray(points, dtype=float).reshape(-1, model.d)

@@ -1,0 +1,186 @@
+"""The numeric kernel: polynomial vector fields compiled to float
+evaluators.
+
+One kernel per field, built on first numeric use and cached.  A
+monomial is a row of variable indices (its "slots", highest power
+first) padded with index dim, which addresses a constant 1 appended to
+the point; all monomials are one gather and one product over the slots,
+and the polynomials one dense coefficient matrix, for a single point
+and a batch alike.
+
+A drift of at most _STRAIGHT_LINE_TERMS terms is instead one generated
+straight-line function of its coordinates (`_straight_line_field`), and
+its RK4 step another (`_straight_line_rk4`), both emitted from one
+source (`_drift_source`): each monomial a left-to-right product, each
+component a sum from +0.0 of the terms in monomial order, each product
+rounded first.  A point runs it on Python floats (about 1.5 us at
+d <= 4), a batch on the coordinate columns (27 us for 2048 langevin
+points, against 47 us on the general path; timeit, 2-core x86_64), so
+every evaluation of such a drift rounds alike.  The matrix product
+cannot serve, since OpenBLAS fuses multiply-adds and regroups rows of
+four or more monomials.  Larger drifts, and every Jacobian, keep the
+product, and their flows take the array step in `reach`.
+
+`polyfield.compile_field`, `compile_jacobian` and `compile_rk4_step`
+are the entry points; they import this module when called, so the
+exact layer loads numpy only where floats are computed.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .polyfield import Monomial, PolyVectorField, _degree, jacobian
+
+
+# Drift terms up to which the straight-line step is used.  A state-only
+# step of a random cubic drift took as long either way at 256-384 terms
+# (d = 8 to 32; single runs, one BLAS thread, 2-core x86_64): 41 us
+# against 42 at d = 8, 256 terms, and 3.7 against 38 at d = 4, 16 terms.
+# The cut-off sits at the low end, since building the source also costs
+# 14-28 ms at 256 terms.  burgers (3464 terms) keeps the array step.
+_STRAIGHT_LINE_TERMS = 256
+
+
+class _SlotTable:
+    """Polynomials over one monomial basis, one per row of `rows` (term
+    dicts), evaluated to an array of `shape` per point."""
+
+    def __init__(self, dim: int, rows: Sequence[Mapping[Monomial, Fraction]],
+                 shape: tuple[int, ...], sequential: bool = False):
+        index: dict[Monomial, int] = {}
+        for terms in rows:
+            for key in terms:
+                index.setdefault(key, len(index))
+        self.slots = np.full((len(index), max(map(_degree, index), default=0)), dim, np.intp)
+        for key, col in index.items():
+            # highest power first, ties by variable: x_i^2 x_j is (x_i x_i)
+            # x_j, the rounding the pinned Monte Carlo outputs were made with
+            idx = [i for i, p in sorted(key, key=lambda ip: -ip[1]) for _ in range(p)]
+            self.slots[col, : len(idx)] = idx
+        self.coeffs = np.zeros((len(index), len(rows)))
+        for j, terms in enumerate(rows):
+            for e, c in terms.items():
+                self.coeffs[index[e], j] = float(c)
+        # cached and shared by every caller of the field
+        self.slots.flags.writeable = self.coeffs.flags.writeable = False
+        self.shape = shape
+        self.columns = _straight_line_field(self) if sequential else None
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.columns is not None:
+            # a point as floats, a batch as columns: the same rounding
+            if x.ndim == 1:
+                return np.array(self.columns(*x.tolist()))
+            out = np.empty(x.shape)
+            for j, column in enumerate(self.columns(*np.moveaxis(x, -1, 0))):
+                out[..., j] = column
+            return out
+        padded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        padded[..., :-1] = x
+        padded[..., -1] = 1.0
+        out = padded[..., self.slots].prod(axis=-1) @ self.coeffs
+        return out.reshape(x.shape[:-1] + self.shape)
+
+
+class _Kernel:
+    """Compiled drift of a field and, built on first request, its Jacobian
+    and, for a drift of few terms, its straight-line RK4 step."""
+
+    def __init__(self, V: PolyVectorField):
+        self.V = V
+        self.small = sum(len(p.terms) for p in V.components) <= _STRAIGHT_LINE_TERMS
+        self.field = _SlotTable(V.dim, [p.terms for p in V.components], (V.dim,),
+                                sequential=self.small)
+
+    @functools.cached_property
+    def jac(self) -> _SlotTable:
+        d = self.V.dim
+        return _SlotTable(d, [p.terms for row in jacobian(self.V) for p in row], (d, d))
+
+    @functools.cached_property
+    def rk4_step(self):
+        return _straight_line_rk4(self.field) if self.small else None
+
+
+def _drift_source(table: _SlotTable, point: Sequence[str]) -> tuple[list[str], list[str]]:
+    """Source of the drift at the variables named `point`: lines binding
+    each monomial of more than one factor to m<i>, a left-to-right product
+    in slot order, and per component an expression summing the nonzero
+    terms from 0.0 in monomial order, each product rounded first.  It
+    holds only names and repr(float) literals of the table's coefficients."""
+    pad = len(point)  # slot index of the constant 1
+    lines = []
+    names = []  # per monomial: its value's name, or None for the constant 1
+    for i, row in enumerate(table.slots):
+        factors = [point[j] for j in row if j != pad]
+        if len(factors) > 1:
+            lines.append(f"m{i} = " + " * ".join(factors))
+            names.append(f"m{i}")
+        else:
+            names.append(factors[0] if factors else None)
+    exprs = []
+    for j in range(table.coeffs.shape[1]):
+        expr = "0.0"
+        for i in np.flatnonzero(table.coeffs[:, j]):
+            c = float(table.coeffs[i, j])
+            # acc - |c| m is acc + c m exactly, and 1.0 m is m
+            term = repr(abs(c)) if names[i] is None else (
+                names[i] if abs(c) == 1.0 else f"{abs(c)!r} * {names[i]}")
+            expr += f" {'-' if c < 0 else '+'} {term}"
+        exprs.append(expr)
+    return lines, exprs
+
+
+def _generated(name: str, lines: list[str]):
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _straight_line_field(table: _SlotTable):
+    """The drift as one generated function field(x0, ..., x{d-1}) ->
+    tuple of d components, on Python floats or on numpy arrays of one
+    shape alike (`_drift_source`'s rounding either way; a component with
+    no variable term is a float)."""
+    point = [f"x{j}" for j in range(table.coeffs.shape[1])]
+    lines, exprs = _drift_source(table, point)
+    return _generated("field", [f"def field({', '.join(point)}):",
+                                *(f"    {line}" for line in lines),
+                                f"    return ({''.join(f'{e}, ' for e in exprs)})"])
+
+
+def _straight_line_rk4(table: _SlotTable):
+    """One RK4 step of dx/ds = X0(x) + F as a generated function
+    step(x, F, h) -> (x_new, x2, x3, x4) on tuples of Python floats, with
+    the kernel's rounding (`_drift_source`), then + F; x2 = x + (0.5 h)
+    k1, x3 = x + (0.5 h) k2, x4 = x + h k3 and x_new = x + (h / 6) (((k1
+    + 2 k2) + 2 k3) + k4)."""
+    d = table.coeffs.shape[1]
+    lines = [
+        "def rk4_step(x, F, h):",
+        "    " + "".join(f"x1_{j}, " for j in range(d)) + "= x",
+        "    " + "".join(f"F{j}, " for j in range(d)) + "= F",
+        "    hh = 0.5 * h",
+    ]
+    for stage in (1, 2, 3, 4):
+        monomials, exprs = _drift_source(table, [f"x{stage}_{j}" for j in range(d)])
+        lines += [f"    {line}" for line in monomials]
+        lines += [f"    k{stage}_{j} = {expr} + F{j}" for j, expr in enumerate(exprs)]
+        if stage < 4:
+            scale = "h" if stage == 3 else "hh"
+            lines += [f"    x{stage + 1}_{j} = x1_{j} + {scale} * k{stage}_{j}" for j in range(d)]
+    lines.append("    h6 = h / 6.0")
+    new = "".join(
+        f"x1_{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}), " for j in range(d))
+    stages = ", ".join("(" + "".join(f"x{s}_{j}, " for j in range(d)) + ")" for s in (2, 3, 4))
+    lines.append(f"    return ({new}), {stages}")
+    return _generated("rk4_step", lines)
+
+
+_kernel = functools.lru_cache(maxsize=64)(_Kernel)  # keyed on the frozen field

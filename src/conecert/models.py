@@ -12,9 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .polyfield import (
     Polynomial,
@@ -23,6 +21,9 @@ from .polyfield import (
     field_from_json,
     field_to_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Highest total degree of a drift monomial; the kernel's product x0 * x0 * ... fails at 3,000.
 MAX_DEGREE = 1000
@@ -59,6 +60,8 @@ class ModelSpec:
     def noise_matrix(self) -> np.ndarray:
         """d x r matrix whose columns are the noise directions; d x 0 when
         r = 0, which the numerics take as plain empty-matrix algebra."""
+        import numpy as np
+
         return np.array([[float(c) for c in v] for v in self.noise]).reshape(self.r, self.d).T
 
     def noise_fields(self) -> list[PolyVectorField]:

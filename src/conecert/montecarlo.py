@@ -15,7 +15,7 @@ the block takes the current ones; the values are those of one draw
 per step, so memory grows with the number of paths but not with the
 number of steps.  Chunking, the worker's scheduling and the draw size
 never change a value, but a drift of more than
-polyfield._STRAIGHT_LINE_TERMS terms is a BLAS product, whose rounding,
+kernel._STRAIGHT_LINE_TERMS terms is a BLAS product, whose rounding,
 and so an endpoint's last bits, may follow the BLAS thread count.  A block steps its live paths
 as one compacted array; it re-gathers them, and writes the leavers'
 rows back, only on a step where some path stops.  The ball-exit test
@@ -240,7 +240,7 @@ class _DrawAhead:
 def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     """Endpoint states, stopped mask and nonfinite counter, the same
     whatever the chunks' scheduling and draw size; for a drift above
-    _STRAIGHT_LINE_TERMS terms the BLAS thread count may move last bits."""
+    kernel._STRAIGHT_LINE_TERMS terms the BLAS thread count may move last bits."""
     d = model.d
     r = model.r
     x = np.asarray(x, dtype=float).reshape(d)

@@ -14,7 +14,7 @@ either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
 B B^T, or the sensitivities of the terminal state to the control
 values, from dS/ds = A S + B E_p (E_p selects the active piece p), with
 A = DX0(Phi_s) and M_0 = S_0 = 0.  The state loop calls one RK4 step
-function: for a drift of at most `polyfield._STRAIGHT_LINE_TERMS` terms
+function: for a drift of at most `kernel._STRAIGHT_LINE_TERMS` terms
 the straight-line step generated for it, on Python floats (a state-only
 step takes about 2.5-3 us at d <= 4, a carried one about 8-12 us), else
 the array step, one kernel call per stage point.  The two round alike,

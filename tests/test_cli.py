@@ -576,6 +576,45 @@ def test_light_commands_load_no_scipy(argv):
     assert _under(_loaded_after(argv), ["scipy"]) == []
 
 
+# The exact-algebra commands and argparse errors run on Fractions alone:
+# with numpy unimportable they keep their exit codes and output.
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["--help"], 0, "usage: conecert [-h] {analyze,equilibria,reach,verify,bracket,models} ...\n"),
+    (["models"], 0, "bhw: d=2, r=1, params={a1=0, a2=0, alpha1=1, alpha2=2, eps=1}\n"
+                    "burgers: d=96, r=16, params={nu=1}\n"
+                    "langevin: d=2, r=1, params={gamma=1}\n"
+                    "langevin2d: d=4, r=2, params={gamma=1}\n"
+                    "nonexample3d: d=3, r=1\n"),
+    (["analyze", "--builtin", "bhw"], 0,
+     "model bhw: cone rank 2 of 2 (1 two-sided, 1 one-sided directions), exhausted=True\n"),
+    (["analyze", "--builtin", "langevin"], 0,
+     "model langevin: cone rank 2 of 2 (2 two-sided, 0 one-sided directions),"
+     " exhausted=True\n"),
+    (["bracket", "--builtin", "bhw", "--expr", "ad^2(X1)(X0)"], 0, "ad^2(X1)(X0) = (2, 0)\n"),
+    (["analyze", "--builtin", "bhw", "--max-rounds", "0"], 2, ""),
+    (["reach", "--builtin", "langevin", "--from", "0,0", "--to", "1,0", "--t", "-1"], 2, ""),
+])
+def test_light_commands_run_without_numpy(argv, code, stdout):
+    # a None entry in sys.modules makes every numpy import raise ImportError
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        sys.modules["numpy"] = None
+        from conecert.cli import main
+        sys.exit(main({argv!r}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if argv == ["--help"]:
+        assert proc.stdout.startswith(stdout)
+        assert "bracket             evaluate a bracket expression" in proc.stdout
+    else:
+        assert proc.stdout == stdout
+    if code == 2:
+        assert "error: argument --" in proc.stderr
+
+
 def test_direct_reach_loads_no_scipy():
     modules = _loaded_after(["reach", *LANGEVIN, "--t", "1", "--pieces", "4"])
     assert "conecert.reach" in modules

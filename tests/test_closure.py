@@ -19,10 +19,12 @@ import conecert
 from conftest import constant_vectors, vector_fields
 from conecert.closure import (
     BasisSelectionError,
+    GenerationState,
     PositivityBasis,
     RationalSpan,
     SingularBasisError,
     _candidates,
+    _negates,
     bracket_rank,
     choose_basis,
     closure_init,
@@ -36,8 +38,8 @@ from conecert.closure import (
 from conecert.models import (
     BUILTINS, ModelSpec, bhw, get_builtin, langevin, quartic_double_well)
 from conecert.polyfield import (
-    Polynomial, PolyVectorField, compile_field, compile_jacobian, lie_bracket, poly_from_json,
-    poly_to_json)
+    ConstantField, Polynomial, PolyVectorField, compile_field, compile_jacobian, lie_bracket,
+    poly_from_json, poly_to_json)
 
 F = Fraction
 SRC = str(Path(conecert.__file__).resolve().parents[1])
@@ -239,6 +241,26 @@ def test_combinations_add_a_direction():
     ]
     assert cone.rank() == 3 and cone.rounds == 2 and cone.exhausted
     assert verify_derivations(model, cone)
+
+
+def test_closure_step_skips_generators_equal_up_to_sign():
+    # along V = e1 the brackets of c W are c G, G = (x1 + 1, 0); G itself
+    # is constant on the line, so it adds no bracket of its own
+    def field(terms):
+        return PolyVectorField(2, (Polynomial(2, terms), Polynomial.zero(2)))
+
+    G = field({(0, 1): 1, (0, 0): 1})
+    odd = [(field({(1, 1): c, (1, 0): c}), "odd", f"W{c}") for c in (1, -1, 2)]
+    # an even bracket equal to -G: only an odd one's sign is free
+    even = (field({(2, 1): F(-1, 2), (2, 0): F(-1, 2)}), "odd", "Weven")
+    state = GenerationState(
+        odd_constants=[ConstantField((F(1), F(0)), "seed", "X1")], even_constants=[],
+        nonconstant_generators=[(G, "odd", "G"), *odd, even], odd_span=RationalSpan(2))
+    state.odd_span.add((F(1), F(0)))
+    new = closure_step(state, combo_budget=0).nonconstant_generators[5:]
+    assert new == [(G.scale(2), "odd", "[X1, W2]"), (G.scale(-1), "even", "ad^2(X1)(Weven)")]
+    assert _negates(G.scale(-1), G) and not _negates(G, G)
+    assert not _negates(field({(0, 0): -1}), G)  # the negation of only part of G
 
 
 def test_burgers_closure_finishes_at_defaults():

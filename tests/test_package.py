@@ -123,22 +123,31 @@ def test_via_equilibrium_certify_loads_no_scipy():
     assert proc.stdout.split("\n")[:2] == ["positive True", "[]"]
 
 
-def scipy_imports(source: str, deferred: bool = False) -> list[str]:
-    """The scipy modules a module imports when it is itself imported;
-    imports inside a function body are deferred, and listed only when
-    `deferred` is set."""
+def package_imports(package: str, source: str, deferred: bool = False) -> list[str]:
+    """The modules of `package` a module imports when it is itself
+    imported; imports inside a function body are deferred, and listed
+    only when `deferred` is set.  An `if TYPE_CHECKING:` body never runs,
+    so its imports are left out."""
     found, todo = [], [ast.parse(source)]
     while todo:
         node = todo.pop()
         if not deferred and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                               ast.Lambda)):
             continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and (
+                node.test.id == "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+            continue
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module)
         todo.extend(ast.iter_child_nodes(node))
-    return sorted(name for name in found if name.split(".")[0] == "scipy")
+    return sorted(name for name in found if name.split(".")[0] == package)
+
+
+def scipy_imports(source: str, deferred: bool = False) -> list[str]:
+    return package_imports("scipy", source, deferred)
 
 
 SCIPY_IMPORTS = ("import scipy.linalg, json\n"
@@ -166,6 +175,44 @@ def test_no_module_imports_scipy_even_when_it_runs():
     found = {path.stem: scipy_imports(path.read_text(), deferred=True)
              for path in PACKAGE_DIR.glob("*.py")}
     assert {stem: names for stem, names in found.items() if names} == {}
+
+
+NUMPY_IMPORTS = ("from __future__ import annotations\n"
+                 "from typing import TYPE_CHECKING\n"
+                 "import numpy.linalg\n"
+                 "if TYPE_CHECKING:\n    import numpy as np\nelse:\n    import numpy.fft\n"
+                 "def f() -> np.ndarray:\n    import numpy as np\n    return np.zeros(1)\n")
+
+
+def test_import_check_takes_a_package_and_skips_type_checking_blocks():
+    assert package_imports("numpy", NUMPY_IMPORTS) == ["numpy.fft", "numpy.linalg"]
+    assert package_imports("numpy", NUMPY_IMPORTS, deferred=True) == [
+        "numpy", "numpy.fft", "numpy.linalg"]
+    assert package_imports("scipy", NUMPY_IMPORTS, deferred=True) == []
+
+
+# the exact layer runs on Fractions; numpy is imported where floats are made
+EXACT_LAYER = ["__init__", "brackets", "cli", "closure", "models", "polyfield"]
+
+
+@pytest.mark.parametrize("stem", EXACT_LAYER)
+def test_exact_layer_imports_no_numpy_on_load(stem):
+    assert package_imports("numpy", (PACKAGE_DIR / f"{stem}.py").read_text()) == []
+
+
+def test_kernel_is_where_the_compiled_fields_import_numpy():
+    assert package_imports("numpy", (PACKAGE_DIR / "kernel.py").read_text()) == ["numpy"]
+
+
+def test_exact_layer_loads_no_numpy():
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import conecert.polyfield, conecert.models, conecert.brackets, conecert.closure, "
+            "conecert.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_src_has_one_least_squares_routine():

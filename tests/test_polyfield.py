@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import constant_vectors, exponents, polynomials, vector_fields
 from conecert.closure import choose_basis, compute_C
+from conecert.kernel import _kernel
 from conecert.models import BUILTINS, get_builtin
 from conecert.polyfield import (
     NO_DEGREE,
     DimensionMismatchError,
     Polynomial,
     PolyVectorField,
-    _kernel,
     ad_power,
     compile_field,
     compile_jacobian,

@@ -19,12 +19,11 @@ from hypothesis import strategies as st
 
 import conecert
 from conecert import reach
+from conecert.kernel import _kernel, _straight_line_rk4
 from conecert.models import BUILTINS, ModelSpec, get_builtin
 from conecert.polyfield import (
     Polynomial,
     PolyVectorField,
-    _kernel,
-    _straight_line_rk4,
     compile_field,
     compile_rk4_step,
 )
