@@ -4,9 +4,7 @@ with machine-readable reports.
 Exit codes: 0 success / positive verdict, 2 input error, 3 hypothesis
 unmet or inconclusive verdict, 1 internal error.
 
-Each command imports the modules it runs, and none loads scipy: the
-equilibrium search (`equilibria`, `reach --via-equilibrium`) only reads
-its Sobol direction numbers from a data file scipy installs.  Only the
+Each command imports the modules it runs, and none needs scipy.  Only the
 commands that compute floats (`equilibria`, `reach`, `verify`) load
 numpy; `--help`, argparse errors and the exact-algebra commands
 (`models`, `analyze`, `bracket`) run on Fractions alone.

@@ -7,17 +7,14 @@ control is the least-squares projection of the negated drift onto the
 noise span.  With no noise (r = 0) that span is empty: the control is
 empty too, and the search projects onto the whole space.
 
-The multistart search draws scipy's scrambled Sobol starts,
-`qmc.Sobol(d, seed=seed).random(n)` bit for bit, from the direction
-numbers scipy ships (`_sobol_starts`), and solves each with the numpy
-`trust_region_least_squares` that leg synthesis shares: no scipy import.
+The multistart search draws its starts from a seeded Latin hypercube
+(`_latin_hypercube`: each coordinate of the box cut into n equal
+strata, one start in each) and solves each start with the numpy
+`trust_region_least_squares` that leg synthesis shares: no scipy.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.util
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +97,7 @@ def find_equilibria(
     def evaluate(y):
         return P @ drift_fn(y), P @ jac_fn(y), None
 
-    unit_starts = _sobol_starts(model.d, n_starts, seed)
+    unit_starts = _latin_hypercube(model.d, n_starts, seed)
     lo, hi = np.array(box, dtype=float).T
     found: list[EquilibriumPoint] = []
     # On a box with huge bounds the starts, the drift and the solver's own
@@ -206,54 +203,11 @@ def _trust_region_step(n, m, uf, s, V, radius, alpha):
     return p, alpha
 
 
-_SOBOL_BITS = 30
-
-
-@functools.lru_cache(maxsize=1)
-def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """Primitive polynomials and initial direction numbers, one row per
-    dimension, as scipy ships them (Joe and Kuo's table)."""
-    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
-    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as table:
-        return table["poly"], table["vinit"]
-
-
-def _sobol_starts(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of scipy's scrambled Sobol sequence in d
-    dimensions at this seed, `qmc.Sobol(d, seed=seed).random(n)`: 30-bit
-    direction numbers (Bratley and Fox's recurrence), a random digital
-    shift and left matrix scrambles drawn from `default_rng(seed)`, and
-    the points in Gray-code order."""
-    poly, vinit = _sobol_table()
-    bits = _SOBOL_BITS
-    v = np.zeros((d, bits), dtype=np.int64)
-    v[0] = 1
-    for k in range(1, d):
-        p = int(poly[k])
-        m = p.bit_length() - 1
-        v[k, :m] = vinit[k, :m]
-        for j in range(m, bits):
-            new = v[k, j - m]
-            for i in range(m):
-                if (p >> (m - 1 - i)) & 1:
-                    new ^= v[k, j - i - 1] << (i + 1)
-            v[k, j] = new
-    msb_first = np.arange(bits - 1, -1, -1)
-    v <<= msb_first
+def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """n points in [0, 1)^d with one point in each of n equal strata of
+    every coordinate (McKay, Beckman and Conover's Latin hypercube)."""
     rng = np.random.default_rng(seed)
-    draw = functools.partial(rng.integers, 2, dtype=np.uint32)  # scipy's draws
-    shift = draw(size=(d, bits)).astype(np.int64) @ (1 << np.arange(bits))
-    ltm = np.tril(draw(size=(d, bits, bits))).astype(np.int64)
-    ltm[:, np.arange(bits), np.arange(bits)] = 1
-    # scrambled direction number j of dimension k: bit row p of ltm[k]
-    # times v[k, j]'s bits, most significant first, over GF(2)
-    scrambled = ((v[:, :, None] >> msb_first) & 1) @ ltm.transpose(0, 2, 1) & 1
-    sv = (scrambled << msb_first).sum(axis=-1)
-    gray = np.arange(n) ^ (np.arange(n) >> 1)
-    q = np.tile(shift, (n, 1))
-    for b in range(bits):
-        q ^= np.where((gray >> b)[:, None] & 1 == 1, sv[:, b], 0)
-    return q * (1.0 / (1 << bits))
+    return (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T + rng.random((n, d))) / n
 
 
 def iter_chains(

@@ -100,10 +100,10 @@ def test_equilibria_command(capsys):
 
 
 def test_equilibria_warns_nothing():
-    # 3 starts is no power of 2, which scipy's Sobol sampler warns about
+    # a Latin hypercube takes any number of starts, here 3, without a warning
     proc = _run_cli("equilibria", "--builtin", "bhw", "--box", "0,1;0,1", "--starts", "3")
     assert proc.returncode == 0
-    assert "found 3 equilibrium point(s)" in proc.stdout
+    assert "found 2 equilibrium point(s)" in proc.stdout
     assert proc.stderr == ""
 
 
@@ -535,9 +535,8 @@ def test_bracket_spectral_atom_never_internal_error(before, atom, after):
     assert _exit_code(["bracket", "--builtin", "burgers", f"--expr={expr}"]) in {0, 2}
 
 
-# Each command imports what it runs, and no command loads a scipy module:
-# the equilibrium search (`equilibria`, `reach --via-equilibrium`) only
-# locates scipy's Sobol direction-number file.
+# Each command imports what it runs, and no command loads a scipy module
+# or reads a file scipy installs.
 SRC = str(Path(conecert.__file__).resolve().parents[1])
 
 
@@ -650,19 +649,25 @@ def test_equilibrium_search_loads_no_scipy(argv):
     assert _under(modules, ["scipy"]) == []
 
 
-def test_via_reach_runs_without_scipy_optimize():
-    # scipy itself stays importable: the Sobol starts locate its data file
-    code = textwrap.dedent(f"""
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["equilibria", "--builtin", "bhw", "--box=-2,2;-2,2", "--starts", "16"], 0, "found "),
+    (VIA, 0, "verdict positive"),
+    # none of 64 paths hits the target ball: inconclusive, exit 3
+    (["verify", *LANGEVIN, "--t", "1", "--paths", "64"], 3, "0/64 hits"),
+], ids=["equilibria", "via_reach", "verify"])
+def test_float_commands_run_without_scipy(argv, code, stdout):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    script = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {SRC!r})
-        sys.modules["scipy.optimize"] = None
+        sys.modules["scipy"] = None
         from conecert.cli import main
-        sys.exit(main({VIA!r}))
+        sys.exit(main({argv!r}))
     """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("verdict positive")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(stdout)
 
 
 def test_verify_loads_no_scipy():

@@ -10,8 +10,8 @@ import pytest
 from conftest import no_noise_model
 
 from conecert.closure import choose_basis, compute_C
-from conecert.equilibria import (_sobol_starts, find_equilibria, is_equilibrium, iter_chains,
-                                 trust_region_least_squares)
+from conecert.equilibria import (_latin_hypercube, find_equilibria, is_equilibrium,
+                                 iter_chains, trust_region_least_squares)
 from conecert.models import bhw, get_builtin, langevin, quartic_double_well
 from conecert.polyfield import compile_field
 
@@ -97,7 +97,7 @@ def test_no_noise_is_equilibrium_is_the_drift_norm():
 
 
 # sha256 of the y bytes of the three equilibria found in the r = 0 model
-NO_NOISE_EQUILIBRIA_SHA256 = "ea67891a5bb9ee490f7c7eaa181ba0a6e92f14a17a3605d1aeab68c94247491a"
+NO_NOISE_EQUILIBRIA_SHA256 = "5c9162b989a250b9833a010c7bfa9574ababea8db4443978fcd3f6ea8f278361"
 
 
 def test_no_noise_find_equilibria_pinned():
@@ -175,17 +175,20 @@ def test_iter_chains_ordered_by_detour(bhw_model):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 96])
-def test_sobol_starts_match_scipy(d):
-    from scipy.stats import qmc
-
+def test_latin_hypercube_starts(d):
     for seed in (0, 1, 5, 123):
         for n in (1, 2, 64, 100):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # n = 100 is no power of 2
-                expected = qmc.Sobol(d, seed=seed).random(n)
-            starts = _sobol_starts(d, n, seed)
-            assert starts.dtype == expected.dtype and starts.shape == expected.shape
-            assert starts.tobytes() == expected.tobytes()
+            starts = _latin_hypercube(d, n, seed)
+            assert starts.shape == (n, d)
+            assert np.all((0 <= starts) & (starts <= 1))
+            # each coordinate puts exactly one start in each of n strata
+            strata = np.floor(starts * n).astype(int)
+            assert np.all(np.sort(strata, axis=0) == np.arange(n)[:, None])
+            if n >= 64:  # each coordinate orders its strata by its own permutation
+                assert len({column.tobytes() for column in strata.T}) == d
+            assert _latin_hypercube(d, n, seed).tobytes() == starts.tobytes()
+    for n in (1, 2, 64, 100):
+        assert _latin_hypercube(d, n, 0).tobytes() != _latin_hypercube(d, n, 1).tobytes()
 
 
 LSQ_KINDS = ["over", "projected", "under", "zero_jacobian"]

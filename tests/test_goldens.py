@@ -84,7 +84,7 @@ def test_simulate_endpoint_goldens(model, x, kwargs, expected):
 CERTIFY_GOLDENS = [
     ("langevin", [0.0, 0.0], [1.0, 0.0], False, ("positive", 2, 0.05305581916924009)),
     ("bhw", [0.0, 0.0], [1.0, 0.5], False, ("positive", 2, 0.12015323218198984)),
-    ("bhw", [0.0, 0.0], [2.0, 1.0], True, ("positive", 2, 0.09270507422145345)),
+    ("bhw", [0.0, 0.0], [2.0, 1.0], True, ("positive", 2, 0.09270582762657338)),
 ]
 
 

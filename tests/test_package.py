@@ -108,8 +108,8 @@ def test_montecarlo_loads_nothing_beyond_its_imports():
 
 
 def test_via_equilibrium_certify_loads_no_scipy():
-    # the equilibrium search draws its Sobol starts and solves each start
-    # with numpy; it only locates scipy's direction-number file
+    # the equilibrium search draws its Latin hypercube starts and solves
+    # each start with numpy
     src = str(Path(conecert.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
             "from conecert import CertifyOptions, certify, choose_basis, compute_C, get_builtin\n"
@@ -171,7 +171,6 @@ def test_no_module_imports_scipy_on_load():
 
 
 def test_no_module_imports_scipy_even_when_it_runs():
-    # the Sobol starts locate scipy's direction-number file; nothing imports scipy
     found = {path.stem: scipy_imports(path.read_text(), deferred=True)
              for path in PACKAGE_DIR.glob("*.py")}
     assert {stem: names for stem, names in found.items() if names} == {}
