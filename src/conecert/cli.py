@@ -212,9 +212,10 @@ def cmd_verify(args) -> int:
     if args.paths * model.d > MAX_ENDPOINT_VALUES:
         raise InputError(f"--paths x dimension must be at most {MAX_ENDPOINT_VALUES}, got"
                          f" {args.paths} x {model.d}")
+    ball = float(model.default_ball_n) if args.ball is None else args.ball
     try:
         cfg = SimConfig.default(
-            t=args.t, z=z, n_ball=args.ball, n_paths=args.paths, seed=args.seed,
+            t=args.t, z=z, n_ball=ball, n_paths=args.paths, seed=args.seed,
             delta=args.delta, dt=args.dt,
         )
     except ValueError as exc:
@@ -229,7 +230,7 @@ def cmd_verify(args) -> int:
     report = _report("verify", model,
                      {"from": x.tolist(), "to": z.tolist(), "t": args.t,
                       "paths": args.paths, "seed": args.seed, "delta": args.delta,
-                      "ball": args.ball, "dt": cfg.dt},
+                      "ball": ball, "dt": cfg.dt},
                      evidence.to_json(), t0)
     _emit(report, args, (
         f"{evidence.hits}/{evidence.n_paths} hits"
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_above(int, 0), default=100_000)
     p.add_argument("--seed", type=_above(int, -1), default=0)
     p.add_argument("--delta", type=_above(float, 0), default=0.25)
-    p.add_argument("--ball", type=_above(float, 0), default=10.0)
+    p.add_argument("--ball", type=_above(float, 0), default=None,
+                   help="stopping-ball radius (default: the model's default_ball_n)")
     p.add_argument("--dt", type=_above(float, 0), default=None)
     p.add_argument("--heatmap", help="CSV path for the endpoint histogram")
     p.set_defaults(func=cmd_verify)

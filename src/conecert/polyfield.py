@@ -425,7 +425,6 @@ class ConstantField:
     def __post_init__(self):
         if self.parity not in ("odd", "even", "seed"):
             raise ValueError(f"bad parity {self.parity!r}")
-        object.__setattr__(self, "value", tuple(Fraction(c) for c in self.value))
 
 
 # --------------------------------------------------------------------

@@ -20,7 +20,7 @@ step takes about 2.5-3 us at d <= 4, a carried one about 8-12 us), else
 the array step, one kernel call per stage point.  The two round alike,
 so a flow's bits do not depend on which one runs.  The matrix advances a
 block of steps at a time, by each step's RK4 propagator Phi_n, from the
-stage Jacobians of one kernel call per block (`_CarriedMatrix`), so its
+stage Jacobians of one kernel call per block (`_advance`), so its
 memory is bounded by a fixed byte budget.  A pass whose state or matrix
 is not finite raises FlowDivergenceError; the states are checked once a
 control piece, and the error gives the time of the first non-finite
@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_check
-from .equilibria import (EquilibriumPoint, find_equilibria, is_equilibrium, iter_chains,
-                         trust_region_least_squares)
+from .equilibria import find_equilibria, is_equilibrium, iter_chains, trust_region_least_squares
 from .models import ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
 from .polyfield import (  # noqa: F401
@@ -137,8 +136,10 @@ class FlowResult:
 
 def _steps_per_interval(control: ControlPath, n_steps: int) -> list[int]:
     """Distribute RK4 substeps over control intervals in proportion to
-    their lengths: an even count, at least 2, per interval, so that
-    doubling n_steps doubles every interval's count."""
+    their lengths: ceil(n_steps L / T), rounded up to even and at least 2,
+    for an interval of length L.  Doubling n_steps doubles that count when
+    n_steps L / T is an even integer, not in general: breakpoints
+    (0, 0.1234, 1) give [248, 1754] at 2000 steps, [494, 3508] at 4000."""
     lengths = np.diff(control.breakpoints)
     out = []
     for L in lengths:
@@ -149,13 +150,15 @@ def _steps_per_interval(control: ControlPath, n_steps: int) -> list[int]:
     return out
 
 
+_REFINE_TOL = 1e-8  # relative terminal-state agreement that ends refinement
+
+
 def integrate_flow(
     model: ModelSpec,
     x,
     control: ControlPath,
     n_steps: int = 2000,
     refine: bool = False,
-    refine_tol: float = 1e-8,
     with_jacobian: bool = True,
 ) -> FlowResult:
     """Fixed-step RK4 for the controlled flow; with_jacobian also
@@ -163,7 +166,7 @@ def integrate_flow(
     A = DX0(Phi_s), from the same stage points.
 
     With refine=True the step is halved until two successive refinements
-    agree to refine_tol in relative terminal state.  Only the terminal
+    agree to _REFINE_TOL in relative terminal state.  Only the terminal
     state decides, and it does not depend on whether M is carried, so
     the coarsest pass skips M.
     """
@@ -173,7 +176,7 @@ def integrate_flow(
         for _ in range(6):
             finer = _integrate_once(model, x, control, 2 * n_steps, carry)
             scale = 1.0 + np.linalg.norm(finer.terminal)
-            if np.linalg.norm(finer.terminal - result.terminal) <= refine_tol * scale:
+            if np.linalg.norm(finer.terminal - result.terminal) <= _REFINE_TOL * scale:
                 return finer
             n_steps *= 2
             result = finer
@@ -195,12 +198,12 @@ def _block_steps(d: int) -> int:
 def _integrate_once(model, x, control, n_steps, carry=None):
     """One RK4 pass over the control's grid.  The state loop calls one
     step function: the drift's straight-line step (`compile_rk4_step`)
-    when it has one, else the array step; with carry, it also hands each
-    step's four stage points to a _CarriedMatrix, which advances a matrix
-    Y with dY/ds = A Y (+ Y A^T) + G_p, Y_0 = 0, once per block of steps:
-    "gramian" gives M_t (G_p = B B^T, with the transpose term),
-    "sensitivity" gives S_t = d(terminal)/d(control values), d x (pieces*r)
-    (G_p = B in piece p's columns)."""
+    when it has one, else the array step.  With carry, it also keeps each
+    step's four stage points and advances a matrix Y with
+    dY/ds = A Y (+ Y A^T) + G_p, Y_0 = 0, once per block of steps
+    (`_advance`): "gramian" gives M_t (G_p = B B^T, with the transpose
+    term), "sensitivity" gives S_t = d(terminal)/d(control values),
+    d x (pieces*r) (G_p = B in piece p's columns)."""
     d = model.d
     B = model.noise_matrix()
     step = compile_rk4_step(model.drift) or _array_rk4_step(compile_field(model.drift))
@@ -209,7 +212,13 @@ def _integrate_once(model, x, control, n_steps, carry=None):
     states = np.empty((len(times), d))
     times[0] = 0.0
     states[0] = x
-    carried = _CarriedMatrix(model, control, carry) if carry else None
+    Y = None
+    if carry:
+        jac = compile_jacobian(model.drift)
+        G = B @ B.T if carry == "gramian" else B
+        Y = np.zeros((d, d) if carry == "gramian" else (d, control.values.size))
+        block = _block_steps(d)
+        rows = []  # one flat row (h, piece, *x, *x2, *x3, *x4) per step
 
     state = states[0].tolist()
     s = 0.0
@@ -226,8 +235,11 @@ def _integrate_once(model, x, control, n_steps, carry=None):
             first = i + 1
             for _ in range(n_sub):
                 new, x2, x3, x4 = step(state, forcing, h)
-                if carried is not None:
-                    carried.record(state, x2, x3, x4, h, p)
+                if carry:
+                    rows.append((h, p, *state, *x2, *x3, *x4))
+                    if len(rows) == block:
+                        Y = _advance(Y, rows, jac, G, carry)
+                        rows = []
                 state = new
                 s += h
                 i += 1
@@ -238,7 +250,8 @@ def _integrate_once(model, x, control, n_steps, carry=None):
             finite = np.isfinite(states[first : i + 1]).all(axis=1)
             if not finite.all():
                 raise FlowDivergenceError(times[first + int(np.argmin(finite))])
-        Y = carried.finish() if carried is not None else None
+        if carry and rows:
+            Y = _advance(Y, rows, jac, G, carry)
     # a non-finite entry of Y stays non-finite under the propagators
     if Y is not None and not np.isfinite(Y).all():
         raise FlowDivergenceError(s)
@@ -269,59 +282,27 @@ def _array_rk4_step(f):
     return step
 
 
-class _CarriedMatrix:
-    """The Gramian or the sensitivities of one flow, advanced a block of
-    RK4 steps at a time.  Per block, one kernel call gives the stage
-    Jacobians A_n1..A_n4 of every step, and batched products give each
-    step's RK4 propagator Phi_n (the stage algebra of dY/ds = A Y from
-    Y_0 = I) and its increment from Y_0 = 0: Psi_n B for the
-    sensitivities, the Lyapunov increment C_n for the Gramian.  Then
+def _advance(Y, rows, jac, G, carry):
+    """Y advanced over one block of recorded steps.  One kernel call gives
+    the stage Jacobians A_n1..A_n4 of every step, and batched products
+    give each step's RK4 propagator Phi_n (the stage algebra of
+    dY/ds = A Y from Y_0 = I) and its increment from Y_0 = 0: Psi_n B for
+    the sensitivities, the Lyapunov increment C_n for the Gramian.  Then
     S <- Phi_n S + Psi_n B E_p, or M <- Phi_n M Phi_n^T + C_n, step by
     step."""
-
-    def __init__(self, model, control: ControlPath, carry: str):
-        d = model.d
-        self.jac = compile_jacobian(model.drift)
-        self.B = model.noise_matrix()
-        self.gramian = carry == "gramian"
-        self.block = _block_steps(d)
-        # one flat row (h, piece, *x, *x2, *x3, *x4) per recorded step
-        self.rows: list[tuple] = []
-        if self.gramian:
-            self.Y = np.zeros((d, d))
-            self.G = self.B @ self.B.T
-        else:
-            self.Y = np.zeros((d, control.values.size))
-            self.G = self.B
-
-    def record(self, x, x2, x3, x4, h, piece):
-        self.rows.append((h, piece, *x, *x2, *x3, *x4))
-        if len(self.rows) == self.block:
-            self._advance()
-
-    def finish(self) -> np.ndarray:
-        if self.rows:
-            self._advance()
-        return self.Y
-
-    def _advance(self):
-        rows = np.array(self.rows)
-        self.rows = []
-        A = self.jac(rows[:, 2:].reshape(len(rows), 4, -1))
-        h = rows[:, 0, None, None]
-        Phi = _propagators(A, h)
-        if self.gramian:
-            M = self.Y
-            for P, C in zip(Phi, _increments(A, h, self.G, lyapunov=True)):
-                M = P @ M @ P.T + C
-            self.Y = M
-        else:
-            S = self.Y
-            r = self.B.shape[1]
-            for P, F, p in zip(Phi, _increments(A, h, self.G), rows[:, 1].astype(np.intp)):
-                S = P @ S
-                S[:, p * r : (p + 1) * r] += F
-            self.Y = S
+    rows = np.array(rows)
+    A = jac(rows[:, 2:].reshape(len(rows), 4, -1))
+    h = rows[:, 0, None, None]
+    Phi = _propagators(A, h)
+    if carry == "gramian":
+        for P, C in zip(Phi, _increments(A, h, G, lyapunov=True)):
+            Y = P @ Y @ P.T + C
+        return Y
+    r = G.shape[1]
+    for P, F, p in zip(Phi, _increments(A, h, G), rows[:, 1].astype(np.intp)):
+        Y = P @ Y
+        Y[:, p * r : (p + 1) * r] += F
+    return Y
 
 
 def _propagators(A, h):
@@ -437,14 +418,6 @@ def synthesize_leg(
     if r == 0:
         raise SynthesisError("no control directions available")
 
-    B = model.noise_matrix()
-    # elliptic shortcut: with full-rank constant noise and zero drift the
-    # constant control (to - frm)/t is already exact
-    if model.drift.is_zero() and np.linalg.matrix_rank(B) == model.d:
-        u, _, _, _ = np.linalg.lstsq(B, (to - frm) / t_leg, rcond=None)
-        control = ControlPath.uniform(t_leg, np.tile(u, (pieces, 1)))
-        return control, _integrate_once(model, frm, control, n_steps).terminal
-
     ridge = 1e-6
 
     def pack(control_values):
@@ -540,7 +513,6 @@ class ReachabilityCertificate:
 @dataclass
 class CertifyOptions:
     via_equilibrium: bool = False
-    equilibrium: EquilibriumPoint | None = None
     pieces: int = 8
     seed: int = 0
     n_steps: int = 600
@@ -634,12 +606,9 @@ def certify(
                 finite = np.isfinite(z - x).all()
             if finite:
                 return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
-        if options.equilibrium is not None:
-            equilibria = [options.equilibrium]
-        else:
-            pad = _SEARCH_BOX_PAD
-            box = list(zip(np.minimum(x, z) - pad, np.maximum(x, z) + pad))
-            equilibria = find_equilibria(model, box, n_starts=64, seed=options.seed, tol=1e-8)
+        pad = _SEARCH_BOX_PAD
+        box = list(zip(np.minimum(x, z) - pad, np.maximum(x, z) + pad))
+        equilibria = find_equilibria(model, box, n_starts=64, seed=options.seed, tol=1e-8)
         candidates = (
             (chain.y, chain.coeffs_xy)
             for chain in iter_chains(model, basis, x, z, equilibria)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conecert import reach
 from conecert.brackets import parse_bracket
 from conecert.closure import (
     RationalSpan,
@@ -229,7 +230,7 @@ def test_criterion_5_rank_gramian_consistency():
 
 
 @criterion(6, "positivity certificates (direct, via equilibrium, refusal)")
-def test_criterion_6_certificates():
+def test_criterion_6_certificates(monkeypatch):
     t0 = time.monotonic()
 
     m = get_builtin("langevin")
@@ -241,16 +242,10 @@ def test_criterion_6_certificates():
 
     b = get_builtin("bhw")
     basis_b = choose_basis(compute_C(b))
-    cert2 = certify(
-        b, basis_b, [0.0, 0.0], [2.0, 1.0], 1.0,
-        CertifyOptions(
-            via_equilibrium=True,
-            equilibrium=EquilibriumPoint(
-                y=np.array([1.0, 1.0]), u=np.array([2.0]), residual=0.0
-            ),
-            seed=0,
-        ),
-    )
+    monkeypatch.setattr(reach, "find_equilibria", lambda *a, **k: [
+        EquilibriumPoint(y=np.array([1.0, 1.0]), u=np.array([2.0]), residual=0.0)])
+    cert2 = certify(b, basis_b, [0.0, 0.0], [2.0, 1.0], 1.0,
+                    CertifyOptions(via_equilibrium=True, seed=0))
     assert cert2.verdict == "positive"
     assert cert2.terminal_error < 1e-5
     assert cert2.sigma_min > 0

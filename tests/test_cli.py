@@ -405,6 +405,22 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
         "fbd30d86f6e658807d4dfe46f5b65c23d32580cc7fd05038717a6c1b4b455259")
 
 
+def test_verify_ball_defaults_to_the_model(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**GOOD_MODEL_JSON, "noise": [["3"]], "default_ball_n": 3}))
+    argv = ["verify", "--model", str(path), "--from", "0", "--to", "1", "--t", "1",
+            "--paths", "2000", "--seed", "1"]
+    stdout = {}
+    for ball in (None, "3", "10"):
+        out = tmp_path / f"{ball}.json"
+        main([*argv, "--out", str(out), *(["--ball", ball] if ball else [])])
+        stdout[ball] = capsys.readouterr().out
+        if ball is None:
+            assert json.loads(out.read_text())["inputs"]["ball"] == 3.0
+    assert stdout[None] == stdout["3"]
+    assert stdout[None] != stdout["10"]  # the ball stops paths here
+
+
 @pytest.mark.parametrize("name", ["langevin", "burgers"])
 def test_verify_endpoint_array_capped(monkeypatch, name):
     d = get_builtin(name).d

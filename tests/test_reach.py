@@ -13,6 +13,7 @@ from scipy.linalg import expm
 
 from conecert import reach
 from conecert.closure import choose_basis, compute_C, d_membership
+from conecert.equilibria import EquilibriumPoint
 from conecert.models import ModelSpec, get_builtin, langevin
 from conecert.polyfield import Polynomial, PolyVectorField, compile_field, compile_jacobian
 from conecert.reach import (
@@ -145,13 +146,12 @@ def test_flow_divergence_in_carried_matrix_detected():
         reach._integrate_once(m, np.zeros(2), control, 600, "sensitivity")
 
 
-def test_refine_halves_until_converged():
+def test_refine_halves_until_converged(monkeypatch):
     m = linear_langevin()
     x0 = np.array([1.0, 0.0])
     coarse = integrate_flow(m, x0, ControlPath.zero(1.0, 1), n_steps=8)
-    fine = integrate_flow(
-        m, x0, ControlPath.zero(1.0, 1), n_steps=8, refine=True, refine_tol=1e-10
-    )
+    monkeypatch.setattr(reach, "_REFINE_TOL", 1e-10)
+    fine = integrate_flow(m, x0, ControlPath.zero(1.0, 1), n_steps=8, refine=True)
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     exact = expm(A) @ x0
     assert np.linalg.norm(fine.terminal - exact) < np.linalg.norm(
@@ -319,6 +319,17 @@ def test_one_jacobian_call_per_block(monkeypatch, carry):
     assert sum(points) == steps  # each step's four stages evaluated once
 
 
+def test_carry_free_pass_compiles_no_jacobian(monkeypatch):
+    def refuse(V):
+        raise AssertionError("a carry-free pass compiled the drift's Jacobian")
+
+    monkeypatch.setattr(reach, "compile_jacobian", refuse)
+    m = get_builtin("langevin2d")
+    control = ControlPath.uniform(1.0, np.full((3, m.r), 0.3))
+    flow = reach._integrate_once(m, np.zeros(m.d), control, 200)
+    assert flow.M is None and flow.S is None
+
+
 # -- Gramian ----------------------------------------------------------
 
 
@@ -455,6 +466,16 @@ def test_synthesis_elliptic_shortcut_exact():
     control, _ = synthesize_leg(m, [0.0, 0.0], [1.0, -2.0], 1.0)
     flow = integrate_flow(m, np.zeros(2), control, with_jacobian=False)
     assert np.allclose(flow.terminal, [1.0, -2.0], atol=1e-12)
+
+
+def test_synthesis_elliptic_far_target_within_eps_reach():
+    # zero drift and full-rank noise take the general least-squares path
+    m = elliptic_model()
+    to = np.array([1e6, 1e6])
+    control, terminal = synthesize_leg(m, [0.0, 0.0], to, 1.0)
+    assert np.linalg.norm(terminal - to) <= _eps_reach(to)
+    flow = integrate_flow(m, np.zeros(2), control, n_steps=600, with_jacobian=False)
+    assert np.linalg.norm(flow.terminal - to) <= _eps_reach(to)
 
 
 def test_synthesis_langevin_leg():
@@ -729,10 +750,11 @@ def test_via_refusal_with_a_given_equilibrium(monkeypatch, bhw_model):
     monkeypatch.setattr(reach, "iter_chains", lambda *a: chains.append(1) or iter(()))
     ok, u, residual = reach.is_equilibrium(bhw_model, [0.5, 0.5])
     assert ok
-    options = CertifyOptions(via_equilibrium=True,
-                             equilibrium=reach.EquilibriumPoint(np.array([0.5, 0.5]), u, residual))
+    monkeypatch.setattr(reach, "find_equilibria", lambda *a, **k: [
+        EquilibriumPoint(np.array([0.5, 0.5]), u, residual)])
     basis = choose_basis(compute_C(bhw_model))
-    cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.3], 1.0, options)
+    cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.3], 1.0,
+                   CertifyOptions(via_equilibrium=True))
     assert (cert.verdict, cert.stage, cert.detail) == ("inconclusive", "membership", NO_CHAIN)
     assert not chains
 
