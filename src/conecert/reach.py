@@ -3,11 +3,9 @@ positivity certificates.
 
 The controlled flow follows the drift plus piecewise-constant inputs in
 the noise directions.  Along a synthesized path, invertibility of the
-Gramian M_t = int J_{s,t} B B^T J_{s,t}^T ds (checked directly and via
-the rank of the noise-plus-first-bracket family along the trajectory,
-where [X0, X_j] = -DX0 X_j for the constant noise fields X_j) certifies
-strict positivity of the stopped transition density at the endpoint,
-for any stopping ball containing the whole path.
+Gramian M_t = int J_{s,t} B B^T J_{s,t}^T ds certifies strict
+positivity of the stopped transition density at the endpoint, for any
+stopping ball containing the whole path.
 
 One forward RK4 pass yields the state and, from its stage points,
 either the Gramian, from the Lyapunov equation dM/ds = A M + M A^T +
@@ -41,10 +39,12 @@ solver's own sensitivity flow, and the next leg starts from that flow's
 terminal state; the refined flow of the whole path alone decides the
 terminal error and the Gramian, whose margin is its signed smallest
 eigenvalue.  Norms there, and in synthesis, rescale only where the
-plain norm overflows (`_norm`).  The twist stage and `k_rank` share one
-bracket-rank routine, `closure.bracket_rank`, which reads the brackets
-off the drift's Jacobian kernel and gives a family with a non-finite
-entry rank 0.
+plain norm overflows (`_norm`).  The rank of the noise plus its first
+drift brackets, [X0, X_j] = -DX0 X_j for the constant X_j, picks the
+twist waypoints (none when no set spans) and is reported as `k_rank`
+along the path; it never refuses.  Both read it from
+`closure.bracket_rank`, which gives a family with a non-finite entry
+rank 0.
 """
 
 from __future__ import annotations
@@ -433,14 +433,17 @@ def synthesize_leg(
         return F, np.vstack([flow.S, ridge * np.eye(len(uflat))]), flow
 
     rng = np.random.default_rng(seed)
-    scale0 = _norm(to - frm) / t_leg + 1.0
+    # a start beyond float range diverges below, not with a warning
+    with np.errstate(over="ignore"):
+        scale0 = _norm(to - frm) / t_leg + 1.0
     best_err = np.inf
     diverged = 0  # starts whose flow diverged: they have no terminal error
     for start in range(_SYNTHESIS_STARTS):
         if start == 0:
             u0 = np.zeros(pieces * r)
         else:
-            u0 = rng.normal(scale=scale0 * start, size=pieces * r)
+            with np.errstate(over="ignore"):
+                u0 = rng.normal(scale=scale0 * start, size=pieces * r)
         # the solver's own arithmetic can overflow (on a tiny t_leg, say);
         # every leg is accepted on its terminal error below, so no float
         # fault is an error here
@@ -518,13 +521,10 @@ class CertifyOptions:
     n_steps: int = 600
 
 
-_TWIST_BUDGET = 12  # waypoint sets tried before the twist stage gives up
+_TWIST_BUDGET = 12  # waypoint sets tried before the twist stage takes none
 _DWELL_FRAC = 0.25  # share of t spent at the equilibrium
 _SEARCH_BOX_PAD = 3.0  # the equilibrium search box is the x-z box grown by this
-_NO_CHAIN = (
-    "no equilibrium chains x to z through the positivity regions"
-    " with a nondegenerate bracket family along the way"
-)
+_NO_CHAIN = "no equilibrium chains x to z through the positivity regions"
 
 
 def _inconclusive(model, x, z, t, stage, detail, waypoints=()):
@@ -564,16 +564,16 @@ def _slab_waypoints(basis: PositivityBasis, x, coeffs, count, rng):
 
 
 def _select_twist_points(model, basis, x, coeffs, rng):
-    """Waypoints, accumulated until the noise-plus-bracket family at the
-    collected points spans the state space, and whether it does: when
-    the budget runs out first, the last set tried and False."""
+    """Waypoints at which the noise-plus-bracket family spans R^d, and
+    whether it does: none when x alone spans, else the first spanning set
+    of 1 to _TWIST_BUDGET points, each count drawn afresh; else none."""
     if twist_rank_check(model, [x]):
         return [], True
     for count in range(1, _TWIST_BUDGET + 1):
         points = _slab_waypoints(basis, x, coeffs, count, rng)
         if twist_rank_check(model, points):
             return points, True
-    return points, False
+    return [], False
 
 
 def certify(
@@ -621,21 +621,20 @@ def certify(
             )
         candidates = [(z, coeffs)]
 
-    # --- twist stage.  Equilibria can come in families (whole curves of
-    # them), and a candidate too close to x gives waypoints where the
-    # bracket family degenerates; keep trying until one passes.
+    # --- twist stage: waypoints, never a refusal.  Equilibria come in
+    # families (whole curves of them), and a candidate too close to x can
+    # give a degenerate bracket family: take the first candidate whose
+    # family spans, else the first (the shortest detour) with no waypoints.
+    first = None
     for target, coeffs in candidates:
         twist_points, spans = _select_twist_points(model, basis, x, coeffs, rng)
         if spans:
             break
+        first = target if first is None else first
     else:
-        if via:
+        if first is None:
             return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
-        return _inconclusive(
-            model, x, z, t, "twist",
-            f"bracket family rank {bracket_rank(model, twist_points)} < d = {model.d}"
-            f" after {_TWIST_BUDGET} waypoint sets",
-        )
+        target = first
 
     # --- time budget: for the direct route t - 0.0 - 0.0 == t exactly
     t_dwell = _DWELL_FRAC * t if via else 0.0
@@ -685,7 +684,7 @@ def certify(
     lambda_min = float(np.linalg.eigvalsh(M)[0])
     ball_n = int(math.ceil(_norm(flow.states, axis=1).max())) + 1
 
-    ok = terminal_error <= eps_reach and lambda_min >= eps_gram and rank == model.d
+    ok = terminal_error <= eps_reach and lambda_min >= eps_gram
     return ReachabilityCertificate(
         model_name=model.name,
         model_hash=model.spec_hash(),
@@ -703,7 +702,7 @@ def certify(
         detail=None if ok else (
             f"terminal_error={terminal_error:.3g} (<= {eps_reach:.3g} needed), "
             f"lambda_min={lambda_min:.3g} (>= {eps_gram:.3g} needed; sigma_min={sigma_min:.3g}), "
-            f"K_rank={rank} (d={model.d} needed)"
+            f"K_rank={rank} (d={model.d}; reported, not gated)"
         ),
         dwell=dwell,
     )

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -233,12 +234,21 @@ def test_reach_overflowing_difference_warns_nothing():
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_reach_target_beyond_the_drifts_float_range_is_twist_inconclusive():
-    # the bracket family overflows at every waypoint: rank 0, not an SVD failure
-    proc = _run_cli("reach", "--builtin", "bhw", "--from", "0,0", "--to", "1e308,1e308",
-                    "--t", "1")
+@pytest.mark.parametrize("argv", [
+    # the bracket family overflows at every waypoint (rank 0, not an SVD
+    # failure), so no twist set spans and the one leg steers to z
+    pytest.param(["--builtin", "bhw", "--to", "1e308,1e308", "--t", "1"], id="bhw"),
+    # the random starts' scale overflows: scale0 * start
+    pytest.param(["--builtin", "langevin", "--to", "1e308,0", "--t", "1"], id="langevin-scale"),
+    # and so does scale0 itself: |z - x| / t_leg
+    pytest.param(["--builtin", "langevin", "--to", "1e300,0", "--t", "1e-10"],
+                 id="langevin-divide"),
+])
+def test_reach_start_beyond_float_range_diverges_without_warning(argv):
+    proc = _run_cli("reach", "--from", "0,0", *argv)
     assert proc.returncode == 3
-    assert "inconclusive at stage twist" in proc.stdout
+    assert "inconclusive at stage synthesis" in proc.stdout
+    assert "(all 6 starts diverged)" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -309,7 +319,7 @@ _DECAY = [[{"coeff": "-1", "exps": [1, 0]}], [{"coeff": "-1", "exps": [0, 1]}]]
 
 @pytest.mark.parametrize("noise,code,message", [
     # invertible in floating point too, if badly conditioned
-    ([["1", "0"], ["1", "1/100000000000000000000"]], 3, "inconclusive at stage twist"),
+    ([["1", "0"], ["1", "1/100000000000000000000"]], 3, "inconclusive at stage verdict"),
     # 1 + 2^-60 rounds to 1: invertible over Q, exactly singular in floats
     ([["1", "1"], ["1", f"{2**60 + 1}/{2**60}"]], 2, "singular in floating point"),
 ])
@@ -322,16 +332,39 @@ def test_nearly_dependent_noise_is_never_internal_error(tmp_path, noise, code, m
     assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_twist_refusal_reports_the_rank_reached(tmp_path):
-    # the noise spans R^2 over Q, but its float rank, and the family's, is 1
+def test_near_parallel_noise_refusal_reports_lambda_min(tmp_path):
+    # the noise spans R^2 over Q, but its float rank, and the family's, is
+    # 1: the control reaches z, and the Gramian's margin is below threshold
     path = tmp_path / "near.json"
     path.write_text(json.dumps({"name": "near", "d": 2, "drift": _DECAY,
                                 "noise": [["1", "0"], ["1", "1/100000000000000000000"]]}))
     proc = _run_cli("reach", "--model", str(path), "--from", "0,0", "--to", "1,0", "--t", "1",
                     "--pieces", "2")
     assert proc.returncode == 3
-    assert proc.stdout.startswith("verdict inconclusive at stage twist: bracket family rank 1"
-                                  " < d = 2 after 12 waypoint sets")
+    assert proc.stdout.startswith("verdict inconclusive at stage verdict: ")
+    lambda_min, needed = re.search(r"lambda_min=(\S+) \(>= (\S+) needed", proc.stdout).groups()
+    assert float(lambda_min) < float(needed)
+    assert "K_rank=1 (d=2; reported, not gated)" in proc.stdout
+
+
+def _chain3(x2_power):
+    # drift (x2^p, x3, -x3), noise e3: the noise reaches x1 only through a
+    # depth-2 bracket, so the depth-1 family has rank 2 at every point
+    def term(coeff, exps):
+        return [{"coeff": coeff, "exps": exps}]
+    return {"name": f"chain3_{x2_power}", "d": 3, "noise": [["0", "0", "1"]],
+            "drift": [term("1", [0, x2_power, 0]), term("1", [0, 0, 1]),
+                      term("-1", [0, 0, 1])]}
+
+
+@pytest.mark.parametrize("via", [False, True], ids=["direct", "via"])
+@pytest.mark.parametrize("x2_power", [1, 2], ids=["chain3", "chain3q"])
+def test_depth_two_noise_is_certified_by_the_gramian(tmp_path, capsys, x2_power, via):
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(_chain3(x2_power)))
+    argv = ["reach", "--model", str(path), "--from", "0,0,0", "--to", "1,1,1", "--t", "2"]
+    assert main(argv + ["--via-equilibrium"] * via) == 0
+    assert capsys.readouterr().out.startswith("verdict positive:")
 
 
 def test_drift_at_the_degree_bound_runs(tmp_path):

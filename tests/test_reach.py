@@ -12,7 +12,7 @@ from conftest import no_noise_model
 from scipy.linalg import expm
 
 from conecert import reach
-from conecert.closure import choose_basis, compute_C, d_membership
+from conecert.closure import BasisSelectionError, choose_basis, compute_C, d_membership
 from conecert.equilibria import EquilibriumPoint
 from conecert.models import ModelSpec, get_builtin, langevin
 from conecert.polyfield import Polynomial, PolyVectorField, compile_field, compile_jacobian
@@ -540,6 +540,42 @@ def random_linear_model(d, r, rng):
     return ModelSpec(name="linear", d=d, drift=drift, noise=noise)
 
 
+def integer_linear_model(A):
+    """drift A x for an integer matrix A, noise e_d."""
+    d = len(A)
+    drift = PolyVectorField(d, tuple(
+        Polynomial(d, {tuple(int(i == j) for i in range(d)): F(int(a)) for j, a in enumerate(row)})
+        for row in A))
+    return ModelSpec(name="linear", d=d, drift=drift,
+                     noise=(tuple(F(int(i == d - 1)) for i in range(d)),))
+
+
+def test_controllable_linear_models_are_certified_or_refused_at_synthesis():
+    # integer A in [-2, 2], b = e_d, 10 controllable pairs at each d = 2..5.
+    # From d = 3 the depth-1 family [b, A b] has rank 2 < d at every point,
+    # yet a controllable pair's Gramian is invertible along any control
+    rng = np.random.default_rng(7)
+    outcomes = []
+    for d in range(2, 6):
+        pairs = 0
+        while pairs < 10:
+            A = rng.integers(-2, 3, size=(d, d))
+            kalman = np.column_stack([np.linalg.matrix_power(A, k)[:, -1] for k in range(d)])
+            if np.linalg.matrix_rank(kalman) < d:
+                continue
+            pairs += 1
+            m = integer_linear_model(A)
+            cert = certify(m, choose_basis(compute_C(m)), np.zeros(d), rng.normal(size=d), 1.0,
+                           CertifyOptions(pieces=4, n_steps=200))
+            outcomes.append((d, cert.verdict, cert.stage))
+    assert {o[1:] for o in outcomes} <= {("positive", None), ("inconclusive", "synthesis")}
+    assert [o for o in outcomes if o[2] == "synthesis"] == [(4, "inconclusive", "synthesis")]
+    # an uncontrollable pair is still refused: x1 decays on its own, and
+    # the noise e_2 never reaches it
+    with pytest.raises(BasisSelectionError):
+        choose_basis(compute_C(integer_linear_model([[-1, 0], [0, 1]])))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_synthesis_matches_the_ridge_minimiser_of_a_linear_model(seed):
     # Phi(u) = Phi(0) + S u exactly, so the minimiser of
@@ -678,20 +714,25 @@ def test_nonfinite_difference_never_member(x, z):
     assert (cert.verdict, cert.stage) == ("inconclusive", "membership")
 
 
-NO_CHAIN = (
-    "no equilibrium chains x to z through the positivity regions"
-    " with a nondegenerate bracket family along the way"
-)
+NO_CHAIN = "no equilibrium chains x to z through the positivity regions"
+
+
+@pytest.mark.parametrize("z", [[1.0, 0.0], [0.5, 0.0]])
+def test_certify_bhw_along_the_one_sided_axis(bhw_model, z):
+    # z - x lies along the one-sided direction (1, 0), so every waypoint
+    # would be on y = 0, where [X0, X1] is parallel to X1: no twist set
+    # spans, the one leg steers to z, and the Gramian decides
+    basis = choose_basis(compute_C(bhw_model))
+    cert = certify(bhw_model, basis, [0.0, 0.0], z, 1.0, CertifyOptions(pieces=4, n_steps=200))
+    assert cert.verdict == "positive"
+    assert len(cert.waypoints) == 1 and np.array_equal(cert.waypoints[0], z)
+    assert cert.K_rank == 2
 
 
 @pytest.mark.parametrize("z, via, stage, detail", [
-    # z - x lies along the one-sided direction (1, 0), so every waypoint
-    # is on y = 0, where [X0, X1] is parallel to X1
-    pytest.param([1.0, 0.0], False, "twist",
-                 "bracket family rank 1 < d = 2 after 12 waypoint sets", id="z0-False-twist-rank"),
-    ([-1.0, 0.3], True, "membership", NO_CHAIN),
+    pytest.param([-1.0, 0.3], True, "membership", NO_CHAIN, id=f"z1-True-membership-{NO_CHAIN}"),
     # the drift overflows at the equilibrium search's starts
-    ([1e160, 1.0], True, "membership", NO_CHAIN),
+    pytest.param([1e160, 1.0], True, "membership", NO_CHAIN, id=f"z2-True-membership-{NO_CHAIN}"),
 ])
 def test_certify_refusal_stages(bhw_model, z, via, stage, detail):
     basis = choose_basis(compute_C(bhw_model))
