@@ -259,11 +259,10 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_models(args) -> int:
-    for name in sorted(BUILTINS):
-        spec = BUILTINS[name]()
-        print(f"{name}: d={spec.d}, r={spec.r}"
-              + (f", params={{{', '.join(f'{k}={v}' for k, v in spec.params.items())}}}"
-                 if spec.params else ""))
+    for name, entry in sorted(BUILTINS.items()):
+        print(f"{name}: d={entry.d}, r={entry.r}"
+              + (f", params={{{', '.join(f'{k}={v}' for k, v in entry.params.items())}}}"
+                 if entry.params else ""))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .polyfield import (
     Polynomial,
@@ -441,16 +441,31 @@ def shell1_forcing(N: int) -> list[tuple[int, int]]:
     return [k for k in index_set(N) if max(abs(k[0]), abs(k[1])) == 1]
 
 
+@dataclass(frozen=True)
+class Builtin:
+    """A built-in model's listing, d, r and params, known without building
+    its drift; calling it builds the model with these params as keyword
+    arguments of `build`."""
+
+    d: int
+    r: int
+    params: dict[str, Rational]
+    build: Callable[..., ModelSpec]
+
+    def __call__(self) -> ModelSpec:
+        return self.build(**self.params)
+
+
 BUILTINS = {
-    "langevin": lambda: langevin(
-        1, 1, [[1]], quartic_double_well(1)
-    ),
-    "langevin2d": lambda: langevin(
-        2, 1, [[1, 0], [0, 1]], quartic_double_well(2)
-    ),
-    "bhw": lambda: bhw(0, 0, 1, 2, 1),
-    "nonexample3d": nonexample3d,
-    "burgers": lambda: burgers(2, 1, forced_sigma=shell1_forcing(2)),
+    "langevin": Builtin(2, 1, {"gamma": 1},
+                        lambda gamma: langevin(1, gamma, [[1]], quartic_double_well(1))),
+    "langevin2d": Builtin(4, 2, {"gamma": 1},
+                          lambda gamma: langevin(2, gamma, [[1, 0], [0, 1]],
+                                                 quartic_double_well(2))),
+    "bhw": Builtin(2, 1, {"a1": 0, "a2": 0, "alpha1": 1, "alpha2": 2, "eps": 1}, bhw),
+    "nonexample3d": Builtin(3, 1, {}, nonexample3d),
+    "burgers": Builtin(96, 16, {"nu": 1},
+                       lambda nu: burgers(2, nu, forced_sigma=shell1_forcing(2))),
 }
 
 

@@ -255,9 +255,8 @@ class PolyVectorField:
     @classmethod
     def from_constant(cls, v: Sequence[Rational]) -> "PolyVectorField":
         dim = len(v)
-        return cls(
-            dim, tuple(Polynomial.constant(dim, c) for c in v)
-        )
+        zero = Polynomial._raw(dim, {})  # one, shared by the zero components
+        return cls(dim, tuple(Polynomial.constant(dim, c) if c else zero for c in v))
 
     def is_zero(self) -> bool:
         return not self._by_variable and not self._constant_terms

@@ -1,6 +1,7 @@
 """Model constructors, serialization, and the spectral-model golden
 bracket identities."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import GOOD_MODEL_JSON, MALFORMED_MODELS
 from conecert.brackets import BracketParseError, parse_bracket, pretty_field
+from conecert.cli import main
 from conecert.models import (
     BUILTINS,
     ModelError,
@@ -338,6 +340,25 @@ def test_repeated_exponents_sum_to_the_merged_model():
 
 def test_spec_hash_distinguishes_params():
     assert bhw(0, 0, 1, 2, 1).spec_hash() != bhw(0, 0, 1, 3, 1).spec_hash()
+
+
+def test_models_listing_matches_the_built_models(capsys, monkeypatch):
+    def refuse(**params):
+        raise AssertionError("the listing built a model")
+
+    # `conecert models` reads the registry without building a drift
+    for name, entry in list(BUILTINS.items()):
+        monkeypatch.setitem(BUILTINS, name, dataclasses.replace(entry, build=refuse))
+    assert main(["models"]) == 0
+    monkeypatch.undo()
+    lines = []
+    for name in sorted(BUILTINS):
+        spec = get_builtin(name)
+        entry = BUILTINS[name]
+        assert (entry.d, entry.r, entry.params) == (spec.d, spec.r, spec.params), name
+        params = ", ".join(f"{k}={v}" for k, v in spec.params.items())
+        lines.append(f"{name}: d={spec.d}, r={spec.r}" + (f", params={{{params}}}" if params else ""))
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_get_builtin_unknown():

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, Lie brackets, and relative degrees."""
 
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import constant_vectors, exponents, polynomials, vector_fields
 from conecert.closure import choose_basis, compute_C
-from conecert.kernel import _kernel
-from conecert.models import BUILTINS, get_builtin
+from conecert.kernel import _STRAIGHT_LINE_TERMS, _Kernel, _kernel
+from conecert.models import BUILTINS, burgers, get_builtin, shell1_forcing
 from conecert.polyfield import (
     NO_DEGREE,
     DimensionMismatchError,
@@ -453,6 +455,7 @@ def test_cached_constancy_matches_components(case):
             assert X.constant_value() == tuple(p.constant_value() for p in X.components)
             assert X.is_zero() == all(p.is_zero() for p in X.components)
     assert C.is_constant() and C.constant_value() == v
+    assert len({id(p) for p in C.components if p.is_zero()}) <= 1  # one zero, shared
     assert PolyVectorField.zero(d).is_zero()
 
 
@@ -637,6 +640,74 @@ def test_kernel_zero_and_constant_fields():
     assert np.array_equal(compile_field(const)(xs), np.tile([0.5, 0.0, -3.0], (5, 1)))
     assert np.array_equal(compile_field(const)(xs[0]), [0.5, 0.0, -3.0])
     assert np.array_equal(compile_jacobian(const)(xs), np.zeros((5, 3, 3)))
+
+
+@st.composite
+def large_drifts_and_points(draw):
+    """A drift of more than _STRAIGHT_LINE_TERMS terms, 50 distinct
+    monomials of degree <= D per component with coefficients p/q, and
+    dyadic points in [-4, 4]^d of shape (2, 3, d), exact as floats."""
+    d, D = draw(st.integers(6, 8)), draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    monomials = [e for e in itertools.product(range(D + 1), repeat=d) if sum(e) <= D]
+    comps = []
+    for _ in range(d):
+        chosen = rng.choice(len(monomials), size=50, replace=False)
+        coeffs = rng.choice([-1, 1], size=50) * rng.integers(1, 21, size=50)
+        comps.append(Polynomial(d, {monomials[i]: F(int(c), int(q)) for i, c, q in
+                                    zip(chosen, coeffs, rng.integers(1, 13, size=50))}))
+    V = PolyVectorField(d, tuple(comps))
+    n = draw(st.lists(st.integers(-2**20, 2**20), min_size=6 * d, max_size=6 * d))
+    return V, D, [F(k, 2**18) for k in n]
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_drifts_and_points())
+def test_sparse_jacobian_is_exact_within_its_rounding(case):
+    # entry (j, k) of n terms: each term a product of at most D - 1
+    # factors, rounded with its coefficient and the multiply, then n - 1
+    # additions, so |J - J_exact| <= gamma_(D + n - 1) * sum |term|
+    V, D, q = case
+    assert sum(len(p.terms) for p in V.components) > _STRAIGHT_LINE_TERMS
+    d = V.dim
+    jf = compile_jacobian(V)
+    P = np.array([float(c) for c in q]).reshape(2, 3, d)
+    batch = jf(P)
+    assert batch.shape == (2, 3, d, d)
+    exact_J = jacobian(V)
+    u = F(1, 2**53)
+    for point, row in zip(np.reshape(q, (6, d)).tolist(), batch.reshape(6, d, d)):
+        assert jf(np.array([float(c) for c in point])).tobytes() == row.tobytes()
+        for j, k in itertools.product(range(d), repeat=2):
+            entry = exact_J[j][k]
+            size = sum(abs(c) * math.prod(abs(point[i]) ** p for i, p in key)
+                       for key, c in entry.terms.items())
+            n = D + len(entry.terms)
+            assert abs(F(row[j, k]) - entry.eval_exact(point)) <= n * u / (1 - n * u) * size
+
+
+def test_burgers_jacobian_rows_match_single_points():
+    jf = compile_jacobian(get_builtin("burgers").drift)
+    P = np.random.default_rng(4).normal(scale=0.7, size=(2, 4, 96))
+    rows = jf(P)
+    for point, row in zip(P.reshape(-1, 96), rows.reshape(-1, 96, 96)):
+        assert jf(point).tobytes() == row.tobytes()
+
+
+def test_burgers_n3_jacobian_memory_follows_its_nonzeros():
+    # 30,816 nonzeros at d = 192; a dense coefficient table would hold
+    # 193 x 192^2 doubles, 57 MB
+    V = burgers(3, 1, forced_sigma=shell1_forcing(3)).drift
+    kernel = _Kernel(V)  # uncached, and its field table built before tracing
+    P = np.random.default_rng(0).normal(scale=0.1, size=(2, 4, V.dim))
+    tracemalloc.start()
+    try:
+        J = kernel.jac(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (2, 4, V.dim, V.dim) and np.isfinite(J).all()
+    assert peak < 10 * 2**20, peak
 
 
 def test_certify_builds_each_kernel_once():

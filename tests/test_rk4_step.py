@@ -104,8 +104,8 @@ print(json.dumps(out))
 
 BURGERS_FLOW_GOLDENS = {
     "None": "6f447bfac9dc6b6602be340534f76c6a34b59b55fad7245acea3d25eb530e374",
-    "gramian": "0e3ac10683b3ea41b784cf2b307cd78e0bc5b0dce6f736bcc28a889448dd899d",
-    "sensitivity": "116275324a53cb2ebdcb0561e88edb815e600f4f9caf5f0b89592a37e2904100",
+    "gramian": "90dbb1861a85fbafdd0045009c156d49e1fb70430fbfe9ee784a6b020c1871ce",
+    "sensitivity": "a932baf94ed670852cea050bc8fcd07514bc1afee28f11bc0ccf67b22b14e2f9",
 }
 
 
@@ -115,6 +115,29 @@ def test_burgers_flow_goldens(threads):
     proc = subprocess.run([sys.executable, "-c", BURGERS_FLOW_DIGESTS], capture_output=True,
                           text=True, check=True, timeout=120, env=env)
     assert json.loads(proc.stdout) == BURGERS_FLOW_GOLDENS
+
+
+# sha256 of the `burgers` Jacobian at a seeded batch and at its first point
+BURGERS_JACOBIAN_DIGEST = """
+import hashlib
+import numpy as np
+from conecert.models import get_builtin
+from conecert.polyfield import compile_jacobian
+
+jf = compile_jacobian(get_builtin("burgers").drift)
+P = np.random.default_rng(6).normal(scale=0.5, size=(3, 4, 96))
+print(hashlib.sha256(jf(P).tobytes() + jf(P[0, 0]).tobytes()).hexdigest())
+"""
+
+
+def test_burgers_jacobian_bits_ignore_blas_threads():
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", BURGERS_JACOBIAN_DIGEST],
+                              capture_output=True, text=True, check=True, timeout=120, env=env)
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 @st.composite
