@@ -13,12 +13,18 @@ drawn a few steps at a time, _NOISE_BYTES of normals and increments
 per draw, on one worker thread that draws the next steps' noise while
 the block takes the current ones; the values are those of one draw
 per step, so memory grows with the number of paths but not with the
-number of steps.  Chunking, the worker's scheduling and the draw size
-never change a value, but a drift of more than
-kernel._STRAIGHT_LINE_TERMS terms is a BLAS product, whose rounding,
-and so an endpoint's last bits, may follow the BLAS thread count.  A block steps its live paths
-as one compacted array; it re-gathers them, and writes the leavers'
-rows back, only on a step where some path stops.  The ball-exit test
+number of steps.  The worker also forms the increments, one row per
+coordinate, from the normals by elementwise products and sums
+(`_increments`), never a BLAS call.  Chunking, the worker's scheduling
+and the draw size never change a value, and neither does the BLAS
+thread count, except through a drift of more than
+kernel._STRAIGHT_LINE_TERMS terms: that drift is a BLAS product, whose
+rounding, and so an endpoint's last bits, may follow it.
+
+A block holds its live paths coordinate-major, as one (d, live) array,
+so each step's arithmetic runs on contiguous rows; the drift takes
+them as the points of cur.T.  The block re-gathers them, and writes the
+leavers back, only on a step where some path stops.  The ball-exit test
 is also the finiteness test: NaN and inf never land inside the ball.
 """
 
@@ -38,11 +44,8 @@ from .polyfield import compile_field
 _CHUNK = 4096  # fixed path-block size; part of the reproducibility contract
 
 # Bytes of the normals and increments of one noise draw.  It sets how
-# many steps a draw covers, never the values drawn.  Of 256 KiB to 4 MiB,
-# 1-2 MiB ran the benchmark's four 2048-path simulations fastest: 1.7-1.8
-# s against 2.2 s at 256 KiB on two cores, 2.7-2.8 s against 3.1 s on one
-# (in-process medians, 2-core x86_64).  At most two draws are alive, so
-# memory stays within about twice this.
+# many steps a draw covers, never the values drawn.  At most two draws
+# are alive, so memory stays within about twice this.
 _NOISE_BYTES = 1 << 20
 
 # Most Euler-Maruyama steps (t / dt) a configuration may ask for.  A step
@@ -68,6 +71,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, numbers.Integral):
+            raise ValueError(f"n_paths must be an integer, got {self.n_paths!r}")
+        # as an int, since a numpy integer in the evidence is no JSON
+        object.__setattr__(self, "n_paths", int(self.n_paths))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
@@ -181,12 +188,27 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _increments(rng: np.random.Generator, m: int, sqrt_dt: float, Bt: np.ndarray,
                 k: int) -> np.ndarray:
-    """The next k steps' noise increments (normals * sqrt_dt) @ B^T of m
-    paths, shape (k, m, d): the stream, value for value, of k draws of
-    shape (m, r)."""
+    """The next k steps' noise increments of m paths, shape (k, d, m), from
+    the stream, value for value, of k draws of m x r normals: row j of a
+    step sums (normal_q * sqrt_dt) * B[j, q] over the nonzero B[j, q], in q
+    order from +0.0, each product rounded first.  Elementwise numpy alone,
+    so no BLAS call sets the bits; with at most one nonzero per row of B
+    it is the product (normals * sqrt_dt) @ B^T, bit for bit."""
     noise = rng.standard_normal((k, m, Bt.shape[0]))
-    noise *= sqrt_dt
-    return noise @ Bt
+    out = np.zeros((k, Bt.shape[1], m))  # a row without a nonzero stays +0.0
+    started = set()
+    for q, j in zip(*np.nonzero(Bt)):  # q-major, so each row adds in q order
+        # a row's first term is written in place: a (k, m) temporary is
+        # mapped afresh on every draw, and its page faults slow the steps
+        row = out[:, j]
+        term = np.multiply(noise[..., q], sqrt_dt, out=None if j in started else row)
+        if Bt[q, j] != 1.0:  # x * 1.0 is x
+            term *= Bt[q, j]
+        if j in started:
+            row += term
+        started.add(j)
+    out += 0.0  # as if each row summed from +0.0: a -0.0 sum becomes +0.0
+    return out
 
 
 class _DrawAhead:
@@ -198,8 +220,12 @@ class _DrawAhead:
 
     def __init__(self, draw, n_steps: int, k: int):
         self._draw, self._n_steps, self._k = draw, n_steps, k
-        self._free = threading.Semaphore(1)  # the worker may start a draw
-        self._ready = threading.Semaphore(0)  # a drawn block waits in _block
+        # two locks as binary semaphores, released by the other thread:
+        # _free is held while the worker may not start a draw, _ready
+        # while no drawn block waits in _block
+        self._free = threading.Lock()
+        self._ready = threading.Lock()
+        self._ready.acquire()
         self._stop = False
         self._thread = threading.Thread(target=self._work, name="montecarlo-noise")
 
@@ -233,16 +259,20 @@ class _DrawAhead:
 
     def __exit__(self, *exc_info):
         self._stop = True
-        self._free.release()
+        if self._free.locked():  # held for a draw, and only this thread releases it
+            self._free.release()
         self._thread.join()
 
 
 def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     """Endpoint states, stopped mask and nonfinite counter, the same
     whatever the chunks' scheduling and draw size; for a drift above
-    kernel._STRAIGHT_LINE_TERMS terms the BLAS thread count may move last bits."""
+    kernel._STRAIGHT_LINE_TERMS terms the BLAS thread count may move last
+    bits.  A step is incr = f * dt, incr += dw, then cur + incr."""
     d = model.d
     r = model.r
+    if cfg.z.shape != (d,):  # it would broadcast against the endpoints
+        raise ValueError(f"z must have the model's {d} coordinates, got shape {cfg.z.shape}")
     x = np.asarray(x, dtype=float).reshape(d)
     B = model.noise_matrix()
     f = compile_field(model.drift)
@@ -264,33 +294,43 @@ def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
             # the draw binds this chunk's stream and row count
             draw = partial(_increments, _chunk_rng(cfg.seed, start // _CHUNK), m, sqrt_dt, B.T)
             states = endpoints[start : start + m]
-            states[...] = x
-            # idx: the live rows of the chunk, cur: their states (a NaN
-            # start is live, so its first step counts it as nonfinite)
-            idx = np.flatnonzero(~(np.einsum("ij,ij->i", states, states) >= ball2))
-            cur = states[idx]
+            states[...] = x  # the endpoint of a path that never steps
+            # idx: the live paths of the chunk, cur: their states, one
+            # row per coordinate (a NaN start is live, so its first step
+            # counts it as nonfinite)
+            cur = np.repeat(x[:, None], m, axis=1)
+            idx = np.flatnonzero(~(_radius2(cur) >= ball2))
+            cur = cur[:, idx]
             with _DrawAhead(draw, n_steps, k) as noise:
                 for dw in noise:
                     if idx.size == 0:
                         break
-                    incr = f(cur) * dt
-                    # take and compress copy rows as indexing does, several
-                    # times faster on a few columns
-                    incr += dw if idx.size == m else dw.take(idx, axis=0)
+                    # the field takes points as rows; on cur.T they are
+                    # its columns, and its output .T is coordinate-major
+                    incr = f(cur.T).T * dt
+                    # take and compress copy columns as indexing does,
+                    # several times faster
+                    incr += dw if idx.size == m else dw.take(idx, axis=1)
                     nxt = cur + incr
                     # NaN and inf fail the test, so "all inside" means "all finite"
-                    inside = np.einsum("ij,ij->i", nxt, nxt) < ball2
+                    inside = _radius2(nxt) < ball2
                     if inside.all():
                         cur = nxt
                         continue
-                    finite = np.isfinite(nxt).all(axis=1)
+                    finite = np.isfinite(nxt).all(axis=0)
                     nonfinite += idx.size - int(finite.sum())
-                    nxt[~finite] = np.nan
-                    states[idx[~inside]] = nxt.compress(~inside, axis=0)
-                    idx, cur = idx.compress(inside), nxt.compress(inside, axis=0)
-            states[idx] = cur
+                    nxt[:, ~finite] = np.nan
+                    states[idx[~inside]] = nxt.compress(~inside, axis=1).T
+                    idx, cur = idx.compress(inside), nxt.compress(inside, axis=1)
+            states[idx] = cur.T
             stopped[start + idx] = False
     return endpoints, stopped, nonfinite
+
+
+def _radius2(states: np.ndarray) -> np.ndarray:
+    """Squared radius of each column of a (d, n) array: the squared
+    coordinates summed from +0.0 in coordinate order."""
+    return np.einsum("ij,ij->j", states, states)
 
 
 def _evidence(cfg: SimConfig, endpoints, stopped, nonfinite) -> PositivityEvidence:

@@ -94,6 +94,85 @@ def test_simconfig_default_dt():
     assert cfg.dt == pytest.approx(2.0 / 4000)
 
 
+@pytest.mark.parametrize("n_paths", [2.5, 16.0, True, False, "16", None])
+def test_simconfig_rejects_a_non_integer_path_count(n_paths):
+    with pytest.raises(ValueError, match="^n_paths must be an integer"):
+        SimConfig(t=0.1, dt=1e-3, n_ball=10, n_paths=n_paths, seed=0, z=np.zeros(2), delta=0.1)
+
+
+def test_simconfig_stores_the_path_count_as_int():
+    cfg = SimConfig(t=0.1, dt=1e-3, n_ball=10, n_paths=np.int64(16), seed=0, z=np.zeros(2),
+                    delta=0.1)
+    assert type(cfg.n_paths) is int
+    ev = simulate(brownian2d(), np.zeros(2), cfg)
+    assert type(ev.n_paths) is int and ev.n_paths == 16
+    assert json.loads(json.dumps(ev.to_json()))["n_paths"] == 16
+
+
+@pytest.mark.parametrize("z", [[1.0], [1.0, 0.0, 0.0]])
+@pytest.mark.parametrize("run", ["simulate", "density_heatmap"])
+def test_z_of_another_length_than_d_is_refused_before_stepping(monkeypatch, run, z):
+    def no_steps(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(montecarlo, "_DrawAhead", no_steps)
+    cfg = SimConfig(t=1.0, dt=1e-3, n_ball=1.3, n_paths=256, seed=0, z=z, delta=0.25)
+    edges = np.linspace(-2.0, 2.0, 5)
+    call = {"simulate": lambda: simulate(get_builtin("langevin"), np.zeros(2), cfg),
+            "density_heatmap": lambda: density_heatmap(get_builtin("langevin"), np.zeros(2), cfg,
+                                                       (edges, edges))}[run]
+    with pytest.raises(ValueError, match="^z must have the model's 2 coordinates"):
+        call()
+
+
+# -- noise increments -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["langevin", "langevin2d", "bhw", "nonexample3d", "burgers"])
+def test_increments_are_the_noise_product_of_every_builtin(name):
+    B = get_builtin(name).noise_matrix()
+    m, k, sqrt_dt = 300, 7, 0.0316
+    got = montecarlo._increments(montecarlo._chunk_rng(5, 1), m, sqrt_dt, B.T, k)
+    normals = montecarlo._chunk_rng(5, 1).standard_normal((k, m, B.shape[1]))
+    product = (normals * sqrt_dt) @ B.T  # at most one nonzero per row of B
+    assert got.shape == (k, B.shape[0], m) and got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(product.transpose(0, 2, 1)).tobytes()
+
+
+class _Normals:
+    """Stands in for a generator: hands out fixed "normals"."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, shape):
+        assert shape == self.values.shape
+        return self.values.copy()
+
+
+def test_increments_sum_products_in_noise_order_from_positive_zero():
+    # rows: two nonzeros, three, one, none; 1e-300 * 1e-300 underflows to
+    # a signed zero, and -0.0 normals make -0.0 products
+    B = np.array([[0.3, 0.0, -1.7, 0.0],
+                  [1e-300, 2.5, 0.0, -1e-300],
+                  [0.0, 0.0, 0.0, 7.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    k, m, sqrt_dt = 3, 40, 0.1
+    normals = np.random.default_rng(3).standard_normal((k, m, 4))
+    normals[0, :4] = [[-0.0, 1.0, -0.0, -0.0], [-1e-300, -0.0, 0.0, 1e-300],
+                      [1e-300, 0.0, -0.0, -1e-300], [-0.0, -0.0, -0.0, -0.0]]
+    got = montecarlo._increments(_Normals(normals), m, sqrt_dt, B.T, k)
+    for step in range(k):
+        for path in range(m):
+            for j in range(4):
+                acc = 0.0
+                for q in range(4):
+                    if B[j, q] != 0:
+                        acc = acc + float(normals[step, path, q]) * sqrt_dt * float(B[j, q])
+                assert np.float64(acc).tobytes() == got[step, j, path].tobytes(), (step, path, j)
+    assert not np.signbit(got[:, 3]).any()  # a row without a nonzero is +0.0
+
+
 # -- Clopper-Pearson --------------------------------------------------
 
 
@@ -256,6 +335,15 @@ def test_stopping_freezes_paths():
     ev = simulate(m, np.zeros(1), cfg)
     assert ev.stopped_fraction == 1.0
     assert ev.hits == 0 and ev.lower_cb == 0.0
+
+
+def test_a_start_outside_the_stopping_ball_ends_where_it_starts():
+    x = np.array([2.0, -1.0])
+    endpoints, stopped, nonfinite = _simulate_endpoints(
+        get_builtin("langevin"), x, SimConfig(t=0.1, dt=1e-3, n_ball=1.3, n_paths=300, seed=0,
+                                              z=np.array([1.0, 0.0]), delta=0.25))
+    assert stopped.all() and nonfinite == 0
+    assert (endpoints == x).all()
 
 
 def test_infinite_stopping_ball_stops_nothing():

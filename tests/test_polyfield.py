@@ -601,6 +601,18 @@ def test_small_drift_batch_rounds_as_single_points():
     P = np.random.default_rng(0).normal(size=(5000, 2))
     assert_batch_rounds_as_points(V, P)
     assert_batch_rounds_as_points(V, P.reshape(50, 100, 2))
+    # coordinate-major points, as Monte Carlo holds them
+    assert_batch_rounds_as_points(V, np.ascontiguousarray(P.T).T)
+
+
+@pytest.mark.parametrize("name", ["langevin", "langevin2d", "bhw", "nonexample3d"])
+def test_small_drift_batch_is_laid_out_like_its_input(name):
+    model = get_builtin(name)
+    f = compile_field(model.drift)
+    rows = np.random.default_rng(1).normal(size=(model.d, 300))  # one row per coordinate
+    out = f(rows.T)
+    assert out.T.flags.c_contiguous  # so out.T is coordinate-major without a copy
+    assert out.tobytes() == f(np.ascontiguousarray(rows.T)).tobytes()
 
 
 POINT_VALUES = st.one_of(
