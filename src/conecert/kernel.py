@@ -11,17 +11,15 @@ single point and a batch alike.
 A drift of at most _STRAIGHT_LINE_TERMS terms is instead one generated
 straight-line function of its coordinates (`_straight_line_field`), and
 its RK4 step another (`_straight_line_rk4`), both emitted from one
-source (`_drift_source`, from the terms `_drift_terms` lists): each
-monomial a left-to-right product, each component a sum from +0.0 of the
-terms in monomial order, each product rounded first.  A point runs it
-on Python floats (about 1.5 us at d <= 4); a batch runs the same
-operations in the same order on the coordinate columns, each result
-written in place into an output laid out like the input
-(`_straight_line_batch`), so every evaluation of such a drift rounds
-alike.  The matrix product cannot serve, since
-OpenBLAS fuses multiply-adds and regroups rows of four or more
-monomials.  Larger drifts keep the product, and their flows take the
-array step in `reach`.
+source (`_drift_source`): each monomial a left-to-right product, each
+component a sum from +0.0 of the terms in monomial order, each product
+rounded first.  A point runs it on Python floats (about 1.5 us at
+d <= 4), a batch on the coordinate columns (27 us for 2048 langevin
+points, against 47 us on the general path; timeit, 2-core x86_64), so
+every evaluation of such a drift rounds alike.  The matrix product
+cannot serve, since OpenBLAS fuses multiply-adds and regroups rows of
+four or more monomials.  Larger drifts keep the product, and their
+flows take the array step in `reach`.
 
 The Jacobian of a small drift is a `_SlotTable` too; that of a larger
 drift is stored by its nonzeros (`_SparseJacobian`), built from the
@@ -85,18 +83,14 @@ class _SlotTable:
             # a point as floats, a batch as columns: the same rounding
             if x.ndim == 1:
                 return np.array(self.columns(*x.tolist()))
-            # written in place into an output laid out like x, so points
-            # stored coordinate-major stay so
+            # laid out like x, so points stored coordinate-major stay so
             out = np.empty_like(x)
-            axes = (-1, *range(x.ndim - 1))
-            self.batch(*out.transpose(axes), *x.transpose(axes))
+            axes = (-1, *range(x.ndim - 1))  # a transpose is cheaper than moveaxis
+            for column, value in zip(out.transpose(axes), self.columns(*x.transpose(axes))):
+                column[...] = value
             return out
         out = _padded(x)[..., self.slots].prod(axis=-1) @ self.coeffs
         return out.reshape(x.shape[:-1] + self.shape)
-
-    @functools.cached_property
-    def batch(self):
-        return _straight_line_batch(self)
 
 
 class _SparseJacobian:
@@ -191,95 +185,51 @@ class _Kernel:
         return _straight_line_rk4(self.field) if self.small else None
 
 
-def _drift_terms(table: _SlotTable, point: Sequence[str]):
-    """The drift at the variables named `point`: the monomials of more
-    than one factor as (name m<i>, factors in slot order), and per
-    component its nonzero terms in monomial order as (negative, |c|,
-    monomial name or None for the constant 1)."""
-    pad = len(point)  # slot index of the constant 1
-    monomials = []
-    names = []  # per monomial: its value's name, or None for the constant 1
-    for i, row in enumerate(table.slots):
-        factors = [point[j] for j in row if j != pad]
-        if len(factors) > 1:
-            monomials.append((f"m{i}", factors))
-            names.append(f"m{i}")
-        else:
-            names.append(factors[0] if factors else None)
-    components = [[(bool(table.coeffs[i, j] < 0), abs(float(table.coeffs[i, j])), names[i])
-                   for i in np.flatnonzero(table.coeffs[:, j])]
-                  for j in range(table.coeffs.shape[1])]
-    return monomials, components
-
-
 def _drift_source(table: _SlotTable, point: Sequence[str]) -> tuple[list[str], list[str]]:
     """Source of the drift at the variables named `point`: lines binding
     each monomial of more than one factor to m<i>, a left-to-right product
     in slot order, and per component an expression summing the nonzero
     terms from 0.0 in monomial order, each product rounded first.  It
     holds only names and repr(float) literals of the table's coefficients."""
-    monomials, components = _drift_terms(table, point)
-    lines = [f"{name} = " + " * ".join(factors) for name, factors in monomials]
+    pad = len(point)  # slot index of the constant 1
+    lines = []
+    names = []  # per monomial: its value's name, or None for the constant 1
+    for i, row in enumerate(table.slots):
+        factors = [point[j] for j in row if j != pad]
+        if len(factors) > 1:
+            lines.append(f"m{i} = " + " * ".join(factors))
+            names.append(f"m{i}")
+        else:
+            names.append(factors[0] if factors else None)
     exprs = []
-    for terms in components:
+    for j in range(table.coeffs.shape[1]):
         expr = "0.0"
-        for negative, c, name in terms:
+        for i in np.flatnonzero(table.coeffs[:, j]):
+            c = float(table.coeffs[i, j])
             # acc - |c| m is acc + c m exactly, and 1.0 m is m
-            term = repr(c) if name is None else name if c == 1.0 else f"{c!r} * {name}"
-            expr += f" {'-' if negative else '+'} {term}"
+            term = repr(abs(c)) if names[i] is None else (
+                names[i] if abs(c) == 1.0 else f"{abs(c)!r} * {names[i]}")
+            expr += f" {'-' if c < 0 else '+'} {term}"
         exprs.append(expr)
     return lines, exprs
 
 
-def _generated(name: str, lines: list[str], **namespace):
+def _generated(name: str, lines: list[str]):
+    namespace: dict = {}
     exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
     return namespace[name]
 
 
 def _straight_line_field(table: _SlotTable):
     """The drift as one generated function field(x0, ..., x{d-1}) ->
-    tuple of d components, with `_drift_source`'s rounding; the kernel
-    runs it on the Python floats of a point."""
+    tuple of d components, on Python floats or on numpy arrays of one
+    shape alike (`_drift_source`'s rounding either way; a component with
+    no variable term is a float)."""
     point = [f"x{j}" for j in range(table.coeffs.shape[1])]
     lines, exprs = _drift_source(table, point)
     return _generated("field", [f"def field({', '.join(point)}):",
                                 *(f"    {line}" for line in lines),
                                 f"    return ({''.join(f'{e}, ' for e in exprs)})"])
-
-
-def _straight_line_batch(table: _SlotTable):
-    """The drift as one generated function batch(o0, ..., o{d-1}, x0, ...,
-    x{d-1}) on numpy arrays of one shape, which writes component j into
-    o<j>: `_drift_source`'s operations in its order, with each result
-    written in place where the expression would make a new array."""
-    d = table.coeffs.shape[1]
-    point = [f"x{j}" for j in range(d)]
-    monomials, components = _drift_terms(table, point)
-    lines = [f"def batch({''.join(f'o{j}, ' for j in range(d))}{', '.join(point)}):"]
-    for name, factors in monomials:
-        lines.append(f"    {name} = {factors[0]} * {factors[1]}")
-        lines += [f"    {name} *= {factor}" for factor in factors[2:]]
-    for j, terms in enumerate(components):
-        out, acc = f"o{j}", "0.0"  # acc: the sum's float source until a term is an array
-        for negative, c, name in terms:
-            op = "subtract" if negative else "add"
-            if name is None:
-                if acc == out:
-                    lines.append(f"    {op}({out}, {c!r}, out={out})")
-                else:
-                    acc += f" {'-' if negative else '+'} {c!r}"
-            elif c == 1.0:
-                lines.append(f"    {op}({acc}, {name}, out={out})")
-                acc = out
-            elif acc == out:
-                lines.append(f"    {op}({out}, multiply({c!r}, {name}), out={out})")
-            else:
-                lines.append(f"    multiply({c!r}, {name}, out={out})")
-                lines.append(f"    {op}({acc}, {out}, out={out})")
-                acc = out
-        if acc != out:
-            lines.append(f"    {out}[...] = {acc}")
-    return _generated("batch", lines, add=np.add, subtract=np.subtract, multiply=np.multiply)
 
 
 def _straight_line_rk4(table: _SlotTable):

@@ -220,12 +220,8 @@ class _DrawAhead:
 
     def __init__(self, draw, n_steps: int, k: int):
         self._draw, self._n_steps, self._k = draw, n_steps, k
-        # two locks as binary semaphores, released by the other thread:
-        # _free is held while the worker may not start a draw, _ready
-        # while no drawn block waits in _block
-        self._free = threading.Lock()
-        self._ready = threading.Lock()
-        self._ready.acquire()
+        self._free = threading.Semaphore(1)  # the worker may start a draw
+        self._ready = threading.Semaphore(0)  # a drawn block waits in _block
         self._stop = False
         self._thread = threading.Thread(target=self._work, name="montecarlo-noise")
 
@@ -259,8 +255,7 @@ class _DrawAhead:
 
     def __exit__(self, *exc_info):
         self._stop = True
-        if self._free.locked():  # held for a draw, and only this thread releases it
-            self._free.release()
+        self._free.release()
         self._thread.join()
 
 
