@@ -4,33 +4,39 @@ evaluators.
 One kernel per field, built on first numeric use and cached.  A
 monomial is a row of variable indices (its "slots", highest power
 first) padded with index dim, which addresses a constant 1 appended to
-the point; all monomials are one gather and one product over the slots,
-and the polynomials one dense coefficient matrix (`_SlotTable`), for a
-single point and a batch alike.
+the point.
 
-A drift of at most _STRAIGHT_LINE_TERMS terms is instead one generated
+Every drift rounds by one contract: each monomial a left-to-right
+product in slot order, each component a sum from +0.0 of its terms in
+monomial order, each product c * monomial rounded first.  No BLAS
+product sets a bit of a drift, since OpenBLAS fuses multiply-adds and
+regroups rows of four or more monomials, so a drift's bits follow
+neither the BLAS thread count nor the batch shape.
+
+A drift of at most _STRAIGHT_LINE_TERMS terms is one generated
 straight-line function of its coordinates (`_straight_line_field`), and
 its RK4 step another (`_straight_line_rk4`), both emitted from one
-source (`_drift_source`): each monomial a left-to-right product, each
-component a sum from +0.0 of the terms in monomial order, each product
-rounded first.  A point runs it on Python floats (about 1.5 us at
-d <= 4), a batch on the coordinate columns (27 us for 2048 langevin
-points, against 47 us on the general path; timeit, 2-core x86_64), so
-every evaluation of such a drift rounds alike.  The matrix product
-cannot serve, since OpenBLAS fuses multiply-adds and regroups rows of
-four or more monomials.  Larger drifts keep the product, and their
-flows take the array step in `reach`.
+source (`_drift_source`) over a `_SlotTable`.  A point runs it on
+Python floats (about 1.5 us at d <= 4), a batch on the coordinate
+columns (27 us for 2048 langevin points, against 47 us for the table's
+gather and product; timeit, 2-core x86_64).
 
-The Jacobian of a small drift is a `_SlotTable` too; that of a larger
-drift is stored by its nonzeros (`_SparseJacobian`), built from the
-drift's terms, never as the exact d x d Jacobian or a dense table.  It
-forms the monomial values slot by slot, then for each term rank one
-gather and multiply into the dense output, assigning the first term and
-adding each later one: products rounded first, sums in the drift's term
-order, elementwise numpy alone, so its bits follow neither the BLAS
-thread count nor the batch shape.  For burgers at N = 3 (d = 192, 30,816
-nonzeros) it takes 0.26 s to build and keeps 0.8 MB, where a dense table
-took 0.99 s and 57 MB (tracemalloc, 2-core x86_64).
+A larger drift is a `_SparseTable`, its polynomials stored by their
+terms and evaluated points last with elementwise numpy alone; its flows
+take the array step in `reach`.  For burgers (d = 96, 3464 of the
+218,880 coefficients of a dense table nonzero) a point takes 84 us,
+4 points 110 us and 64 points 0.63 ms, where the dense table's product
+took 115 us, 337 us and 1.45 ms (best of 5, one BLAS thread, 2-core
+x86_64).
+
+The Jacobian of a small drift is a dense `_SlotTable` over its own
+monomials.  That of a larger drift is a `_SparseTable` built from the
+drift's terms, never as the exact d x d Jacobian or a dense table, its
+entries summed in the drift's term order.  burgers' takes 2.5 ms at
+(16, 4, 96) points, where scattering each term rank into a points-first
+output took 8.6 ms; at N = 3 (d = 192, 30,816 nonzeros) it builds in
+0.09 s and keeps 0.6 MB, where a dense table held 57 MB (best of 5 and
+tracemalloc, one BLAS thread, 2-core x86_64).
 
 `polyfield.compile_field`, `compile_jacobian` and `compile_rk4_step`
 are the entry points; they import this module when called, so the
@@ -40,8 +46,9 @@ exact layer loads numpy only where floats are computed.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +70,7 @@ class _SlotTable:
 
     def __init__(self, dim: int, rows: Sequence[Mapping[Monomial, Fraction]],
                  shape: tuple[int, ...], sequential: bool = False):
-        index: dict[Monomial, int] = {}
-        for terms in rows:
-            for key in terms:
-                index.setdefault(key, len(index))
+        index = _monomial_index(rows)
         self.slots = _slots(index, dim)
         self.coeffs = np.zeros((len(index), len(rows)))
         for j, terms in enumerate(rows):
@@ -93,53 +97,77 @@ class _SlotTable:
         return out.reshape(x.shape[:-1] + self.shape)
 
 
-class _SparseJacobian:
-    """The Jacobian of a drift of more than _STRAIGHT_LINE_TERMS terms,
-    stored by its nonzeros and built from the drift's terms:
-    d/dx_k of c x^e is c e_k x^(e - 1_k), so entry (j, k) holds one term
-    for each term of component j that uses x_k, in the drift's term
-    order.  Rank t lists the t-th term of every entry that has one, as
-    (flat entry j d + k, monomial row, float coefficient)."""
+class _SparseTable:
+    """Polynomials stored by their terms, one per flat output entry and
+    laid out as `shape`, evaluated points last.  `terms` yields (flat
+    entry, monomial, coefficient), each entry's terms in the order they
+    are summed.
 
-    def __init__(self, V: PolyVectorField):
-        d = self.dim = V.dim
+    The monomial values are built slot by slot as (monomials, n) rows,
+    and every term's product c * monomial is rounded in one pass.  The
+    entries with terms are sorted by term count, so the t-th terms of
+    the entries that have one, rank t, sum into a prefix of them: rank
+    0 is the accumulator and each later rank is added in place.  Adding
+    +0.0 then makes each entry a sum from +0.0, and one permutation
+    restores the entry order."""
+
+    def __init__(self, dim: int, terms: Iterable[tuple[int, Monomial, Fraction]],
+                 shape: tuple[int, ...]):
         index: dict[Monomial, int] = {}
         count: dict[int, int] = {}  # flat entry -> its terms so far
-        ranks: list[tuple[list, list, list]] = []
-        for j, p in enumerate(V.components):
-            for key, c in p.terms.items():
-                for k, e in key:
-                    entry = j * d + k
-                    t = count.get(entry, 0)
-                    count[entry] = t + 1
-                    if t == len(ranks):
-                        ranks.append(([], [], []))
-                    entries, monomials, coeffs = ranks[t]
-                    entries.append(entry)
-                    monomials.append(index.setdefault(_lowered(key, k, e), len(index)))
-                    coeffs.append(float(c * e))
-        self.slots = _slots(index, d)
-        self.ranks = [(np.array(entries, np.intp), np.array(monomials, np.intp), np.array(coeffs))
-                      for entries, monomials, coeffs in ranks]
-        for array in (self.slots, *(a for rank in self.ranks for a in rank)):
+        entries, term_ranks, monomials, coeffs = [], [], [], []
+        for entry, key, c in terms:
+            t = count.get(entry, 0)
+            count[entry] = t + 1
+            entries.append(entry)
+            term_ranks.append(t)
+            monomials.append(index.setdefault(key, len(index)))
+            coeffs.append(float(c))
+        self.dim, self.shape = dim, shape
+        self.slots = _slots(index, dim)
+        self.order = np.array(sorted(count, key=count.__getitem__, reverse=True), np.intp)
+        position = np.empty(math.prod(shape), np.intp)
+        position[self.order] = np.arange(len(self.order))
+        # rank by rank, each in the sorted entries' order
+        rows = np.lexsort((position[np.array(entries, np.intp)], term_ranks))
+        self.monomials = np.array(monomials, np.intp)[rows]
+        self.coeffs = np.array(coeffs)[rows, None]
+        # (first row, length) of each rank after the first
+        lengths = np.bincount(term_ranks).tolist()
+        self.ranks = list(zip(np.cumsum(lengths).tolist(), lengths[1:]))
+        # cached and shared by every caller of the drift
+        for array in (self.slots, self.order, self.monomials, self.coeffs):
             array.flags.writeable = False
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        padded = _padded(x)
-        # each monomial a left-to-right product over its slots; then per
-        # rank one product per term, assigned at rank 0 and added after
-        values = np.take(padded, self.slots[:, 0], axis=-1)
+        points = x.reshape(-1, self.dim).T  # one row per coordinate
+        n = points.shape[1]
+        padded = np.empty((self.dim + 1, n))
+        padded[:-1] = points
+        padded[-1] = 1.0
+        values = padded.take(self.slots[:, 0], axis=0)
         for column in self.slots.T[1:]:
-            values *= np.take(padded, column, axis=-1)
-        out = np.zeros(x.shape[:-1] + (self.dim * self.dim,))
-        for t, (entries, monomials, coeffs) in enumerate(self.ranks):
-            terms = coeffs * np.take(values, monomials, axis=-1)
-            if t:
-                out[..., entries] += terms
-            else:
-                out[..., entries] = terms
-        return out.reshape(x.shape[:-1] + (self.dim, self.dim))
+            values *= padded.take(column, axis=0)
+        terms = values.take(self.monomials, axis=0)
+        terms *= self.coeffs
+        sums = terms[: len(self.order)]  # rank 0
+        for start, length in self.ranks:
+            sums[:length] += terms[start : start + length]
+        sums += 0.0  # -0.0 + 0.0 is +0.0; no other value moves
+        out = np.zeros((n, math.prod(self.shape)))
+        out[:, self.order] = sums.T
+        return out.reshape(x.shape[:-1] + self.shape)
+
+
+def _monomial_index(rows: Sequence[Mapping[Monomial, Fraction]]) -> dict[Monomial, int]:
+    """Each monomial of the term dicts `rows`, numbered by first
+    appearance: the monomial order a drift's components are summed in."""
+    index: dict[Monomial, int] = {}
+    for terms in rows:
+        for key in terms:
+            index.setdefault(key, len(index))
+    return index
 
 
 def _slots(index: Mapping[Monomial, int], dim: int) -> np.ndarray:
@@ -169,16 +197,30 @@ class _Kernel:
 
     def __init__(self, V: PolyVectorField):
         self.V = V
-        self.small = sum(len(p.terms) for p in V.components) <= _STRAIGHT_LINE_TERMS
-        self.field = _SlotTable(V.dim, [p.terms for p in V.components], (V.dim,),
-                                sequential=self.small)
+        rows = [p.terms for p in V.components]
+        self.small = sum(map(len, rows)) <= _STRAIGHT_LINE_TERMS
+        if self.small:
+            self.field = _SlotTable(V.dim, rows, (V.dim,), sequential=True)
+        else:
+            # each component's terms in monomial order, as the
+            # straight-line field sums them
+            index = _monomial_index(rows)
+            self.field = _SparseTable(V.dim, (
+                (j, key, c) for j, terms in enumerate(rows)
+                for key, c in sorted(terms.items(), key=lambda term: index[term[0]])), (V.dim,))
 
     @functools.cached_property
-    def jac(self) -> _SlotTable | _SparseJacobian:
-        if not self.small:
-            return _SparseJacobian(self.V)
+    def jac(self) -> _SlotTable | _SparseTable:
         d = self.V.dim
-        return _SlotTable(d, [p.terms for row in jacobian(self.V) for p in row], (d, d))
+        if self.small:
+            return _SlotTable(d, [p.terms for row in jacobian(self.V) for p in row], (d, d))
+        # d/dx_k of c x^e is c e_k x^(e - 1_k): entry (j, k) takes one
+        # term for each term of component j that uses x_k, in the
+        # drift's term order
+        return _SparseTable(d, (
+            (j * d + k, _lowered(key, k, e), c * e)
+            for j, p in enumerate(self.V.components) for key, c in p.terms.items()
+            for k, e in key), (d, d))
 
     @functools.cached_property
     def rk4_step(self):

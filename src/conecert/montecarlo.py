@@ -15,11 +15,10 @@ the block takes the current ones; the values are those of one draw
 per step, so memory grows with the number of paths but not with the
 number of steps.  The worker also forms the increments, one row per
 coordinate, from the normals by elementwise products and sums
-(`_increments`), never a BLAS call.  Chunking, the worker's scheduling
-and the draw size never change a value, and neither does the BLAS
-thread count, except through a drift of more than
-kernel._STRAIGHT_LINE_TERMS terms: that drift is a BLAS product, whose
-rounding, and so an endpoint's last bits, may follow it.
+(`_increments`), never a BLAS call.  The drift, of any size, is summed
+term by term in the kernel's fixed order, never by a BLAS product
+either.  So chunking, the worker's scheduling, the draw size and the
+BLAS thread count never change a value.
 
 A block holds its live paths coordinate-major, as one (d, live) array,
 so each step's arithmetic runs on contiguous rows; the drift takes
@@ -69,12 +68,14 @@ class SimConfig:
         for name, v in (("t", self.t), ("dt", self.dt), ("delta", self.delta)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
+        for name in ("seed", "n_paths"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            # as an int, since a numpy integer is no JSON
+            object.__setattr__(self, name, int(v))
+        if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, numbers.Integral):
-            raise ValueError(f"n_paths must be an integer, got {self.n_paths!r}")
-        # as an int, since a numpy integer in the evidence is no JSON
-        object.__setattr__(self, "n_paths", int(self.n_paths))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.dt > self.t / 100:
@@ -261,9 +262,8 @@ class _DrawAhead:
 
 def _simulate_endpoints(model: ModelSpec, x, cfg: SimConfig):
     """Endpoint states, stopped mask and nonfinite counter, the same
-    whatever the chunks' scheduling and draw size; for a drift above
-    kernel._STRAIGHT_LINE_TERMS terms the BLAS thread count may move last
-    bits.  A step is incr = f * dt, incr += dw, then cur + incr."""
+    whatever the chunks' scheduling, draw size and BLAS thread count.  A
+    step is incr = f * dt, incr += dw, then cur + incr."""
     d = model.d
     r = model.r
     if cfg.z.shape != (d,):  # it would broadcast against the endpoints

@@ -109,6 +109,22 @@ def test_simconfig_stores_the_path_count_as_int():
     assert json.loads(json.dumps(ev.to_json()))["n_paths"] == 16
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_simconfig_rejects_a_bool_seed(seed):
+    # a bool is an Integral, and True would run as Philox key 1
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        SimConfig(t=0.1, dt=1e-3, n_ball=10, n_paths=16, seed=seed, z=np.zeros(2), delta=0.1)
+
+
+def test_simconfig_stores_the_seed_as_int():
+    kwargs = dict(t=0.1, dt=1e-3, n_ball=10, n_paths=16, z=np.zeros(2), delta=0.1)
+    cfg = SimConfig(seed=np.int64(7), **kwargs)
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert json.dumps(cfg.seed) == "7"  # a numpy integer is no JSON
+    assert simulate(brownian2d(), np.zeros(2), cfg) == simulate(
+        brownian2d(), np.zeros(2), SimConfig(seed=7, **kwargs))
+
+
 @pytest.mark.parametrize("z", [[1.0], [1.0, 0.0, 0.0]])
 @pytest.mark.parametrize("run", ["simulate", "density_heatmap"])
 def test_z_of_another_length_than_d_is_refused_before_stepping(monkeypatch, run, z):
@@ -465,9 +481,10 @@ def test_endpoint_goldens_at_one_and_two_blas_threads(threads):
 
 
 BURGERS_EVIDENCE = """
-import json
+import hashlib, json
 import numpy as np
 from conecert import SimConfig, get_builtin, simulate
+from conecert.montecarlo import _simulate_endpoints
 
 model = get_builtin("burgers")
 out = []
@@ -475,14 +492,17 @@ for ball, delta in ((1.0, 0.5), (2.0, 1.0)):
     cfg = SimConfig(t=0.05, dt=5e-4, n_ball=ball, n_paths=64, seed=0, z=np.zeros(model.d),
                     delta=delta)
     ev = simulate(model, np.zeros(model.d), cfg)
-    out.append([ev.hits, ev.stopped_fraction, ev.nonfinite_paths])
+    endpoints, stopped, _ = _simulate_endpoints(model, np.zeros(model.d), cfg)
+    digest = hashlib.sha256(endpoints.tobytes() + stopped.tobytes()).hexdigest()
+    out.append([ev.hits, ev.stopped_fraction, ev.nonfinite_paths, digest])
 print(json.dumps(out))
 """
 
 
 def test_burgers_evidence_same_at_one_and_two_blas_threads():
-    # burgers' drift is a BLAS product, so its endpoints' last bits may
-    # follow the thread count; the counts drawn from them must not
+    # burgers' drift, like every drift, is summed term by term in a fixed
+    # order with no BLAS product, so its endpoints' bits, and the counts
+    # drawn from them, do not follow the thread count
     env = {**os.environ, "PYTHONPATH": str(Path(conecert.__file__).resolve().parents[1])}
     runs = [json.loads(subprocess.run(
         [sys.executable, "-c", BURGERS_EVIDENCE], capture_output=True, text=True, check=True,

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import constant_vectors, exponents, polynomials, vector_fields
 from conecert.closure import choose_basis, compute_C
-from conecert.kernel import _STRAIGHT_LINE_TERMS, _Kernel, _kernel
+from conecert.kernel import (
+    _STRAIGHT_LINE_TERMS,
+    _Kernel,
+    _kernel,
+    _SlotTable,
+    _straight_line_field,
+)
 from conecert.models import BUILTINS, burgers, get_builtin, shell1_forcing
 from conecert.polyfield import (
     NO_DEGREE,
@@ -698,6 +704,59 @@ def test_sparse_jacobian_is_exact_within_its_rounding(case):
             assert abs(F(row[j, k]) - entry.eval_exact(point)) <= n * u / (1 - n * u) * size
 
 
+def straight_line_rows(V, P):
+    """V's drift at each point of P by the straight-line field of the
+    dense table a small drift's kernel holds, on Python floats."""
+    field = _straight_line_field(_SlotTable(V.dim, [p.terms for p in V.components], (V.dim,)))
+    return np.array([field(*point) for point in P.reshape(-1, V.dim).tolist()]).reshape(P.shape)
+
+
+def test_burgers_field_rounds_as_the_straight_line_field():
+    V = get_builtin("burgers").drift
+    assert sum(len(p.terms) for p in V.components) > _STRAIGHT_LINE_TERMS
+    f = compile_field(V)
+    P = np.random.default_rng(7).normal(scale=0.7, size=(4, 16, V.dim))
+    expected = straight_line_rows(V, P)
+    assert f(P).tobytes() == expected.tobytes()
+    assert f(P[0, 0]).tobytes() == expected[0, 0].tobytes()
+    # coordinate-major points, as Monte Carlo holds them
+    rows = np.ascontiguousarray(P.reshape(-1, V.dim).T)
+    assert f(rows.T).tobytes() == expected.reshape(-1, V.dim).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_drifts_and_points(), st.data())
+def test_large_drift_field_rounds_as_the_straight_line_field(case, data):
+    V, _, q = case
+    d = V.dim
+    # the dyadic points, then signed zeros, overflowing values and infinities
+    extra = data.draw(st.lists(POINT_VALUES, min_size=6 * d, max_size=6 * d))
+    P = np.array([float(c) for c in q] + extra).reshape(4, 3, d)
+    f = compile_field(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = f(P)
+        singles = [f(point) for point in P.reshape(-1, d)]
+    expected = straight_line_rows(V, P)
+    assert batch.tobytes() == expected.tobytes()
+    for single, row in zip(singles, expected.reshape(-1, d)):
+        assert single.tobytes() == row.tobytes()
+
+
+def test_large_drift_field_sums_from_positive_zero():
+    # every coefficient negative, so at the origin every term is -0.0,
+    # and a sum from +0.0 is +0.0
+    d = 6
+    monomials = [e for e in itertools.product(range(4), repeat=d) if 1 <= sum(e) <= 3]
+    V = PolyVectorField(d, tuple(Polynomial(d, {e: F(-1 - (i + j) % 3, 7)
+                                                for i, e in enumerate(monomials)})
+                                 for j in range(d)))
+    assert sum(len(p.terms) for p in V.components) > _STRAIGHT_LINE_TERMS
+    P = np.zeros((2, d))
+    out = compile_field(V)(P)
+    assert not np.signbit(out).any()
+    assert out.tobytes() == straight_line_rows(V, P).tobytes()
+
+
 def test_burgers_jacobian_rows_match_single_points():
     jf = compile_jacobian(get_builtin("burgers").drift)
     P = np.random.default_rng(4).normal(scale=0.7, size=(2, 4, 96))
@@ -719,6 +778,21 @@ def test_burgers_n3_jacobian_memory_follows_its_nonzeros():
     finally:
         tracemalloc.stop()
     assert J.shape == (2, 4, V.dim, V.dim) and np.isfinite(J).all()
+    assert peak < 10 * 2**20, peak
+
+
+def test_burgers_n3_field_memory_follows_its_terms():
+    # 15,512 terms at d = 192; a dense coefficient table would hold
+    # 9624 x 192 doubles, 14.8 MB
+    V = burgers(3, 1, forced_sigma=shell1_forcing(3)).drift
+    P = np.random.default_rng(0).normal(scale=0.1, size=(2, 4, V.dim))
+    tracemalloc.start()
+    try:
+        X = _Kernel(V).field(P)  # uncached, so its field table is built while traced
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (2, 4, V.dim) and np.isfinite(X).all()
     assert peak < 10 * 2**20, peak
 
 
