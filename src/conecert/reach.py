@@ -25,12 +25,12 @@ control piece, and the error gives the time of the first non-finite
 one.
 
 `certify` takes one route whatever the query.  Membership yields the
-target of the transit from x: z itself, or the equilibrium y of a chain
-x -> y -> z, after which the control dwells at y for a quarter of t and
-a final leg of half the rest steers to z.  Every such chain puts z in
-x's own region, so a via-equilibrium target outside it is refused
-before the equilibrium search.  Twist waypoints, leg synthesis and the
-Gramian then run the same way for both.  A leg's control minimises
+target of the transit from x: z itself, or the equilibrium y of the
+first chain x -> y -> z by detour, after which the control dwells at y
+for a quarter of t and a final leg of half the rest steers to z.  Every
+such chain puts z in x's own region, so a via-equilibrium target outside
+it is refused before the equilibrium search.  One leg then steers x to
+the target, and the Gramian decides.  A leg's control minimises
 |terminal - target|^2 + ridge^2 |u|^2 by trust-region Gauss-Newton on
 the sensitivities (`equilibria.trust_region_least_squares`, which the
 equilibrium search shares), stopping at a vanishing gradient, step or
@@ -40,9 +40,8 @@ terminal state; the refined flow of the whole path alone decides the
 terminal error and the Gramian, whose margin is its signed smallest
 eigenvalue.  Norms there, and in synthesis, rescale only where the
 plain norm overflows (`_norm`).  The rank of the noise plus its first
-drift brackets, [X0, X_j] = -DX0 X_j for the constant X_j, picks the
-twist waypoints (none when no set spans) and is reported as `k_rank`
-along the path; it never refuses.  Both read it from
+drift brackets, [X0, X_j] = -DX0 X_j for the constant X_j, is reported
+as `k_rank` along the path; it never refuses.  It is read from
 `closure.bracket_rank`, which gives a family with a non-finite entry
 rank 0.
 """
@@ -55,7 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import PositivityBasis, bracket_rank, d_membership, twist_rank_check
+# twist_rank_check is not called here; the benchmark tracer patches the name
+from .closure import (  # noqa: F401
+    PositivityBasis, bracket_rank, d_membership, twist_rank_check)
 from .equilibria import find_equilibria, is_equilibrium, iter_chains, trust_region_least_squares
 from .models import ModelSpec
 # lie_bracket is not called here; the benchmark tracer patches the name
@@ -517,11 +518,10 @@ class ReachabilityCertificate:
 class CertifyOptions:
     via_equilibrium: bool = False
     pieces: int = 8
-    seed: int = 0
+    seed: int = 0  # seeds the synthesis starts and the equilibrium search
     n_steps: int = 600
 
 
-_TWIST_BUDGET = 12  # waypoint sets tried before the twist stage takes none
 _DWELL_FRAC = 0.25  # share of t spent at the equilibrium
 _SEARCH_BOX_PAD = 3.0  # the equilibrium search box is the x-z box grown by this
 _NO_CHAIN = "no equilibrium chains x to z through the positivity regions"
@@ -541,41 +541,6 @@ def _inconclusive(model, x, z, t, stage, detail, waypoints=()):
     )
 
 
-def _slab_waypoints(basis: PositivityBasis, x, coeffs, count, rng):
-    """Waypoints in nested dyadic slabs between x and the target x + B c
-    (c = coeffs): the one-sided coordinates advance through disjoint
-    windows scaled by the smallest one-sided coefficient, so each
-    waypoint is strictly reachable from its predecessor."""
-    Bmat = basis.matrix()
-    k = basis.k
-    d = basis.dim
-    lam = float(np.min(coeffs[k:])) if k < d else 1.0
-    alphas = np.concatenate([[0.0], np.cumsum(0.5 ** np.arange(1, count + 2))])
-    points = []
-    for l in range(count):
-        frac = (l + 1) / (count + 1)
-        c = np.zeros(d)
-        c[:k] = coeffs[:k] * frac
-        if k < d:
-            lo, hi = alphas[l] * lam, alphas[l + 1] * lam
-            c[k:] = lo + (0.3 + 0.4 * rng.random(d - k)) * (hi - lo)
-        points.append(np.asarray(x, float) + Bmat @ c)
-    return points
-
-
-def _select_twist_points(model, basis, x, coeffs, rng):
-    """Waypoints at which the noise-plus-bracket family spans R^d, and
-    whether it does: none when x alone spans, else the first spanning set
-    of 1 to _TWIST_BUDGET points, each count drawn afresh; else none."""
-    if twist_rank_check(model, [x]):
-        return [], True
-    for count in range(1, _TWIST_BUDGET + 1):
-        points = _slab_waypoints(basis, x, coeffs, count, rng)
-        if twist_rank_check(model, points):
-            return points, True
-    return [], False
-
-
 def certify(
     model: ModelSpec,
     basis: PositivityBasis,
@@ -585,16 +550,16 @@ def certify(
     options: CertifyOptions | None = None,
 ) -> ReachabilityCertificate:
     """Assemble a machine-checkable positivity certificate: membership,
-    twist waypoints, per-leg control synthesis, full-path Gramian, on
-    the one route the module docstring describes."""
+    one leg to the transit target (and, via an equilibrium, the dwell and
+    final leg), full-path Gramian, on the one route the module docstring
+    describes."""
     options = options or CertifyOptions()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    rng = np.random.default_rng(options.seed)
     via = options.via_equilibrium
 
-    # --- membership stage: candidate transit targets and their coefficients
-    member, coeffs = d_membership(basis, x, z)
+    # --- membership stage: the transit target
+    member, _ = d_membership(basis, x, z)
     if via:
         # A chain x -> y -> z needs positive one-sided coefficients of y - x
         # and of z - y.  They are linear in the exact differences, and
@@ -609,57 +574,38 @@ def certify(
         pad = _SEARCH_BOX_PAD
         box = list(zip(np.minimum(x, z) - pad, np.maximum(x, z) + pad))
         equilibria = find_equilibria(model, box, n_starts=64, seed=options.seed, tol=1e-8)
-        candidates = (
-            (chain.y, chain.coeffs_xy)
-            for chain in iter_chains(model, basis, x, z, equilibria)
-        )
+        chain = next(iter_chains(model, basis, x, z, equilibria), None)
+        if chain is None:
+            return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
+        target = chain.y
     else:
         if not member:
             return _inconclusive(
                 model, x, z, t, "membership",
                 "target is not strictly inside the positivity region of x",
             )
-        candidates = [(z, coeffs)]
-
-    # --- twist stage: waypoints, never a refusal.  Equilibria come in
-    # families (whole curves of them), and a candidate too close to x can
-    # give a degenerate bracket family: take the first candidate whose
-    # family spans, else the first (the shortest detour) with no waypoints.
-    first = None
-    for target, coeffs in candidates:
-        twist_points, spans = _select_twist_points(model, basis, x, coeffs, rng)
-        if spans:
-            break
-        first = target if first is None else first
-    else:
-        if first is None:
-            return _inconclusive(model, x, z, t, "membership", _NO_CHAIN)
-        target = first
+        target = z
 
     # --- time budget: for the direct route t - 0.0 - 0.0 == t exactly
     t_dwell = _DWELL_FRAC * t if via else 0.0
     t_final = 0.5 * (t - t_dwell) if via else 0.0
-    waypoints = [*twist_points, target]
-    t_leg = (t - t_dwell - t_final) / len(waypoints)
+    t_leg = t - t_dwell - t_final
+    waypoints = [target]
 
     # --- synthesis stage
-    controls: list[ControlPath] = []
     dwell = None
-    current = x
     try:
-        for leg_index, waypoint in enumerate(waypoints):
-            leg, current = _synthesize_escalating(
-                model, current, waypoint, t_leg, options, leg_index)
-            controls.append(leg)
+        leg, current = _synthesize_escalating(model, x, target, t_leg, options, 0)
+        controls = [leg]
         if via:
-            dwell = (sum(c.horizon for c in controls), t_dwell)
+            dwell = (t_leg, t_dwell)
             held, u, resid = is_equilibrium(model, current, tol=1e-6)
             if not held:
                 raise SynthesisError(f"dwell point |y| = {_norm(current):.3g} is not an"
                                      f" equilibrium (residual {resid:.3g})")
             controls.append(ControlPath.constant(t_dwell, u))
             controls.append(_synthesize_escalating(
-                model, current, z, t_final, options, len(waypoints))[0])
+                model, current, z, t_final, options, 1)[0])
     except SynthesisError as exc:
         return _inconclusive(model, x, z, t, "synthesis", str(exc), waypoints)
 

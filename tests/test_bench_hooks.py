@@ -63,7 +63,8 @@ def test_tracer_sees_every_certify_layer(tracing):
     finally:
         tracer.uninstall()
     assert cert.verdict == "positive"
-    assert tracer.stat("closure.twist", 0) >= 1
+    # certify runs no twist stage
+    assert tracer.stat("closure.twist", 0) == 0
     assert tracer.stat("reach.k_rank", 0) == 1
     assert tracer.stat("reach.certify", 0) == 1
     assert tracer.stat("reach.synthesis", 0) >= 1

@@ -235,8 +235,7 @@ def test_reach_overflowing_difference_warns_nothing():
 
 
 @pytest.mark.parametrize("argv", [
-    # the bracket family overflows at every waypoint (rank 0, not an SVD
-    # failure), so no twist set spans and the one leg steers to z
+    # the one leg steers to z, and every start diverges
     pytest.param(["--builtin", "bhw", "--to", "1e308,1e308", "--t", "1"], id="bhw"),
     # the random starts' scale overflows: scale0 * start
     pytest.param(["--builtin", "langevin", "--to", "1e308,0", "--t", "1"], id="langevin-scale"),
@@ -255,15 +254,14 @@ def test_reach_start_beyond_float_range_diverges_without_warning(argv):
 def test_reach_huge_finite_target_is_synthesis_inconclusive():
     # least squares proposes controls beyond float range: failed starts.  The
     # norms of the message are finite: past about 1.3e154 the plain norm
-    # overflows, and the rescaled one takes over.  Leg 0 steers to the first
-    # twist waypoint, not to z.  Every start diverges, so no terminal error
-    # is reported.
+    # overflows, and the rescaled one takes over.  The one leg steers to z.
+    # Every start diverges, so no terminal error is reported.
     proc = _run_cli("reach", "--builtin", "bhw", "--from", "0,0", "--to", "1e160,1e160",
                     "--t", "1")
     assert proc.returncode == 3
     assert "inconclusive at stage synthesis" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
-    assert "|to| = 3.91e+159" in proc.stdout and "(all 6 starts diverged)" in proc.stdout
+    assert "|to| = 1.41e+160" in proc.stdout and "(all 6 starts diverged)" in proc.stdout
     assert "inf" not in proc.stdout
 
 

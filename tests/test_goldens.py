@@ -83,8 +83,8 @@ def test_simulate_endpoint_goldens(model, x, kwargs, expected):
 # (model, x, z, via_equilibrium) -> (verdict, K_rank, sigma_min)
 CERTIFY_GOLDENS = [
     ("langevin", [0.0, 0.0], [1.0, 0.0], False, ("positive", 2, 0.05305581916924009)),
-    ("bhw", [0.0, 0.0], [1.0, 0.5], False, ("positive", 2, 0.12015323218198984)),
-    ("bhw", [0.0, 0.0], [2.0, 1.0], True, ("positive", 2, 0.09270582762657338)),
+    ("bhw", [0.0, 0.0], [1.0, 0.5], False, ("positive", 2, 0.08212197559103089)),
+    ("bhw", [0.0, 0.0], [2.0, 1.0], True, ("positive", 2, 0.09270537493610179)),
 ]
 
 

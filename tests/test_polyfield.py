@@ -804,8 +804,7 @@ def test_certify_builds_each_kernel_once():
     cert = certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)
     assert cert.verdict == "positive"
     info = _kernel.cache_info()
-    # the drift's alone: the twist and rank checks read [X0, X_j] off its
-    # Jacobian
+    # the drift's alone: the rank check reads [X0, X_j] off its Jacobian
     assert info.misses == info.currsize == 1
     assert info.hits > 0
     certify(model, basis, [0.0, 0.0], [1.0, 0.0], 1.0, options)

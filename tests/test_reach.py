@@ -3,6 +3,7 @@ control synthesis, and the certificate pipeline."""
 
 import hashlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ import pytest
 from conftest import no_noise_model
 from scipy.linalg import expm
 
-from conecert import reach
-from conecert.closure import BasisSelectionError, choose_basis, compute_C, d_membership
-from conecert.equilibria import EquilibriumPoint
+from conecert import closure, reach
+from conecert.closure import (
+    BasisSelectionError, bracket_rank, choose_basis, compute_C, d_membership)
+from conecert.equilibria import EquilibriumPoint, find_equilibria, iter_chains
 from conecert.models import ModelSpec, get_builtin, langevin
 from conecert.polyfield import Polynomial, PolyVectorField, compile_field, compile_jacobian
 from conecert.reach import (
@@ -689,6 +691,50 @@ def test_certify_runs_one_carry_free_flow(monkeypatch):
     assert carries.count(None) == 1 and carries[-1] == "gramian"
 
 
+@pytest.mark.parametrize("name, z, via", [
+    ("langevin", [1.0, 0.0], False),
+    ("langevin2d", [1.0, 1.0, 0.0, 0.0], False),
+    ("bhw", [1.0, 0.5], False),
+    ("bhw", [2.0, 1.0], True),
+])
+def test_certify_steers_one_leg_to_its_target(monkeypatch, name, z, via):
+    # one route: the leg steers x to z, or to the first chain's equilibrium;
+    # the bracket rank is read once, for the report, and picks no waypoint
+    callers = []
+
+    def counted(model, points):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return bracket_rank(model, points)
+
+    monkeypatch.setattr(closure, "bracket_rank", counted)
+    monkeypatch.setattr(reach, "bracket_rank", counted)
+    searches = []
+
+    def recorded(*args, **kwargs):
+        searches.append(find_equilibria(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(reach, "find_equilibria", recorded)
+    m = get_builtin(name)
+    basis = choose_basis(compute_C(m))
+    x = np.zeros(m.d)
+    pieces = 4
+    cert = certify(m, basis, x, z, 1.0,
+                   CertifyOptions(seed=0, n_steps=200, pieces=pieces, via_equilibrium=via))
+    assert cert.verdict == "positive"
+    assert callers == ["k_rank"]
+    assert len(cert.waypoints) == 1
+    if via:
+        (equilibria,) = searches
+        assert np.array_equal(cert.waypoints[0],
+                              next(iter_chains(m, basis, x, z, equilibria)).y)
+        assert len(cert.control.values) == 2 * pieces + 1
+    else:
+        assert searches == []
+        assert np.array_equal(cert.waypoints[0], z)
+        assert len(cert.control.values) == pieces
+
+
 def test_certify_membership_failure(bhw_model):
     basis = choose_basis(compute_C(bhw_model))
     cert = certify(bhw_model, basis, [0.0, 0.0], [-1.0, 0.0], 1.0)
@@ -719,9 +765,9 @@ NO_CHAIN = "no equilibrium chains x to z through the positivity regions"
 
 @pytest.mark.parametrize("z", [[1.0, 0.0], [0.5, 0.0]])
 def test_certify_bhw_along_the_one_sided_axis(bhw_model, z):
-    # z - x lies along the one-sided direction (1, 0), so every waypoint
-    # would be on y = 0, where [X0, X1] is parallel to X1: no twist set
-    # spans, the one leg steers to z, and the Gramian decides
+    # x and z lie on y = 0, where [X0, X1] is parallel to X1, so the
+    # bracket family does not span at either end: the one leg steers to z
+    # all the same, and the Gramian decides
     basis = choose_basis(compute_C(bhw_model))
     cert = certify(bhw_model, basis, [0.0, 0.0], z, 1.0, CertifyOptions(pieces=4, n_steps=200))
     assert cert.verdict == "positive"
