@@ -357,6 +357,10 @@ def verify_derivations(model: ModelSpec, cone: ConeSpan) -> bool:
 
 @dataclass(frozen=True)
 class PositivityBasis:
+    """Columns b_1..b_n of B; the first k are two-sided, the rest
+    one-sided.  B and its float inverse are built once, on first use, and
+    shared read-only by every membership query."""
+
     vectors: list[tuple[Fraction, ...]]
     k: int  # first k vectors are two-sided, the rest are one-sided
 
@@ -377,6 +381,18 @@ class PositivityBasis:
         B = np.array([[float(c) for c in v] for v in self.vectors]).T
         B.flags.writeable = False
         return B
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        # B^-1 in floating point, factored once; read-only, like _matrix
+        import numpy as np
+
+        try:
+            inv = np.linalg.inv(self._matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasisError("positivity basis is singular in floating point") from exc
+        inv.flags.writeable = False
+        return inv
 
     @functools.cached_property
     def _exact_rows(self) -> list[list[tuple[int, Fraction]]]:
@@ -433,22 +449,23 @@ def d_membership(
     """Membership of z in the positivity region of x: every one-sided
     coefficient of z - x in the basis strictly positive (boundary points
     are excluded), decided over Q from the exact rows of B^-1 and the
-    exact difference of the float inputs.  The float solve of B c = z - x
-    only supplies the returned coefficients.  A float difference z - x
-    that is not finite (a non-finite endpoint, or an overflow) is never a
-    member: no caller could use its coefficients.
+    exact difference of the float inputs.  The returned coefficients are
+    the float product B^-1 (z - x), with the basis's cached inverse; the
+    decision never reads them.  x and z must have shape (d,).  A float
+    difference z - x that is not finite (a non-finite endpoint, or an
+    overflow) is never a member: no caller could use its coefficients.
     """
     import numpy as np
 
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    for name, p in (("x", x), ("z", z)):
+        if p.shape != (basis.dim,):
+            raise ValueError(f"{name} has shape {p.shape}, expected ({basis.dim},)")
     rows = basis._exact_rows  # raises SingularBasisError when B is singular over Q
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = z - x
-        try:
-            coeffs = np.linalg.solve(basis._matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBasisError("positivity basis is singular in floating point") from exc
+        coeffs = basis._inverse @ rhs
     if not np.all(np.isfinite(rhs)):
         return False, coeffs
     if not rows:

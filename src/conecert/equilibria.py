@@ -42,8 +42,6 @@ class EquilibriumPoint:
 @dataclass(frozen=True)
 class PositivityChain:
     y: np.ndarray
-    coeffs_xy: np.ndarray
-    coeffs_yz: np.ndarray
 
 
 def is_equilibrium(
@@ -227,11 +225,6 @@ def iter_chains(
         key=lambda ep: np.linalg.norm(ep.y - x) + np.linalg.norm(z - ep.y),
     )
     for ep in candidates:
-        member_xy, coeffs_xy = d_membership(basis, x, ep.y)
-        if not member_xy:
-            continue
-        member_yz, coeffs_yz = d_membership(basis, ep.y, z)
-        if not member_yz:
-            continue
-        yield PositivityChain(y=ep.y, coeffs_xy=coeffs_xy, coeffs_yz=coeffs_yz)
+        if d_membership(basis, x, ep.y)[0] and d_membership(basis, ep.y, z)[0]:
+            yield PositivityChain(y=ep.y)
 

@@ -7,7 +7,9 @@ O(its variables), not O(dim); exponent tuples of length dim appear only
 in the `Polynomial(dim, mapping)` constructor, the JSON form and error
 messages.  A vector field indexes its terms by variable, so a derivative
 or relative degree along a sparse direction visits only the terms that
-use its support, and its constancy is read off the same index.  All
+use its support, and its constancy is read off the same index; a
+derivative along a direction is handed the index of the components it
+touched, so nothing walks its untouched ones.  All
 values are immutable after construction and every operation is a pure
 function.  The module imports no numpy: floats enter only through
 `compile_field`, `compile_jacobian` and `compile_rk4_step`, which build
@@ -267,21 +269,31 @@ class PolyVectorField:
     def constant_value(self) -> tuple[Fraction, ...]:
         return tuple(self._constant_terms.get(j, _ZERO) for j in range(self.dim))
 
-    # A field indexes its terms once, on first use: its constant terms by
-    # component, and each other term under every variable it uses
+    # A field indexes its terms once, on first use or when `_along` builds
+    # it: its constant terms by component, and each other term under
+    # every variable it uses
     @functools.cached_property
-    def _constant_terms(self) -> dict[int, Fraction]:
-        return {j: p.terms[()] for j, p in enumerate(self.components) if () in p.terms}
+    def _index(self) -> tuple[dict, dict]:
+        return _term_index(enumerate(self.components))
 
-    @functools.cached_property
+    @property
     def _by_variable(self) -> dict[int, list[tuple[int, Monomial, Fraction, int]]]:
-        # variable -> the (component, key, coeff, power) of each term using it
-        index: dict[int, list] = {}
-        for j, p in enumerate(self.components):
-            for key, c in p.terms.items():
-                for i, e in key:
-                    index.setdefault(i, []).append((j, key, c, e))
-        return index
+        return self._index[0]
+
+    @property
+    def _constant_terms(self) -> dict[int, Fraction]:
+        return self._index[1]
+
+    @classmethod
+    def _indexed(cls, dim: int, components: tuple, index: tuple[dict, dict]) -> "PolyVectorField":
+        """Trusted constructor for internal calculus: `components` must be
+        a tuple of `dim` Polynomials in `dim` variables and `index` their
+        `_term_index`; the O(dim) checks of `__post_init__` are skipped."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "dim", dim)
+        object.__setattr__(obj, "components", components)
+        object.__setattr__(obj, "_index", index)
+        return obj
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(
@@ -293,6 +305,21 @@ class PolyVectorField:
 
     def eval_exact(self, x: Sequence[Rational]) -> tuple[Fraction, ...]:
         return tuple(p.eval_exact(x) for p in self.components)
+
+
+def _term_index(components) -> tuple[dict, dict]:
+    """The term index of (component, Polynomial) pairs, in the order
+    given: variable -> the (component, key, coeff, power) of each term
+    using it, and component -> its nonzero constant term."""
+    by_variable: dict[int, list] = {}
+    constant_terms: dict[int, Fraction] = {}
+    for j, p in components:
+        for key, c in p.terms.items():
+            if not key:
+                constant_terms[j] = c
+            for i, e in key:
+                by_variable.setdefault(i, []).append((j, key, c, e))
+    return by_variable, constant_terms
 
 
 def jacobian(V: PolyVectorField) -> list[list[Polynomial]]:
@@ -313,7 +340,10 @@ def directional_derivative(W: PolyVectorField, v: Sequence[Rational]) -> PolyVec
 
 
 def _along(W: PolyVectorField, support: Mapping[int, Fraction]) -> PolyVectorField:
-    # W's derivative along the direction with these nonzero coordinates
+    """W's derivative along the direction with these nonzero coordinates.
+    Only the components it touches are walked: the result is handed their
+    term index, in component order and then term order, so its constancy
+    and relative degrees never visit the untouched (zero) components."""
     accs: dict[int, dict[Monomial, Fraction]] = {}
     for k, vk in support.items():
         for j, key, c, e in W._by_variable.get(k, ()):
@@ -321,9 +351,11 @@ def _along(W: PolyVectorField, support: Mapping[int, Fraction]) -> PolyVectorFie
             de = _lowered(key, k, e)
             acc[de] = acc.get(de, _ZERO) + c * e * vk
     comps = [Polynomial.zero(W.dim)] * W.dim  # one zero, shared by the untouched components
-    for j, acc in accs.items():
-        comps[j] = Polynomial._raw(W.dim, acc)
-    return PolyVectorField(W.dim, tuple(comps))
+    touched = sorted(accs)
+    for j in touched:
+        comps[j] = Polynomial._raw(W.dim, accs[j])
+    index = _term_index((j, comps[j]) for j in touched)
+    return PolyVectorField._indexed(W.dim, tuple(comps), index)
 
 
 def _support(v: Sequence[Rational]) -> dict[int, Fraction]:

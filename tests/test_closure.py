@@ -3,6 +3,7 @@ region."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -405,7 +406,7 @@ def test_membership_matches_rational_oracle_inside_band(query):
     exact = _exact_coefficients(basis.vectors, [F(b) - F(a) for a, b in zip(x, z)])
     member, coeffs = d_membership(basis, x, z)
     assert member == all(c > 0 for c in exact[basis.k :])
-    assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
+    assert np.array_equal(coeffs, np.linalg.inv(basis.matrix()) @ (z - x))
 
 
 @st.composite
@@ -445,7 +446,58 @@ def test_membership_coefficients_bit_identical_at_d96():
         x = rng.normal(scale=0.5, size=96)
         z = x + rng.normal(size=96)
         _, coeffs = d_membership(basis, x, z)
-        assert np.array_equal(coeffs, np.linalg.solve(basis.matrix(), z - x))
+        assert np.array_equal(coeffs, np.linalg.inv(basis.matrix()) @ (z - x))
+
+
+# sha256 of the `burgers` basis's float inverse and of the coefficients
+# of 20 seeded queries
+BURGERS_COEFFICIENT_DIGESTS = """
+import hashlib
+import numpy as np
+from conecert.closure import choose_basis, compute_C, d_membership
+from conecert.models import get_builtin
+
+basis = choose_basis(compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0))
+rng = np.random.default_rng(1)
+coeffs = [d_membership(basis, x, x + rng.normal(size=96))[1]
+          for x in rng.normal(scale=0.5, size=(20, 96))]
+print(hashlib.sha256(basis._inverse.tobytes()).hexdigest(),
+      hashlib.sha256(np.stack(coeffs).tobytes()).hexdigest())
+"""
+
+
+def test_burgers_coefficients_ignore_blas_threads():
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", BURGERS_COEFFICIENT_DIGESTS],
+                              capture_output=True, text=True, check=True, timeout=120, env=env)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
+
+
+def test_basis_is_inverted_once_and_never_solved(bhw_model, monkeypatch):
+    basis = choose_basis(compute_C(bhw_model))
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: pytest.fail("np.linalg.solve called"))
+    rng = np.random.default_rng(0)
+    for x, z in rng.normal(size=(100, 2, 2)):
+        d_membership(basis, x, z)
+    assert len(calls) == 1
+    assert not basis._inverse.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["bhw", "langevin"])
+@pytest.mark.parametrize("bad", [0.0, [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], [[0.0], [0.0]]])
+def test_membership_refuses_endpoints_of_the_wrong_shape(name, bad):
+    # bhw has a one-sided direction; langevin's are all two-sided
+    basis = choose_basis(compute_C(get_builtin(name)))
+    good = [1.0, 5.0]
+    for x, z in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="shape"):
+            d_membership(basis, x, z)
 
 
 def test_membership_loads_no_scipy():
@@ -513,6 +565,70 @@ def test_exact_rows_are_the_one_sided_rows_of_the_inverse(vectors):
             assert all(c != 0 for _, c in row)
             for m, b in enumerate(vectors):
                 assert sum(c * b[j] for j, c in row) == (i == m)
+
+
+def _exact_inverse(vectors):
+    # Gauss-Jordan over Q on [B | I]; the matrix's columns are the vectors
+    n = len(vectors)
+    rows = [[v[i] for v in vectors] + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = [e / rows[col][col] for e in rows[col]]
+        rows[col] = p
+        support = [j for j, e in enumerate(p) if e]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != col and f:
+                for j in support:
+                    row[j] -= f * p[j]
+    return [row[n:] for row in rows]
+
+
+def assert_coefficients_within_first_order_bound(basis, x, z, exact):
+    """|c - c_exact|_inf <= 4 n eps kappa_inf(B) |B^-1|_inf |z - x|_inf:
+    B rounded to floats and inverted by LU moves B^-1 by a relative
+    O(n eps kappa), and the product with the rounded difference adds
+    O(n eps |B^-1| |z - x|), which kappa >= 1 covers."""
+    n = basis.dim
+    norm = max(sum(abs(v[i]) for v in basis.vectors) for i in range(n))
+    norm_inv = max(sum(map(abs, row)) for row in _exact_inverse(basis.vectors))
+    rhs = max(abs(F(b) - F(a)) for a, b in zip(x, z))
+    bound = 4 * n * F(np.finfo(float).eps) * norm * norm_inv * norm_inv * rhs
+    _, coeffs = d_membership(basis, x, z)
+    assert max(abs(F(c) - e) for c, e in zip(coeffs.tolist(), exact)) <= bound
+
+
+@st.composite
+def generic_queries(draw):
+    vectors = draw(rational_bases().filter(lambda vs: _det(vs) != 0))
+    d = len(vectors)
+    point = st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)
+    k = draw(st.integers(0, d))
+    return (PositivityBasis(vectors=[tuple(v) for v in vectors], k=k),
+            np.array(draw(point)), np.array(draw(point)))
+
+
+@given(st.one_of(near_boundary_queries(), generic_queries()))
+@settings(max_examples=200, deadline=None)
+# exact coefficients (0, 1e-16): the error bound is absolute, not relative
+@example((PositivityBasis([(F(3), F(1)), (F(1), F(0))], 0), np.zeros(2), np.array([1e-16, 0.0])))
+def test_membership_coefficients_match_rational_oracle(query):
+    basis, x, z = query
+    exact = _exact_coefficients(basis.vectors, [F(b) - F(a) for a, b in zip(x, z)])
+    assert_coefficients_within_first_order_bound(basis, x, z, exact)
+
+
+def test_membership_coefficients_match_rational_oracle_at_d96():
+    basis = choose_basis(compute_C(get_builtin("burgers"), max_rounds=3, combo_budget=0))
+    inverse = _exact_inverse(basis.vectors)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        x = rng.normal(scale=0.5, size=96)
+        z = x + rng.normal(size=96)
+        rhs = [F(b) - F(a) for a, b in zip(x.tolist(), z.tolist())]
+        exact = [sum(e * r for e, r in zip(row, rhs) if e) for row in inverse]
+        assert_coefficients_within_first_order_bound(basis, x, z, exact)
 
 
 def test_membership_short_orthogonal_basis_accepted():

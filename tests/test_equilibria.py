@@ -150,9 +150,13 @@ def test_build_chain_bhw(bhw_model):
     eqs = find_equilibria(bhw_model, [(-3, 3), (-3, 3)], n_starts=64, seed=0)
     chain = next(iter_chains(bhw_model, basis, [0.0, 0.0], [2.0, 1.0], eqs), None)
     assert chain is not None
-    # equilibrium is strictly in D(x): its even coefficient is positive
-    assert chain.coeffs_xy[1] > 0
-    assert chain.coeffs_yz[1] > 0
+    # the equilibrium is strictly in D(x), and z strictly in D(y): over Q,
+    # the one-sided coefficient of (dx, dy) in the basis ((0, 1), (a, 0))
+    # is dx / a
+    assert basis.vectors[0] == (F(0), F(1)) and basis.vectors[1][1] == 0
+    a = basis.vectors[1][0]
+    assert (F(chain.y[0]) - 0) / a > 0
+    assert (F(2.0) - F(chain.y[0])) / a > 0
     assert chain.y[0] > 0
 
 

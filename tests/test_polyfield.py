@@ -463,6 +463,13 @@ def test_cached_constancy_matches_components(case):
     assert C.is_constant() and C.constant_value() == v
     assert len({id(p) for p in C.components if p.is_zero()}) <= 1  # one zero, shared
     assert PolyVectorField.zero(d).is_zero()
+    # a derivative along a direction carries the term index `_along` built
+    # from the components it touched; it equals the one rebuilt from all
+    for X in (ad_power(C, W, m), directional_derivative(W, v), lie_bracket(W, C)):
+        rebuilt = PolyVectorField(d, X.components)
+        assert X == rebuilt and hash(X) == hash(rebuilt)
+        assert X._by_variable == rebuilt._by_variable
+        assert X._constant_terms == rebuilt._constant_terms
 
 
 def test_sparse_direction_cost_does_not_grow_with_dim():
